@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 
 
@@ -44,17 +43,21 @@ def transpose(A):
 
 
 def smith_normal_form(M):
-    """Return (D, U, V) with U*M*V = D, U and V unimodular, D diagonal with
-    D[0][0] | D[1][1] | ... .  Pivoting picks the smallest nonzero entry."""
+    """Return (D, U, V, Uinv) with U*M*V = D, U and V unimodular, Uinv the
+    inverse of U, D diagonal with D[0][0] | D[1][1] | ... .  Pivoting picks
+    the smallest nonzero entry."""
     A = [list(row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     U = _identity(m)
+    Uinv = _identity(m)  # each row operation on U is undone on its columns
     V = _identity(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -65,6 +68,8 @@ def smith_normal_form(M):
     def add_row(i, j, q):  # row_i += q * row_j
         A[i] = [a + q * b for a, b in zip(A[i], A[j])]
         U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= q * row[i]
 
     def add_col(i, j, q):  # col_i += q * col_j
         for row in A:
@@ -125,38 +130,15 @@ def smith_normal_form(M):
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
             U[t] = [-a for a in U[t]]
+            for row in Uinv:
+                row[t] = -row[t]
         t += 1
-    return A, U, V
-
-
-def invert_unimodular(U):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(U)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(U)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise AbgroupError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise AbgroupError("matrix is not unimodular")
-        out.append([int(v) for v in vals])
-    return out
+    return A, U, V, Uinv
 
 
 def solve_integer(A, v):
     """One integer solution x of A x = v, or None if there is none."""
-    D, U, V = smith_normal_form(A)
+    D, U, V, _ = smith_normal_form(A)
     m = len(A)
     n = len(A[0]) if m else 0
     uv = mat_vec(U, v)
@@ -178,7 +160,7 @@ def right_kernel(A):
     n = len(A[0]) if m else 0
     if n == 0:
         return []
-    D, U, V = smith_normal_form(A)
+    D, U, V, _ = smith_normal_form(A)
     basis = []
     for j in range(n):
         d = D[j][j] if j < min(m, n) else 0
@@ -238,12 +220,11 @@ def quotient_coords(relation_rows, ngens):
     if not rels:
         raise AbgroupError("quotient is infinite")
     M = transpose(rels)  # relations as columns, ngens x r
-    D, U, V = smith_normal_form(M)
+    D, U, V, Uinv = smith_normal_form(M)
     r = len(rels)
     diag = [D[i][i] if i < min(ngens, r) else 0 for i in range(ngens)]
     if any(d == 0 for d in diag):
         raise AbgroupError("quotient is infinite")
-    Uinv = invert_unimodular(U)
     kept = [i for i in range(ngens) if diag[i] != 1]
     invariants = tuple(diag[i] for i in kept)
 
@@ -499,7 +480,7 @@ class Subgroup:
         stacked = [list(r) for r in self.basis] + \
                   [[-x for x in r] for r in other.basis]
         # left kernel of `stacked`: rows (y, z) with y*B1 = z*B2
-        D, U, V = smith_normal_form(transpose(stacked))
+        D, U, V, _ = smith_normal_form(transpose(stacked))
         nrows = len(stacked)
         gens = []
         for j in range(nrows):

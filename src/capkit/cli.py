@@ -15,7 +15,7 @@ from .catalog import CatalogError, get_group, load_catalog
 from .fixtures import (PUBLISHED_EMPIRICAL_P3, PUBLISHED_HEURISTIC_P3,
                        reference_table)
 from .heuristics import predicted_rank_distribution
-from .pcgroup import capitulation_type
+from .pcgroup import PresentationError, capitulation_type
 from .quadform import (Discriminant, QuadFormError, class_group_structure,
                        fundamental_discriminants)
 from .store import ScanRecord, append_records, now_timestamp, read_store
@@ -52,8 +52,7 @@ def classify_capitulation_pattern(pattern, p=5):
 def _compute_record(args):
     dv, p = args
     s = class_group_structure(Discriminant(dv))
-    rank = sum(1 for d in s.invariant_factors if d % p == 0)
-    return ScanRecord(dv, s.order, s.invariant_factors, p, rank,
+    return ScanRecord(dv, s.order, s.invariant_factors, p, s.group.rank(p),
                       now_timestamp())
 
 
@@ -70,8 +69,7 @@ def cmd_classgroup(ns, out):
     print("h = %d" % s.order, file=out)
     print("Cl = %s" % invs, file=out)
     for p in (2, 3, 5, 7):
-        rank = sum(1 for d in s.invariant_factors if d % p == 0)
-        print("%d-rank = %d" % (p, rank), file=out)
+        print("%d-rank = %d" % (p, s.group.rank(p)), file=out)
     return 0
 
 
@@ -124,7 +122,7 @@ def cmd_verify_table(ns, out):
     print("row\tD\trank\tpattern\tclass\tverdict", file=out)
     for row in reference_table():
         s = class_group_structure(Discriminant(row.discriminant))
-        rank = sum(1 for d in s.invariant_factors if d % 5 == 0)
+        rank = s.group.rank(5)
         cls = classify_capitulation_pattern(row.pattern).value
         if rank == 2:
             verdict = "ok"
@@ -144,7 +142,11 @@ def cmd_tkt(ns, out):
     except CatalogError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    entries = capitulation_type(G)
+    try:
+        entries = capitulation_type(G)
+    except PresentationError as exc:
+        print("error: %s: %s" % (G.name, exc), file=sys.stderr)
+        return 2
     print("group %s (order %d, p = %d)" % (G.name, G.order, G.p), file=out)
     codes = []
     for e in entries:
@@ -233,9 +235,6 @@ def build_parser():
     p.add_argument("--store", default=DEFAULT_STORE)
     p.add_argument("--tsv", action="store_true")
     p.set_defaults(func=cmd_report)
-
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized subcommands (reserved)")
     return ap
 
 

@@ -104,7 +104,8 @@ def _cyclic_idempotents_modp(d, p):
     factors = Poly(x ** d - 1, x, domain=GF(p)).factor_list()[1]
     out = []
     for f, mult in factors:
-        assert mult == 1
+        if mult != 1:
+            raise GModuleError("x^%d - 1 is not squarefree mod %d" % (d, p))
         cof = modulus.div(f)[0]
         inv = cof.invert(f)
         e = (cof * inv).rem(modulus)
@@ -290,10 +291,6 @@ class GrowthClass(Enum):
     STABLE = "stable"
     SEMI_STABLE = "semi-stable"
     WILD = "wild"
-    # reserved: the taxonomy names a tame case whose defining condition is
-    # not available; the classifier never returns it and evaluates the wild
-    # fallback relative to the stable and semi-stable conditions only.
-    UNCLASSIFIED_TAME = "unclassified-tame"
 
 
 @dataclass(frozen=True)
@@ -366,9 +363,8 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
         raise GModuleError("subgroup must contain the derived subgroup")
 
     A_K, proj_G, _ = G.abelianization()
-    A_L, proj_H, gens_H = G.quotient_structure(H.elements, G.derived_of(H.elements))
-
     tmap = transfer(G, H)
+    A_L, proj_H, gens_H = tmap.target, tmap.project, tmap.lifts
     lift = tmap.hom
 
     norm = Homomorphism(A_L, A_K, [[proj_G(g)[i] for g in gens_H]

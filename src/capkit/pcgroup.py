@@ -8,9 +8,11 @@ exponent tuple (e1, ..., en).  Stored relations:
     commutator: [gj,gi] = tail word in g_{j+1} .. g_n   (i < j)
 
 with [x, y] = x^-1 y^-1 x y and the rewriting rule gj gi -> gi gj [gj,gi];
-words are collected from the left.  Consistency is not assumed: after
-collection the multiplication on normal words is checked to be a group law,
-and a PresentationError is raised otherwise.
+words are collected from the left.  Consistency is not assumed: the right
+multiplications of the normal words by the generators are checked to satisfy
+every defining relation, which proves that the presentation defines a group
+of order p^n (see PcGroup._prove_consistency); a PresentationError is raised
+otherwise.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class PcGroup:
         self.conj_tails = {k: tuple(v) for k, v in conj_tails.items() if v}
         self._validate_tails()
         self._elements = list(itertools.product(range(p), repeat=ngens))
-        self._gen_table = None   # dict element -> list over gens
-        self._table = None       # dict (u, v) -> u*v
-        self._inverse = None
         self._derived = None
         self._abelianization = None
         self._build()
@@ -78,89 +77,77 @@ class PcGroup:
                         "commutator tail [g%d,g%d] uses invalid letter" % (j + 1, i + 1))
 
     def _collect_letters(self, letters):
-        """Collection from the left on a list of single generator letters."""
+        """Collection from the left on a list of single generator letters:
+        rewrite the leftmost descent gj gi or run of p equal letters until
+        the word is normal; return its exponent vector."""
         w = list(letters)
         p = self.p
-        steps = 0
-        while True:
-            steps += 1
-            if steps > _COLLECT_CAP:
-                raise PresentationError("collection did not terminate")
-            # leftmost violation of normality
-            pos = -1
-            kind = None
-            run = 1
-            for k in range(len(w)):
-                if k + 1 < len(w) and w[k] > w[k + 1]:
-                    if pos == -1 or k < pos:
-                        pos, kind = k, "swap"
+        for _ in range(_COLLECT_CAP):
+            run = 0
+            for k, g in enumerate(w):
+                if k + 1 < len(w) and g > w[k + 1]:
+                    tail = self.conj_tails.get((g, w[k + 1]), ())
+                    w[k:k + 2] = [w[k + 1], g] + _word_letters(tail)
                     break
-                run = run + 1 if k and w[k] == w[k - 1] else 1
+                run = run + 1 if k and g == w[k - 1] else 1
                 if run == p:
-                    pos, kind = k - p + 1, "power"
+                    w[k - p + 1:k + 1] = _word_letters(self.power_tails[g])
                     break
-            if kind is None:
-                break
-            if kind == "swap":
-                j, i = w[pos], w[pos + 1]
-                tail = self.conj_tails.get((j, i), ())
-                w[pos:pos + 2] = [i, j] + _word_letters(tail)
             else:
-                i = w[pos]
-                w[pos:pos + p] = _word_letters(self.power_tails[i])
-        vec = [0] * self.n
-        for g in w:
-            vec[g] += 1
-        return tuple(vec)
+                return tuple(w.count(g) for g in range(self.n))
+        raise PresentationError("collection did not terminate")
 
     def _build(self):
+        # _gen_table[u][g] = u g and _inv_gen_table[u][g] = u g^-1: the only
+        # multiplication data, |G| n entries each
+        n = self.n
+        self._gen_table = {
+            u: [self._collect_letters(_word_letters(enumerate(u)) + [g])
+                for g in range(n)]
+            for u in self._elements}
+        self._prove_consistency()
+        inverse = {u: [None] * n for u in self._elements}
+        for u, row in self._gen_table.items():
+            for g, w in enumerate(row):
+                inverse[w][g] = u
+        self._inv_gen_table = inverse
+
+    def _apply(self, u, letters):
+        """u times the given generator letters, one table lookup each."""
+        table = self._gen_table
+        for g in letters:
+            u = table[u][g]
+        return u
+
+    def _prove_consistency(self):
+        """Raise PresentationError unless the right multiplications R_i
+        (u -> collected u g_i, from _gen_table) satisfy every defining
+        relation at every normal word u:  R_i^p = R(power tail of g_i) and
+        R_j R_i = R_i R_j R(tail of [g_j, g_i]) for i < j.  O(|G| n^2) lookups.
+
+        This proves consistency.  By the power relations each R_i is a
+        bijection (R_n^p is the identity, R_i^p a product of R_k, k > i), so
+        the R_i generate a permutation group Q of the normal words that is a
+        quotient of the presented group, whose order is at most p^n because
+        collection turns every word into a normal word.  Every prefix of a
+        normal word w is normal, so the letters of w carry the empty word to
+        w: Q is transitive on p^n words.  Hence Q and the presented group
+        have order p^n, Q acts regularly, and u * v = u R(letters of v),
+        which is mult(), is the group law."""
         p, n = self.p, self.n
-        gen_table = {}
-        for u in self._elements:
-            letters = []
-            for i, e in enumerate(u):
-                letters.extend([i] * e)
-            row = []
-            for g in range(n):
-                row.append(self._collect_letters(letters + [g]))
-            gen_table[u] = row
-        self._gen_table = gen_table
-
-        table = {}
-        for u in self._elements:
-            for v in self._elements:
-                w = u
-                for i, e in enumerate(v):
-                    for _ in range(e):
-                        w = gen_table[w][i]
-                table[(u, v)] = w
-        self._table = table
-
-        ident = self.identity
-        inverse = {}
-        for u in self._elements:
-            for v in self._elements:
-                if table[(u, v)] == ident:
-                    inverse[u] = v
-                    break
-        self._inverse = inverse
-
-        # consistency: the collected multiplication must be a group law
-        if len(inverse) != len(self._elements):
-            raise PresentationError("presentation inconsistent: missing inverses")
-        for g in range(n):
-            gv = self._gen_vec(g)
-            images = {table[(u, gv)] for u in self._elements}
-            if len(images) != len(self._elements):
-                raise PresentationError(
-                    "presentation inconsistent: right multiplication not bijective")
-        for u in self._elements:
-            for v in self._elements:
-                uv = table[(u, v)]
-                for g in range(n):
-                    if gen_table[uv][g] != table[(u, gen_table[v][g])]:
-                        raise PresentationError(
-                            "presentation inconsistent: associativity fails")
+        relations = []
+        for i in range(n):
+            relations.append(("power relation of g%d" % (i + 1),
+                              [i] * p, _word_letters(self.power_tails[i])))
+            for j in range(i + 1, n):
+                tail = _word_letters(self.conj_tails.get((j, i), ()))
+                relations.append(("commutator relation [g%d,g%d]" % (j + 1, i + 1),
+                                  [j, i], [i, j] + tail))
+        for what, lhs, rhs in relations:
+            for u in self._elements:
+                if self._apply(u, lhs) != self._apply(u, rhs):
+                    raise PresentationError(
+                        "presentation inconsistent: %s fails" % what)
 
     def _gen_vec(self, i):
         return tuple(1 if j == i else 0 for j in range(self.n))
@@ -182,10 +169,21 @@ class PcGroup:
         return [self._gen_vec(i) for i in range(self.n)]
 
     def mult(self, u, v):
-        return self._table[(u, v)]
+        """u v: the letters of v applied to u, at most n(p-1) lookups."""
+        table = self._gen_table
+        for g, e in enumerate(v):
+            for _ in range(e):
+                u = table[u][g]
+        return u
 
     def inv(self, u):
-        return self._inverse[u]
+        """u^-1: the letters of u undone in reverse order."""
+        table = self._inv_gen_table
+        w = self.identity
+        for g in range(self.n - 1, -1, -1):
+            for _ in range(u[g]):
+                w = table[w][g]
+        return w
 
     def power(self, u, k):
         if k < 0:
@@ -240,23 +238,32 @@ class PcGroup:
 
     def derived_subgroup(self):
         if self._derived is None:
-            comms = {self.commutator(x, y)
-                     for x in self._elements for y in self._elements}
-            self._derived = self.closure(comms)
+            self._derived = self.derived_of(self.generators())
         return self._derived
 
-    def derived_of(self, subset):
-        subset = list(subset)
-        comms = {self.commutator(x, y) for x in subset for y in subset}
-        return self.closure(comms)
+    def derived_of(self, gens):
+        """Derived subgroup of the subgroup H generated by gens: the normal
+        closure in H of the commutators [a, b], a, b in gens."""
+        gens = list(gens)
+        normal_gens, closed = [], frozenset({self.identity})
+        pending = [self.commutator(a, b) for a in gens for b in gens]
+        while pending:
+            x = pending.pop()
+            if x not in closed:
+                normal_gens.append(x)
+                closed = self.closure(normal_gens)
+                pending.extend(self.conjugate(x, a) for a in gens)
+        return closed
 
     def is_metabelian(self):
-        der = self.derived_subgroup()
-        return all(self.mult(x, y) == self.mult(y, x) for x in der for y in der)
+        der = SubgroupDescriptor.from_elements(self, self.derived_subgroup())
+        return all(self.mult(x, y) == self.mult(y, x)
+                   for x in der.generators for y in der.generators)
 
     def center_size(self):
+        gens = self.generators()
         return sum(1 for z in self._elements
-                   if all(self.mult(z, x) == self.mult(x, z) for x in self._elements))
+                   if all(self.mult(z, g) == self.mult(g, z) for g in gens))
 
     def quotient_structure(self, subset_elements, normal_subgroup):
         """Abelian structure of subset/normal_subgroup (the quotient must be
@@ -357,8 +364,8 @@ def subgroups_index_p_above_derived(G: PcGroup):
             elems = [x for x in G.elements()
                      if sum(a * b for a, b in zip(phi, modp(x))) % p == 0]
             subs.append(SubgroupDescriptor.from_elements(G, elems))
-    expected = (p ** r - 1) // (p - 1)
-    assert len(subs) == expected
+    if len(subs) != (p ** r - 1) // (p - 1):
+        raise PresentationError("wrong number of index-p subgroups above G'")
     return subs
 
 
@@ -384,18 +391,23 @@ def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
                     trans[key] = u
                     nxt.append(u)
         frontier = nxt
-    assert len(trans) == H.index
+    if len(trans) != H.index:
+        raise PresentationError("transversal size differs from the index")
     return [trans[k] for k in sorted(trans)]
 
 
 @dataclass(frozen=True)
 class TransferMap:
-    """The transfer (Verlagerung) G/G' -> H/H' as an explicit Homomorphism."""
+    """The transfer (Verlagerung) G/G' -> H/H' as an explicit Homomorphism,
+    with the projection H -> H/H' (element -> coordinates) and a lift in H
+    of each invariant-factor generator of H/H'."""
     group: PcGroup = field(compare=False)
     subgroup: SubgroupDescriptor = field(compare=False)
     source: AbelianGroup
     target: AbelianGroup
     hom: Homomorphism
+    project: object = field(compare=False)
+    lifts: list = field(compare=False)
 
     def kernel(self):
         return self.hom.kernel()
@@ -430,12 +442,13 @@ def transfer(G: PcGroup, H: SubgroupDescriptor, transversal=None) -> TransferMap
         if len(transversal) != H.index or len(keys) != H.index:
             raise PresentationError("not a transversal")
     A_G, proj_G, gens_G = G.abelianization()
-    A_H, proj_H, _ = G.quotient_structure(H.elements, G.derived_of(H.elements))[:3]
+    A_H, proj_H, lifts_H = G.quotient_structure(H.elements,
+                                                G.derived_of(H.generators))
     cols = [A_H.reduce(transfer_on_element(G, H, transversal, proj_H, g))
             for g in gens_G]
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(A_H.ngens)]
     hom = Homomorphism(A_G, A_H, matrix)
-    return TransferMap(G, H, A_G, A_H, hom)
+    return TransferMap(G, H, A_G, A_H, hom, proj_H, lifts_H)
 
 
 @dataclass(frozen=True)
@@ -452,7 +465,8 @@ class CapitulationEntry:
 def _line_subgroups(A: AbelianGroup, p):
     """The p+1 order-p subgroups of a rank-2 abelian p-group, in canonical
     line order of the p-torsion."""
-    assert A.ngens == 2
+    if A.ngens != 2:
+        raise PresentationError("line subgroups need an abelian group of rank 2")
     e1 = (A.invariant_factors[0] // p, 0)
     e2 = (0, A.invariant_factors[1] // p)
     out = []

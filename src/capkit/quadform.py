@@ -229,9 +229,13 @@ def class_number(D: Discriminant) -> int:
 class ClassGroupStructure:
     discriminant: Discriminant
     order: int
-    invariant_factors: tuple
+    group: AbelianGroup
     generators: tuple  # QuadForm per invariant factor
     is_fundamental: bool
+
+    @property
+    def invariant_factors(self):
+        return self.group.invariant_factors
 
 
 _MAX_ABS_DISC = 10 ** 8
@@ -258,7 +262,7 @@ def class_group_structure(D: Discriminant) -> ClassGroupStructure:
     return ClassGroupStructure(
         discriminant=D,
         order=len(forms),
-        invariant_factors=res.group.invariant_factors,
+        group=res.group,
         generators=tuple(QuadForm(*g) for g in res.generators),
         is_fundamental=D.is_fundamental,
     )
@@ -266,8 +270,7 @@ def class_group_structure(D: Discriminant) -> ClassGroupStructure:
 
 def p_rank(D: Discriminant, p: int) -> int:
     """Rank of the p-Sylow subgroup of the form class group."""
-    struct = class_group_structure(D)
-    return sum(1 for d in struct.invariant_factors if d % p == 0)
+    return class_group_structure(D).group.rank(p)
 
 
 def genus_two_rank(D: Discriminant) -> int:

@@ -1,8 +1,9 @@
 """Exact integer linear algebra and finite abelian group structure.
 
 The Smith normal form is checked against first principles (D = U M V with
-unimodular U, V and a divisibility chain) rather than against any fixed
-output, so the oracle is independent of the implementation's pivoting.
+unimodular U, V and a divisibility chain, and U^-1 against an elimination
+over the rationals) rather than against any fixed output, so the oracle is
+independent of the implementation's pivoting.
 """
 
 import random
@@ -14,9 +15,36 @@ from hypothesis import strategies as st
 
 from capkit.abgroup import (AbelianGroup, AbgroupError, Homomorphism,
                             Subgroup, abelian_structure, hnf_rows, hom_power,
-                            identity_hom, invert_unimodular, power_hom,
+                            identity_hom, power_hom,
                             quotient_coords, right_kernel, smith_normal_form,
                             solve_integer, zero_hom)
+
+
+def invert_unimodular(U):
+    """Exact inverse of an integer matrix with determinant +-1, by
+    elimination over the rationals: the oracle for the inverse that
+    smith_normal_form keeps alongside U."""
+    n = len(U)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(U)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise AbgroupError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    out = []
+    for row in aug:
+        vals = row[n:]
+        if any(v.denominator != 1 for v in vals):
+            raise AbgroupError("matrix is not unimodular")
+        out.append([int(v) for v in vals])
+    return out
 
 
 def det_fraction(M):
@@ -55,8 +83,9 @@ class TestSmithNormalForm:
     @settings(max_examples=150, deadline=None)
     def test_factorization_and_chain(self, M):
         n, m = len(M), len(M[0])
-        D, U, V = smith_normal_form(M)
+        D, U, V, Uinv = smith_normal_form(M)
         assert mat_mul(mat_mul(U, M), V) == D
+        assert Uinv == invert_unimodular(U)
         assert abs(det_fraction(U)) == 1
         assert abs(det_fraction(V)) == 1
         diag = [D[i][i] for i in range(min(n, m))]
@@ -72,13 +101,13 @@ class TestSmithNormalForm:
                 assert b == 0
 
     def test_known_diagonal(self):
-        D, _, _ = smith_normal_form([[2, 0], [0, 4]])
+        D, _, _, _ = smith_normal_form([[2, 0], [0, 4]])
         assert [D[0][0], D[1][1]] == [2, 4]
-        D, _, _ = smith_normal_form([[2, 0], [0, 3]])
+        D, _, _, _ = smith_normal_form([[2, 0], [0, 3]])
         assert [D[0][0], D[1][1]] == [1, 6]
 
     def test_zero_matrix(self):
-        D, U, V = smith_normal_form([[0, 0], [0, 0]])
+        D, U, V, _ = smith_normal_form([[0, 0], [0, 0]])
         assert D == [[0, 0], [0, 0]]
 
 

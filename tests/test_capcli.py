@@ -169,12 +169,16 @@ class TestCli:
         assert text.count("OneOne") == 24
         assert text.count("PCapitulation") == 4
 
-    def test_tkt_output(self):
+    def test_tkt_output(self, capsys):
         code, text = run_cli(["tkt", "C3xC3"])
         assert code == 0
         assert "pattern: (0,0,0,0)" in text
         code, _ = run_cli(["tkt", "NoSuchGroup"])
         assert code != 0
+        capsys.readouterr()
+        code, text = run_cli(["tkt", "C1"])  # trivial G/G', no index-p subgroup
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: C1: ")
 
     def test_heuristic_table(self):
         code, text = run_cli(["heuristic", "3"])

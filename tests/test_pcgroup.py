@@ -5,15 +5,20 @@ Oracles:
     built in this file (modular arithmetic, unitriangular matrices over F_p,
     affine maps of Z/9), none of which go through the collection code;
   - the transfer is recomputed from the raw coset-product definition with a
-    transversal chosen by a different rule, and compared modulo H'.
+    transversal chosen by a different rule, and compared modulo H';
+  - the relator-check consistency proof is compared against an exhaustive
+    check that the collected multiplication is a group law (|G|^2 product
+    table, inverses, bijectivity, associativity).
 """
 
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
-from capkit.catalog import get_group
+from capkit.catalog import get_group, load_catalog
 from capkit.pcgroup import (PcGroup, PresentationError,
                             SubgroupDescriptor, capitulation_type,
                             normalized_lines, schreier_transversal,
@@ -150,6 +155,75 @@ class TestPresentationValidation:
                     break
 
 
+# ---------------------------------------------------------------------------
+# exhaustive group-law check, the oracle for the consistency proof
+# ---------------------------------------------------------------------------
+
+class _Unproven(PcGroup):
+    """Builds the right-multiplication table but skips the proof."""
+
+    def _prove_consistency(self):
+        pass
+
+
+def exhaustive_group_law(p, n, power_tails, conj_tails):
+    """Whether the collected multiplication on normal words is a group law:
+    every element has an inverse in the |G|^2 product table, right
+    multiplication by each generator is bijective, and the product is
+    associative."""
+    G = _Unproven(p, n, power_tails, conj_tails)
+    gen_table, elements = G._gen_table, G.elements()
+    table = {}
+    for u in elements:
+        for v in elements:
+            w = u
+            for i, e in enumerate(v):
+                for _ in range(e):
+                    w = gen_table[w][i]
+            table[(u, v)] = w
+    if any(all(table[(u, v)] != G.identity for v in elements)
+           for u in elements):
+        return False
+    if any(len({gen_table[u][g] for u in elements}) != len(elements)
+           for g in range(n)):
+        return False
+    return all(gen_table[table[(u, v)]][g] == table[(u, gen_table[v][g])]
+               for u in elements for v in elements for g in range(n))
+
+
+def random_presentation(rng, p, n):
+    def word(lo):
+        return tuple((g, rng.randrange(1, p)) for g in range(lo, n)
+                     if rng.random() < 0.35)
+    return ({i: word(i + 1) for i in range(n)},
+            {(j, i): word(j + 1) for i in range(n) for j in range(i + 1, n)})
+
+
+class TestConsistencyProof:
+    def test_catalog_agrees_with_exhaustive_oracle(self):
+        for name, G in load_catalog().items():
+            assert G.order <= 3 ** 5, name
+            assert exhaustive_group_law(G.p, G.n, G.power_tails,
+                                        G.conj_tails), name
+
+    def test_random_presentations_agree_with_exhaustive_oracle(self):
+        rng = random.Random(2012)
+        verdicts = Counter()
+        for _ in range(200):
+            p = rng.choice((2, 3))
+            n = rng.randint(3, 5 if p == 2 else 4)
+            power, conj = random_presentation(rng, p, n)
+            try:
+                PcGroup(p, n, power, conj)
+                proven = True
+            except PresentationError:
+                proven = False
+            assert proven == exhaustive_group_law(p, n, power, conj), \
+                (p, n, power, conj)
+            verdicts[proven] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+
 class TestSubgroups:
     def test_normalized_lines(self):
         assert normalized_lines(3, 2) == [(0, 1), (1, 0), (1, 1), (1, 2)]
@@ -192,7 +266,7 @@ class TestSubgroups:
 # transfer
 # ---------------------------------------------------------------------------
 
-def raw_transfer_class(G, H, g):
+def raw_transfer_class(G, H, derived, g):
     """Transfer image of g computed from the definition with a transversal
     picked as the minimum of each right coset; returned as the full H'-coset
     of the product so it can be compared without coordinates."""
@@ -207,7 +281,6 @@ def raw_transfer_class(G, H, g):
         u = G.mult(t, g)
         rep = min(G.mult(h, u) for h in hset)  # coset representative of Hu
         prod = G.mult(prod, G.mult(u, G.inv(rep)))
-    derived = G.derived_of(hset)
     return frozenset(G.mult(prod, d) for d in derived)
 
 
@@ -217,15 +290,15 @@ class TestTransfer:
         G = get_group(name)
         for H in subgroups_index_p_above_derived(G):
             tm = transfer(G, H)
-            A_H, proj_H, gens_H = G.quotient_structure(
-                H.elements, G.derived_of(H.elements))
+            derived = G.derived_of(H.elements)  # all pairs of H
+            A_H, proj_H, gens_H = G.quotient_structure(H.elements, derived)
             for g in G.elements():
                 coords = tm.hom(tm.source.reduce(
                     G.abelianization()[1](g)))
                 built = G.identity
                 for c, lift in zip(coords, gens_H):
                     built = G.mult(built, G.power(lift, c))
-                assert built in raw_transfer_class(G, H, g)
+                assert built in raw_transfer_class(G, H, derived, g)
 
     def test_cyclic_transfer_is_multiplication_by_index(self):
         # C9 -> its subgroup of order 3: the transfer cubes
@@ -279,3 +352,22 @@ class TestCapitulationType:
         assert sorted(e.code for e in entries) == [1, 2, 3]
         for e in entries:
             assert e.kernel.order() == 2
+
+    def test_order_5_to_the_5_maximal_class(self):
+        # class 4: [g2,g1] = g3, [g3,g1] = g4, [g4,g1] = g5, powers trivial,
+        # so exponent 5 (regular, class < 5).  The transfer to a maximal H
+        # sends g outside H to g^5 = 1 and g inside H to its norm
+        # (sigma - 1)^4 on H/H', an F_5-space of dimension <= 4 on which
+        # sigma - 1 is nilpotent: every kernel is the full group.
+        start = time.perf_counter()
+        G = PcGroup(5, 5, {}, {(1, 0): ((2, 1),), (2, 0): ((3, 1),),
+                               (3, 0): ((4, 1),)})
+        entries = capitulation_type(G)
+        assert time.perf_counter() - start < 5.0
+        assert G.order == 5 ** 5
+        assert len(G.derived_subgroup()) == 5 ** 3
+        # g1, g2 generate G: the commutator [g2,g1] = g3 alone spans only
+        # <g3>, the normal closure adds g4 and g5
+        assert G.derived_of(G.generators()[:2]) == G.derived_subgroup()
+        assert [e.code for e in entries] == [0] * 6
+        assert all(e.kernel.order() == 25 for e in entries)
