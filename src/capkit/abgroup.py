@@ -27,7 +27,8 @@ def _identity(n):
 def mat_mul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if k else 0
-    assert all(len(r) == k for r in A) or not A
+    if any(len(r) != k for r in A):
+        raise AbgroupError("matrix shapes do not match for a product")
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
 
@@ -442,7 +443,8 @@ class Subgroup:
     def order(self):
         det = prod(self.basis[i][i] for i in range(len(self.basis)))
         total = self.ambient.order()
-        assert total % det == 0
+        if total % det:
+            raise AbgroupError("subgroup lattice does not contain diag(d)")
         return total // det
 
     def contains(self, vec):
@@ -500,7 +502,8 @@ class Subgroup:
             target = [self.ambient.invariant_factors[i] if j == i else 0
                       for j in range(k)]
             y = solve_integer(transpose([list(r) for r in self.basis]), target)
-            assert y is not None
+            if y is None:
+                raise AbgroupError("subgroup lattice does not contain diag(d)")
             rows.append(y)
         return rows
 
@@ -554,11 +557,19 @@ class Subgroup:
 # structure of an abstractly-presented finite abelian group
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StructureResult:
-    group: AbelianGroup
-    coords: dict          # element -> coordinate tuple
-    generators: list      # one element per invariant factor
+    """Structure of an abstractly presented finite abelian group: `group` in
+    invariant-factor form, `generators` (one element per invariant factor)
+    and `coords(elem)`, the coordinates of an element in that basis."""
+
+    def __init__(self, group, generators, span, coord_fn):
+        self.group = group
+        self.generators = generators
+        self._span = span          # element -> exponents of the greedy gens
+        self._coord_fn = coord_fn
+
+    def coords(self, elem):
+        return self._coord_fn(self._span[elem])
 
 
 def abelian_structure(elements, op, identity):
@@ -571,16 +582,22 @@ def abelian_structure(elements, op, identity):
     for x in elements:
         if x in span:
             continue
-        # minimal e >= 1 with x^e inside the current span
-        e = 1
+        # minimal e >= 1 with x^e inside the current span; the powers
+        # x^0 .. x^(e-1) are the identity's coset in the new span
+        powers = [identity]
         y = x
         while y not in span:
+            powers.append(y)
             y = op(y, x)
-            e += 1
+        e = len(powers)
         v = span[y]
         rels.append(tuple(-c for c in v) + (e,))
         new_span = {}
         for elem, c in span.items():
+            if elem == identity:
+                for j, z in enumerate(powers):
+                    new_span[z] = c + (j,)
+                continue
             z = elem
             for j in range(e):
                 new_span[z] = c + (j,)
@@ -588,28 +605,26 @@ def abelian_structure(elements, op, identity):
                     z = op(z, x)
         span = new_span
         gens.append(x)
-    if len(span) != len(elements):
+    n = len(elements)
+    if len(span) != n:
         raise AbgroupError("span does not exhaust the element list")
     T = len(gens)
     padded = [list(r) + [0] * (T - len(r)) for r in rels]
     invariants, coord_fn, genvecs = quotient_coords(padded, T)
     group = AbelianGroup(invariants)
-    coords = {elem: coord_fn(c) for elem, c in span.items()}
-    if group.order() != len(elements):
+    if group.order() != n:
         raise AbgroupError("structure order mismatch")
 
-    def pow_op(g, n):
-        if n == 0:
-            return identity
-        o = 1
-        y = g
-        while y != identity:
-            y = op(y, g)
-            o += 1
-        n %= o
+    def pow_op(g, k):
+        # square-and-multiply; g^n = identity for the group order n
+        k %= n
         y = identity
-        for _ in range(n):
-            y = op(y, g)
+        while k:
+            if k & 1:
+                y = op(y, g)
+            k >>= 1
+            if k:
+                g = op(g, g)
         return y
 
     gen_elements = []
@@ -618,4 +633,4 @@ def abelian_structure(elements, op, identity):
         for g, c in zip(gens, gv):
             elem = op(elem, pow_op(g, c))
         gen_elements.append(elem)
-    return StructureResult(group, coords, gen_elements)
+    return StructureResult(group, gen_elements, span, coord_fn)

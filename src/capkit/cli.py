@@ -14,10 +14,11 @@ from enum import Enum
 from .catalog import CatalogError, get_group, load_catalog
 from .fixtures import (PUBLISHED_EMPIRICAL_P3, PUBLISHED_HEURISTIC_P3,
                        reference_table)
-from .heuristics import predicted_rank_distribution
+from .heuristics import HeuristicsError, predicted_rank_distribution
 from .pcgroup import PresentationError, capitulation_type
 from .quadform import (Discriminant, QuadFormError, class_group_structure,
-                       fundamental_discriminants)
+                       class_group_structures, fundamental_discriminants,
+                       prime_factors)
 from .store import ScanRecord, append_records, now_timestamp, read_store
 
 DEFAULT_STORE = "capkit-scan.tsv"
@@ -49,20 +50,44 @@ def classify_capitulation_pattern(pattern, p=5):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _compute_record(args):
-    dv, p = args
-    s = class_group_structure(Discriminant(dv))
-    return ScanRecord(dv, s.order, s.invariant_factors, p, s.group.rank(p),
-                      now_timestamp())
+# Integers of D per reduced-form sieve pass in `scan`.  Wider chunks share
+# more of the sieve's fixed cost but hold more forms in memory at once.
+SCAN_CHUNK = 256
+
+
+def _pending_chunks(lo, hi, p, done):
+    """(discriminants, p) per chunk of SCAN_CHUNK consecutive integers: the
+    fundamental discriminants in [lo, hi] without a record for p in `done`."""
+    chunks = {}
+    for d in fundamental_discriminants(lo, hi):
+        if (d, p) not in done:
+            chunks.setdefault((d - lo) // SCAN_CHUNK, []).append(d)
+    return [(discs, p) for discs in chunks.values()]
+
+
+def _scan_chunk(args):
+    discs, p = args
+    return [ScanRecord(s.discriminant.value, s.order, s.invariant_factors, p,
+                       s.group.rank(p), now_timestamp())
+            for s in class_group_structures(discs)]
+
+
+# Every class number in range is below this, so a larger p gives rank 0;
+# the bound also keeps the trial-division primality test short.
+MAX_PRIME = 10 ** 8
+
+
+def _is_prime(n):
+    return 2 <= n <= MAX_PRIME and prime_factors(n) == [n]
 
 
 def cmd_classgroup(ns, out):
     try:
         D = Discriminant(ns.D)
+        s = class_group_structure(D)
     except QuadFormError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    s = class_group_structure(D)
     invs = " x ".join("C%d" % d for d in s.invariant_factors) or "C1"
     print("D = %d%s" % (D.value, "" if D.is_fundamental else " (not fundamental)"),
           file=out)
@@ -77,19 +102,26 @@ def cmd_scan(ns, out):
     lo, hi = ns.lo, ns.hi
     if lo > hi:
         lo, hi = hi, lo
+    if not _is_prime(ns.prime):
+        print("error: --prime must be a prime <= %d, got %d"
+              % (MAX_PRIME, ns.prime), file=sys.stderr)
+        return 2
     existing, problems = read_store(ns.store)
     for lineno, msg in problems:
         print("store line %d skipped: %s" % (lineno, msg), file=sys.stderr)
     done = {rec.key() for rec in existing}
-    targets = [d for d in fundamental_discriminants(lo, hi)
-               if (d, ns.prime) not in done]
+    try:
+        work = _pending_chunks(lo, hi, ns.prime, done)
+    except QuadFormError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
-    if ns.jobs > 1 and targets:
+    if ns.jobs > 1 and work:
         with multiprocessing.Pool(ns.jobs) as pool:
-            fresh = pool.map(_compute_record,
-                             [(d, ns.prime) for d in targets])
+            parts = pool.map(_scan_chunk, work)
     else:
-        fresh = [_compute_record((d, ns.prime)) for d in targets]
+        parts = [_scan_chunk(w) for w in work]
+    fresh = [rec for part in parts for rec in part]
     if fresh:
         append_records(ns.store, fresh)
 
@@ -160,7 +192,11 @@ def cmd_tkt(ns, out):
 
 
 def cmd_heuristic(ns, out):
-    dist = predicted_rank_distribution(ns.p)
+    try:
+        dist = predicted_rank_distribution(ns.p)
+    except HeuristicsError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     have_refs = ns.p == 3
     header = ["rank", "model"]
     if have_refs:

@@ -282,9 +282,10 @@ class PcGroup:
             return rep[self.mult(a, b)]
 
         res = abelian_structure(reps, qop, rep[self.identity])
+        coords = {r: res.coords(r) for r in reps}  # proj is called per element
 
         def proj(x):
-            return res.coords[rep[x]]
+            return coords[rep[x]]
 
         return res.group, proj, res.generators
 

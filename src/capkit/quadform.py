@@ -1,6 +1,6 @@
 """Class groups of imaginary quadratic orders via positive definite binary
-quadratic forms: Gauss reduction, composition, exhaustive enumeration of
-reduced forms, and invariant factors of the form class group.
+quadratic forms: Gauss reduction, composition, a sieve of the reduced forms
+over a range of discriminants, and invariant factors of the form class group.
 
 Hot paths work on plain (a, b, c) integer tuples; `QuadForm` is a thin
 validated wrapper around them.
@@ -9,6 +9,7 @@ validated wrapper around them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .abgroup import AbelianGroup, abelian_structure
@@ -196,33 +197,50 @@ def inverse(f: QuadForm, D: Discriminant) -> QuadForm:
     return QuadForm(*_reduce_raw(f.a, -f.b, f.c))
 
 
-def _enumerate_reduced_raw(D):
-    out = []
-    amax = isqrt(-D // 3)
-    for a in range(1, amax + 1):
+def _reduced_forms_in(discs):
+    """Primitive reduced forms of each discriminant in `discs` (ascending,
+    all negative), by one sieve over the range discs[0]..discs[-1].
+
+    For each a <= sqrt(|lo|/3) and b in (-a, a], c steps down from the
+    largest value with b^2 - 4ac >= lo while the discriminant stays <= hi and
+    the form stays reduced (c >= a); each form goes to its discriminant's
+    bucket.  The work is sum h(D) + O(amax^2) for the whole range instead of
+    O(|D|) per discriminant (Cohen, GTM 138, 5.3-5.4).  Forms arrive in
+    (a, b) order, and c is fixed by (a, b, D), so every bucket is sorted.
+    """
+    lo, hi = discs[0], discs[-1]
+    buckets = {d: [] for d in discs}
+    step = 2 if lo == hi else 1  # one discriminant fixes b = D mod 2
+    for a in range(1, isqrt(-lo // 3) + 1):
         fa = 4 * a
-        for b in range(-a + 1, a + 1):
-            num = b * b - D
-            if num % fa:
-                continue
-            c = num // fa
-            if c < a:
-                continue
-            if b < 0 and (a == -b or a == c):
-                continue  # excluded boundary representative
-            if gcd(gcd(a, b), c) != 1:
-                continue  # imprimitive forms are not classes of the order
-            out.append((a, b, c))
-    return sorted(out)
+        for b in range(1 - a + (1 - a - lo) % step, a + 1, step):
+            bb = b * b
+            c = (bb - lo) // fa
+            D = bb - fa * c
+            while D <= hi and c >= a:
+                forms = buckets.get(D)
+                # b = -a never occurs; b < 0 with a == c is the excluded
+                # boundary representative, and imprimitive forms are not
+                # classes of the order
+                if forms is not None and not (b < 0 and a == c) and \
+                        gcd(gcd(a, b), c) == 1:
+                    forms.append((a, b, c))
+                c -= 1
+                D += fa
+    return buckets
+
+
+def _reduced_forms(Dv):
+    return _reduced_forms_in([Dv])[Dv]
 
 
 def enumerate_reduced(D: Discriminant) -> list:
     """All primitive reduced forms of discriminant D; length is h(D)."""
-    return [QuadForm(*t) for t in _enumerate_reduced_raw(D.value)]
+    return [QuadForm(*t) for t in _reduced_forms(D.value)]
 
 
 def class_number(D: Discriminant) -> int:
-    return len(_enumerate_reduced_raw(D.value))
+    return len(_reduced_forms(D.value))
 
 
 @dataclass(frozen=True)
@@ -241,18 +259,20 @@ class ClassGroupStructure:
 _MAX_ABS_DISC = 10 ** 8
 
 
-def class_group_structure(D: Discriminant) -> ClassGroupStructure:
+def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
     """Invariant factors of the form class group, deterministically.
 
     Generators are chosen greedily from the enumerated reduced forms, the
     relation lattice is resolved by Smith normal form.  Non-fundamental
     discriminants are computed on (class group of the non-maximal order)
-    but flagged via `is_fundamental`.
+    but flagged via `is_fundamental`.  `forms`, if given, is the sorted list
+    of primitive reduced forms of D from a sieve that has already run.
     """
     if -D.value > _MAX_ABS_DISC:
         raise QuadFormError("|D| beyond configured bound %d" % _MAX_ABS_DISC)
     Dv = D.value
-    forms = _enumerate_reduced_raw(Dv)
+    if forms is None:
+        forms = _reduced_forms(Dv)
     ident = _principal_raw(Dv)
 
     def op(x, y):
@@ -268,6 +288,13 @@ def class_group_structure(D: Discriminant) -> ClassGroupStructure:
     )
 
 
+def class_group_structures(discs):
+    """class_group_structure of each discriminant in `discs` (ascending and
+    close together), sharing one reduced-form sieve over their range."""
+    buckets = _reduced_forms_in(discs)
+    return [class_group_structure(Discriminant(d), buckets[d]) for d in discs]
+
+
 def p_rank(D: Discriminant, p: int) -> int:
     """Rank of the p-Sylow subgroup of the form class group."""
     return class_group_structure(D).group.rank(p)
@@ -281,10 +308,44 @@ def genus_two_rank(D: Discriminant) -> int:
     return len(prime_factors(D.value)) - 1
 
 
+# D mod 16 of the fundamental discriminants that no odd square divides:
+# D = 1 mod 4, or D = 4m with -m = 1, 2 mod 4 (D = 12, 8 mod 16)
+_FUNDAMENTAL_MOD16 = bytes(int(r in (1, 5, 8, 9, 12, 13)) for r in range(16))
+_SIEVE_SEGMENT = 1 << 16
+
+
+def _odd_primes_upto(n):
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(3, n + 1) if flags[p]]
+
+
 def fundamental_discriminants(lo, hi):
-    """Fundamental discriminants D with lo <= D <= hi (both negative)."""
+    """Fundamental discriminants D with lo <= D <= hi (both negative), in
+    ascending order.
+
+    A segmented sieve: each segment starts from the admissible residues mod
+    16 and clears the multiples of p^2 for every odd prime p <= sqrt(|lo|);
+    `is_fundamental` is the per-value definition.
+    """
+    if lo < -_MAX_ABS_DISC:
+        raise QuadFormError("lower bound %d is below -%d" % (lo, _MAX_ABS_DISC))
+    hi = min(hi, -3)
+    if lo > hi:
+        return []
+    squares = [p * p for p in _odd_primes_upto(isqrt(-lo))]
     out = []
-    for v in range(max(lo, -_MAX_ABS_DISC), min(hi, -2) + 1):
-        if is_fundamental(v):
-            out.append(v)
+    for start in range(lo, hi + 1, _SIEVE_SEGMENT):
+        width = min(_SIEVE_SEGMENT, hi - start + 1)
+        r = start % 16
+        flags = bytearray((_FUNDAMENTAL_MOD16[r:] + _FUNDAMENTAL_MOD16[:r])
+                          * (width // 16 + 1))[:width]
+        for q in squares:
+            first = -start % q
+            if first < width:
+                flags[first::q] = bytes(len(range(first, width, q)))
+        out.extend(compress(range(start, start + width), flags))
     return out

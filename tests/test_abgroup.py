@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkit import abgroup
 from capkit.abgroup import (AbelianGroup, AbgroupError, Homomorphism,
                             Subgroup, abelian_structure, hnf_rows, hom_power,
                             identity_hom, power_hom,
@@ -237,6 +238,16 @@ class TestHomomorphism:
 
 
 class TestSubgroup:
+    def test_malformed_input_raises(self):
+        # checked by exceptions, which `python -O` keeps
+        with pytest.raises(AbgroupError):
+            abgroup.mat_mul([[1, 2]], [[1]])
+        bad = Subgroup(AbelianGroup((4,)), ((3,),))  # 3Z does not hold 4Z
+        with pytest.raises(AbgroupError):
+            bad.order()
+        with pytest.raises(AbgroupError):
+            bad.structure()
+
     def test_orders_in_c2_x_c4(self):
         A = AbelianGroup((2, 4))
         assert Subgroup.trivial(A).order() == 1
@@ -304,8 +315,8 @@ class TestAbelianStructure:
         G = res.group
         for x in elems[::5]:
             for y in elems[::7]:
-                assert res.coords[op(x, y)] == G.add(res.coords[x],
-                                                     res.coords[y])
+                assert res.coords(op(x, y)) == G.add(res.coords(x),
+                                                     res.coords(y))
 
     def test_quotient_coords_chain(self):
         # Z^2 / <(2,0),(0,4)> = C2 x C4

@@ -162,6 +162,43 @@ class TestCli:
         b = sorted(r.payload() for r in read_store(s2)[0])
         assert a == b
 
+    def test_scan_across_chunks(self, tmp_path):
+        # five sieve chunks; serial and pooled scans store the same records
+        # in the same order, each equal to a single-discriminant computation
+        from capkit.quadform import class_group_structure
+        s1, s2 = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
+        assert run_cli(["scan", "--store", s1, "--", "-1200", "-3"])[0] == 0
+        assert run_cli(["scan", "--store", s2, "--jobs", "2",
+                        "--", "-1200", "-3"])[0] == 0
+        a = [r.payload() for r in read_store(s1)[0]]
+        assert a == [r.payload() for r in read_store(s2)[0]]
+        assert [pl[0] for pl in a] == \
+            [d for d in range(-1200, -2) if is_fundamental(d)]
+        for d, h, invs, p, rank in a:
+            s = class_group_structure(Discriminant(d))
+            assert (h, invs, rank) == \
+                (s.order, s.invariant_factors, s.group.rank(5))
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--prime", "0", "--", "-100", "-3"],
+        ["scan", "--prime", "4", "--", "-100", "-3"],
+        ["scan", "--prime", "1", "--", "-100", "-3"],
+        ["scan", "--prime", "-5", "--", "-100", "-3"],
+        ["scan", "--prime", "1000000007", "--", "-100", "-3"],
+        ["scan", "--", "-100000001", "-3"],
+        ["classgroup", "--", "-200000003"],
+        ["heuristic", "1"],
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, args):
+        store = tmp_path / "scan.tsv"
+        if args[0] == "scan":
+            args = args[:1] + ["--store", str(store)] + args[1:]
+        code, text = run_cli(args)
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not store.exists()
+
     def test_verify_table(self):
         code, text = run_cli(["verify-table"])
         assert code == 0

@@ -6,18 +6,25 @@ Oracles used here, all independent of the implementation under test:
     canonical output;
   - class numbers for small discriminants are checked against an exhaustive
     representation count and against well-known values;
-  - genus theory is checked against a direct ambiguous-form count.
+  - genus theory is checked against a direct ambiguous-form count;
+  - the range sieve of reduced forms is checked against the per-discriminant
+    enumeration it replaced, and the fundamental-discriminant sieve against
+    the per-value definition `is_fundamental`.
 """
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkit import quadform
+from capkit.abgroup import abelian_structure
 from capkit.quadform import (ClassGroupStructure, Discriminant, QuadForm,
-                             QuadFormError, class_group_structure,
+                             QuadFormError, _compose_raw, _principal_raw,
+                             _reduce_raw, _reduced_forms_in,
+                             class_group_structure, class_group_structures,
                              class_number, compose, enumerate_reduced,
                              fundamental_discriminants, genus_two_rank,
                              inverse, is_discriminant, is_fundamental, p_rank,
@@ -218,3 +225,143 @@ class TestGenusTheory:
                        if is_fundamental(-30 + i)]
         assert -23 in got and -12 not in got
         assert fundamental_discriminants(-3, -100) == []
+
+
+def _enumerate_reduced_raw(D):
+    """Oracle: the per-discriminant enumeration over all (a, b) with
+    a <= sqrt(|D|/3), O(|D|) work, that the range sieve replaced."""
+    out = []
+    amax = isqrt(-D // 3)
+    for a in range(1, amax + 1):
+        fa = 4 * a
+        for b in range(-a + 1, a + 1):
+            num = b * b - D
+            if num % fa:
+                continue
+            c = num // fa
+            if c < a:
+                continue
+            if b < 0 and (a == -b or a == c):
+                continue  # excluded boundary representative
+            if gcd(gcd(a, b), c) != 1:
+                continue  # imprimitive forms are not classes of the order
+            out.append((a, b, c))
+    return sorted(out)
+
+
+def _discs_in(lo, hi):
+    return [d for d in range(lo, hi + 1) if is_discriminant(d)]
+
+
+class TestRangeSieve:
+    def test_every_small_discriminant(self):
+        discs = _discs_in(-3000, -3)
+        buckets = _reduced_forms_in(discs)
+        assert sorted(buckets) == discs
+        for d in discs:
+            want = _enumerate_reduced_raw(d)
+            assert buckets[d] == want, d
+            assert _reduced_forms_in([d]) == {d: want}, d
+
+    def test_chunks_in_the_table_range(self):
+        rng = random.Random(3)
+        # 256-wide chunks at both ends of the table range, whose end points
+        # are discriminants, then random chunks with lo = 1 mod 4, which
+        # makes both of their ends discriminants
+        chunks = [(-85099, -85099 + 255), (-12451 - 255, -12451)]
+        for _ in range(2):
+            lo = rng.randrange(-85099, -12451 - 255) // 4 * 4 + 1
+            chunks.append((lo, lo + 255))
+        for lo, hi in chunks:
+            assert -85099 <= lo and hi <= -12451
+            discs = _discs_in(lo, hi)
+            if lo % 4 == 1:
+                assert discs[0] == lo and discs[-1] == hi
+            buckets = _reduced_forms_in(discs)
+            for d in discs:
+                assert buckets[d] == _enumerate_reduced_raw(d), d
+            # a scan sieves only the discriminants it still needs
+            sparse = fundamental_discriminants(lo, hi)[1:]
+            assert _reduced_forms_in(sparse) == {d: buckets[d] for d in sparse}
+
+    def test_batched_structures_match_single(self):
+        discs = fundamental_discriminants(-82300, -82000)
+        for s in class_group_structures(discs):
+            one = class_group_structure(s.discriminant)
+            assert (s.order, s.invariant_factors, s.generators) == \
+                (one.order, one.invariant_factors, one.generators)
+
+
+class TestFundamentalSieve:
+    def test_matches_definition(self):
+        lo, hi = -20000, -3
+        assert fundamental_discriminants(lo, hi) == \
+            [d for d in range(lo, hi + 1) if is_fundamental(d)]
+
+    @pytest.mark.parametrize("segment", [16, 97, 1000])
+    def test_segment_edges(self, monkeypatch, segment):
+        monkeypatch.setattr(quadform, "_SIEVE_SEGMENT", segment)
+        for lo, hi in ((-5000, -3), (-3001, -2000), (-17, -3),
+                       (-10 ** 8, -10 ** 8 + 300)):
+            assert fundamental_discriminants(lo, hi) == \
+                [d for d in range(lo, hi + 1) if is_fundamental(d)], (lo, hi)
+
+    def test_bounds(self):
+        assert fundamental_discriminants(-4, -3) == [-4, -3]
+        assert fundamental_discriminants(-10, 5) == [-8, -7, -4, -3]
+        with pytest.raises(QuadFormError):
+            fundamental_discriminants(-10 ** 8 - 1, -3)
+
+
+# Generators and invariant factors recorded from the per-discriminant
+# enumerator before the range sieve replaced it.
+PINNED_NEAR_82000 = {
+    -82056: ((2, 2, 32), ((2, 0, 10257), (13, 0, 1578), (5, -2, 4103))),
+    -82055: ((324,), ((78, 77, 282),)),
+    -82052: ((2, 64), ((146, 146, 177), (3, -2, 6838))),
+    -82051: ((47,), ((5, -3, 4103),)),
+    -82047: ((2, 60), ((3, 3, 6838), (78, 3, 263))),
+    -82043: ((78,), ((39, 13, 527),)),
+    -82040: ((2, 2, 48), ((2, 0, 10255), (5, 0, 4102), (86, 84, 259))),
+    -82039: ((185,), ((2, -1, 10255),)),
+    -82036: ((90,), ((10, 2, 2051),)),
+    -82031: ((371,), ((2, -1, 10254),)),
+    -82027: ((30,), ((43, -19, 479),)),
+    -82024: ((82,), ((5, -4, 4102),)),
+    -82023: ((2, 68), ((3, 3, 6836), (103, 45, 204))),
+    -82020: ((2, 2, 18), ((3, 0, 6835), (5, 0, 4101), (13, -6, 1578))),
+    -82019: ((102,), ((83, -63, 259),)),
+    -82015: ((2, 62), ((5, 5, 4102), (2, -1, 10252))),
+    -82011: ((68,), ((5, -3, 4101),)),
+    -82007: ((259,), ((2, -1, 10251),)),
+    -82004: ((2, 2, 56), ((2, 2, 10251), (83, 0, 247), (3, -2, 6834))),
+    -82003: ((47,), ((7, -3, 2929),)),
+}
+
+
+class TestPinnedStructures:
+    def test_generators_near_82000(self):
+        discs = sorted(PINNED_NEAR_82000)
+        assert discs == fundamental_discriminants(-82056, -82003)
+        for s in class_group_structures(discs):
+            invs, gens = PINNED_NEAR_82000[s.discriminant.value]
+            assert s.invariant_factors == invs
+            assert tuple(g.as_tuple() for g in s.generators) == gens
+
+    @pytest.mark.parametrize("dv", [-82056, -82040, -3896])
+    def test_coords_are_a_homomorphism(self, dv):
+        forms = _enumerate_reduced_raw(dv)
+
+        def op(x, y):
+            return _reduce_raw(*_compose_raw(x, y, dv))
+
+        res = abelian_structure(forms, op, _principal_raw(dv))
+        G = res.group
+        coords = {f: res.coords(f) for f in forms}
+        assert sorted(coords.values()) == sorted(G.elements())
+        for i, g in enumerate(res.generators):
+            assert coords[g] == tuple(int(j == i) for j in range(G.ngens))
+        rng = random.Random(dv)
+        for _ in range(200):
+            x, y = rng.choice(forms), rng.choice(forms)
+            assert coords[op(x, y)] == G.add(coords[x], coords[y])
