@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
+import os
 import sys
 from collections import Counter
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 
 from .catalog import CatalogError, get_group, load_catalog
 from .fixtures import (PUBLISHED_EMPIRICAL_P3, PUBLISHED_HEURISTIC_P3,
@@ -57,10 +60,11 @@ SCAN_CHUNK = 256
 
 def _pending_chunks(lo, hi, p, done):
     """(discriminants, p) per chunk of SCAN_CHUNK consecutive integers: the
-    fundamental discriminants in [lo, hi] without a record for p in `done`."""
+    fundamental discriminants in [lo, hi] that are not in `done`, the
+    discriminants already stored for p."""
     chunks = {}
     for d in fundamental_discriminants(lo, hi):
-        if (d, p) not in done:
+        if d not in done:
             chunks.setdefault((d - lo) // SCAN_CHUNK, []).append(d)
     return [(discs, p) for discs in chunks.values()]
 
@@ -79,6 +83,20 @@ MAX_PRIME = 10 ** 8
 
 def _is_prime(n):
     return 2 <= n <= MAX_PRIME and prime_factors(n) == [n]
+
+
+def _load_store(path):
+    """The records of the store at path, its skipped lines reported on
+    stderr; None, after an error message, when the path cannot be read."""
+    try:
+        records, problems = read_store(path)
+    except OSError as exc:
+        print("error: cannot read store %s: %s"
+              % (path, exc.strerror or exc), file=sys.stderr)
+        return None
+    for lineno, msg in problems:
+        print("store line %d skipped: %s" % (lineno, msg), file=sys.stderr)
+    return records
 
 
 def cmd_classgroup(ns, out):
@@ -106,10 +124,25 @@ def cmd_scan(ns, out):
         print("error: --prime must be a prime <= %d, got %d"
               % (MAX_PRIME, ns.prime), file=sys.stderr)
         return 2
-    existing, problems = read_store(ns.store)
-    for lineno, msg in problems:
-        print("store line %d skipped: %s" % (lineno, msg), file=sys.stderr)
-    done = {rec.key() for rec in existing}
+    cpus = os.cpu_count() or 1
+    if not 1 <= ns.jobs <= cpus:
+        print("error: --jobs must be between 1 and %d, got %d"
+              % (cpus, ns.jobs), file=sys.stderr)
+        return 2
+    store_dir = os.path.dirname(ns.store) or os.curdir
+    if not os.path.isdir(store_dir):
+        print("error: store directory %s does not exist or is not a "
+              "directory" % store_dir, file=sys.stderr)
+        return 2
+    existing = _load_store(ns.store)
+    if existing is None:
+        return 2
+    done, relevant = set(), []
+    for r in existing:
+        if r.prime == ns.prime:
+            done.add(r.discriminant)
+            if lo <= r.discriminant <= hi:
+                relevant.append(r)
     try:
         work = _pending_chunks(lo, hi, ns.prime, done)
     except QuadFormError as exc:
@@ -125,8 +158,7 @@ def cmd_scan(ns, out):
     if fresh:
         append_records(ns.store, fresh)
 
-    relevant = [r for r in existing if r.prime == ns.prime
-                and lo <= r.discriminant <= hi] + fresh
+    relevant += fresh
     hist = Counter(r.rank for r in relevant)
     hits = sorted((r for r in relevant if r.rank >= ns.min_rank),
                   key=lambda r: -r.discriminant)
@@ -212,24 +244,24 @@ def cmd_heuristic(ns, out):
 
 
 def cmd_report(ns, out):
-    records, problems = read_store(ns.store)
-    for lineno, msg in problems:
-        print("store line %d skipped: %s" % (lineno, msg), file=sys.stderr)
+    records = _load_store(ns.store)
+    if records is None:
+        return 2
     if not records:
         print("0 records", file=out)
         return 0
+    hist = sorted(Counter(map(attrgetter("prime", "rank"), records)).items())
     if ns.tsv:
         print("prime\trank\tcount", file=out)
-        hist = Counter((r.prime, r.rank) for r in records)
-        for (p, rank), n in sorted(hist.items()):
+        for (p, rank), n in hist:
             print("%d\t%d\t%d" % (p, rank, n), file=out)
         return 0
     print("%d records in %s" % (len(records), ns.store), file=out)
-    for p in sorted({r.prime for r in records}):
-        sub = [r for r in records if r.prime == p]
-        hist = Counter(r.rank for r in sub)
-        line = " ".join("rank %d: %d" % kv for kv in sorted(hist.items()))
-        print("p = %d (%d records): %s" % (p, len(sub), line), file=out)
+    for p, cells in groupby(hist, key=lambda cell: cell[0][0]):
+        cells = [(rank, n) for (_, rank), n in cells]
+        line = " ".join("rank %d: %d" % cell for cell in cells)
+        print("p = %d (%d records): %s"
+              % (p, sum(n for _, n in cells), line), file=out)
     return 0
 
 

@@ -1,10 +1,15 @@
 """CLI subcommands, the record store, pattern classification and the
 packaged discriminant table."""
 
+import dataclasses
 import io
+import os
+import pickle
+import random
 
 import pytest
 
+from capkit import cli
 from capkit.cli import (PatternClass, classify_capitulation_pattern, main)
 from capkit.fixtures import reference_discriminants, reference_table
 from capkit.quadform import Discriminant, is_fundamental
@@ -16,6 +21,111 @@ def run_cli(args):
     out = io.StringIO()
     code = main(args, out=out)
     return code, out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the frozen-dataclass store parser that `store.parse_record`
+# replaced, with the divisor-chain and rank checks added after the others
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class OracleRecord:
+    discriminant: int
+    class_number: int
+    invariant_factors: tuple
+    prime: int
+    rank: int
+    timestamp: str
+
+
+def oracle_parse_record(line):
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 6:
+        raise ValueError("expected 6 tab-separated fields, got %d" % len(parts))
+    d, h, invs_s, p, rank, ts = parts
+    invs = () if invs_s == "1" else tuple(int(x) for x in invs_s.split(","))
+    rec = OracleRecord(int(d), int(h), invs, int(p), int(rank), ts)
+    if rec.discriminant >= 0 or rec.class_number < 1 or rec.prime < 2 \
+            or rec.rank < 0:
+        raise ValueError("field values out of range")
+    prod = 1
+    for x in invs:
+        prod *= x
+    if prod != rec.class_number:
+        raise ValueError("invariant factors inconsistent with class number")
+    if any(x < 2 for x in invs) or \
+            any(b % a for a, b in zip(invs, invs[1:])):
+        raise ValueError("invariant factors are not a divisor chain of "
+                         "integers > 1")
+    p_rank = sum(1 for x in invs if x % rec.prime == 0)
+    if rec.rank != p_rank:
+        raise ValueError("rank %d differs from the %d-rank %d of the "
+                         "invariant factors" % (rec.rank, rec.prime, p_rank))
+    return rec
+
+
+def oracle_read_store(path):
+    records, problems = [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                records.append(oracle_parse_record(stripped))
+            except ValueError as exc:
+                problems.append((lineno, str(exc)))
+    return records, problems
+
+
+# Store lines of every kind a reader meets: {d} {h} {invs} {p} {r} {ts} are
+# the fields of a valid record, which is listed twice to be drawn more often.
+_STORE_LINE_KINDS = (
+    "{d}\t{h}\t{invs}\t{p}\t{r}\t{ts}",
+    "{d}\t{h}\t{invs}\t{p}\t{r}\t{ts}",
+    "  {d}\t{h}\t{invs}\t{p}\t{r}\t{ts} \t",     # padded
+    "",
+    "   ",
+    "# comment {d}",
+    "  # indented comment",
+    "not a record",
+    "{d}\t{h}\t{invs}\t{p}\t{r}",                  # 5 fields
+    "{d}\t{h}\t{invs}\t{p}\t{r}\t{ts}\textra",     # 7 fields
+    "{d}\tseven\t{invs}\t{p}\t{r}\t{ts}",          # non-integer h
+    "x{d}\t{h}\t{invs}\t{p}\t{r}\t{ts}",           # non-integer D
+    "{d}\t{h}\t{invs},x\t{p}\t{r}\t{ts}",          # non-integer factor
+    "{d}\t{h}\t\t{p}\t{r}\t{ts}",                  # empty factors
+    "{d}\t{h}\t{invs}\tfive\t{r}\t{ts}",           # non-integer p
+    "{d}\t{h}\t{invs}\t{p}\tr\t{ts}",              # non-integer rank
+    "{d}\t{h1}\t{invs}\t{p}\t{r}\t{ts}",           # product mismatch
+    "{pd}\t{h}\t{invs}\t{p}\t{r}\t{ts}",           # D >= 0
+    "{d}\t0\t1\t{p}\t0\t{ts}",                     # h < 1
+    "{d}\t{h}\t{invs}\t1\t{r}\t{ts}",              # p < 2
+    "{d}\t{h}\t{invs}\t{p}\t-1\t{ts}",             # rank < 0
+    "{d}\t{h}\t1,{h}\t{p}\t{r}\t{ts}",             # factor 1
+    "{d}\t{h}\t-1,-{h}\t{p}\t{r}\t{ts}",           # negative factors
+    "{d}\t15\t3,5\t{p}\t{r}\t{ts}",                # 3 does not divide 5
+    "{d}\t{h}\t{invs}\t{p}\t{r1}\t{ts}",           # rank mismatch
+)
+
+
+def synthetic_store_text(seed, n_lines):
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n_lines):
+        a = rng.choice((1, 1, 1, 2, 3, 5))
+        invs = [f for f in (a, a * rng.randint(1, 12)) if f > 1]
+        h = 1
+        for f in invs:
+            h *= f
+        p = rng.choice((2, 3, 5, 7))
+        r = sum(1 for f in invs if f % p == 0)
+        d = -rng.randint(3, 10 ** 6)
+        lines.append(rng.choice(_STORE_LINE_KINDS).format(
+            d=d, pd=-d, h=h, h1=h + 1, invs=",".join(map(str, invs)) or "1",
+            p=p, r=r, r1=r + 1,
+            ts="2026-01-01T00:00:%02d+00:00" % rng.randrange(60)))
+    return "\n".join(lines) + "\n"
 
 
 class TestPatternClassifier:
@@ -110,6 +220,60 @@ class TestStore:
         rec = ScanRecord(-84, 4, (2, 2), 2, 2, "2026-01-01T00:00:00+00:00")
         assert parse_record(format_record(rec)) == rec
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_read_store_matches_oracle(self, tmp_path, seed):
+        path = tmp_path / "s.tsv"
+        path.write_text(synthetic_store_text(seed, 600), encoding="utf-8")
+        got, problems = read_store(path)
+        want, want_problems = oracle_read_store(path)
+        assert [tuple(r) for r in got] == \
+            [dataclasses.astuple(r) for r in want]
+        assert problems == want_problems
+        # valid lines and every rejection are present
+        assert len(got) > 40
+        for reason in ("expected 6", "invalid literal", "out of range",
+                       "inconsistent", "divisor chain", "differs"):
+            assert any(reason in msg for _, msg in problems), reason
+
+    @pytest.mark.parametrize("line", [
+        "-84\t4\t1,4\t2\t1\tts",      # factor 1
+        "-84\t15\t3,5\t5\t1\tts",     # 3 does not divide 5
+        "-84\t4\t-2,-2\t2\t2\tts",    # factors below 2
+        "-84\t4\t4,1\t2\t1\tts",      # decreasing
+    ])
+    def test_rejects_non_chain(self, line):
+        with pytest.raises(ValueError, match="not a divisor chain"):
+            parse_record(line)
+
+    @pytest.mark.parametrize("line", [
+        "-84\t4\t2,2\t2\t1\tts",
+        "-23\t3\t3\t5\t1\tts",
+        "-3\t1\t1\t3\t1\tts",
+    ])
+    def test_rejects_rank_mismatch(self, line):
+        with pytest.raises(ValueError, match="rank 1 differs from the"):
+            parse_record(line)
+
+    def test_undecodable_line_skipped(self, tmp_path, capsys):
+        path = tmp_path / "s.tsv"
+        path.write_bytes(b"-23\t3\t3\t3\t1\tts\n"
+                         b"-31\t3\t3\t3\t1\t2026\xff\xfe\n"
+                         b"-44\t3\t3\t3\t1\tts\xc3\xa9\n")
+        got, problems = read_store(path)
+        assert [r.discriminant for r in got] == [-23, -44]
+        assert got[1].timestamp == "ts\u00e9"
+        assert problems == [(2, "line is not valid UTF-8")]
+        code, text = run_cli(["report", "--store", str(path)])
+        assert code == 0 and "2 records" in text
+        assert "store line 2 skipped" in capsys.readouterr().err
+
+    def test_record_pickles(self):
+        rec = ScanRecord(-12451, 25, (5, 5), 5, 2, "2026-01-01T00:00:00+00:00")
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is ScanRecord
+        assert back.key() == (-12451, 5)
+        assert back.payload() == (-12451, 25, (5, 5), 5, 2)
+
 
 class TestCli:
     def test_classgroup_output(self):
@@ -138,6 +302,25 @@ class TestCli:
         assert "(0 new)" in text
         assert read_store(store)[0] == first
 
+    def test_resume_is_per_prime_and_range(self, tmp_path):
+        store = str(tmp_path / "scan.tsv")
+        n = sum(1 for d in range(-100, -2) if is_fundamental(d))
+        k = sum(1 for d in range(-50, -2) if is_fundamental(d))
+        assert "(%d new)" % n in run_cli(
+            ["scan", "--store", store, "--", "-100", "-3"])[1]
+        # records for p = 5 do not count as done for p = 3
+        code, text = run_cli(["scan", "--store", store, "--prime", "3",
+                              "--", "-100", "-3"])
+        assert code == 0
+        assert "scanned %d discriminants (%d new)" % (n, n) in text
+        code, text = run_cli(["scan", "--store", store, "--prime", "3",
+                              "--", "-50", "-3"])
+        assert "scanned %d discriminants (0 new)" % k in text
+        recs = read_store(store)[0]
+        assert sorted(r.key() for r in recs) == \
+            sorted((r.discriminant, p) for r in recs if r.prime == 5
+                   for p in (3, 5))
+
     def test_scan_empty_range(self, tmp_path):
         store = str(tmp_path / "scan.tsv")
         code, text = run_cli(["scan", "--store", store, "--", "-2", "-1"])
@@ -157,7 +340,7 @@ class TestCli:
     def test_scan_parallel_matches_serial(self, tmp_path):
         s1, s2 = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
         run_cli(["scan", "--store", s1, "--", "-400", "-3"])
-        run_cli(["scan", "--store", s2, "--jobs", "3", "--", "-400", "-3"])
+        run_cli(["scan", "--store", s2, "--jobs", "2", "--", "-400", "-3"])
         a = sorted(r.payload() for r in read_store(s1)[0])
         b = sorted(r.payload() for r in read_store(s2)[0])
         assert a == b
@@ -188,16 +371,26 @@ class TestCli:
         ["scan", "--", "-100000001", "-3"],
         ["classgroup", "--", "-200000003"],
         ["heuristic", "1"],
+        ["scan", "--store", "{tmp}", "--", "-100", "-3"],
+        ["report", "--store", "{tmp}"],
+        ["scan", "--store", "{tmp}/missing/scan.tsv", "--", "-100", "-3"],
+        ["scan", "--jobs", "0", "--", "-100", "-3"],
+        ["scan", "--jobs", "-1", "--", "-100", "-3"],
+        ["scan", "--jobs", str((os.cpu_count() or 1) + 1), "--", "-100", "-3"],
     ])
-    def test_bad_input_exits_2(self, tmp_path, capsys, args):
+    def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, args):
+        def no_class_groups(discs):
+            raise AssertionError("class groups computed for bad input")
+        monkeypatch.setattr(cli, "class_group_structures", no_class_groups)
         store = tmp_path / "scan.tsv"
-        if args[0] == "scan":
+        if args[0] == "scan" and "--store" not in args:
             args = args[:1] + ["--store", str(store)] + args[1:]
+        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         code, text = run_cli(args)
         err = capsys.readouterr().err
         assert code == 2 and text == ""
         assert err.startswith("error: ") and "Traceback" not in err
-        assert not store.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_table(self):
         code, text = run_cli(["verify-table"])
