@@ -279,9 +279,6 @@ class AbelianGroup:
         return tuple((a + b) % d
                      for a, b, d in zip(x, y, self.invariant_factors))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
-
     def scale(self, n, x):
         return tuple((n * a) % d for a, d in zip(x, self.invariant_factors))
 
@@ -509,11 +506,7 @@ class Subgroup:
 
     def structure(self):
         """Invariant factors of the subgroup itself."""
-        k = self.ambient.ngens
-        if k == 0 or self.order() == 1:
-            return AbelianGroup(())
-        invariants, _, _ = quotient_coords(self._relation_rows(), k)
-        return AbelianGroup(invariants)
+        return self.structure_with_coords()[0]
 
     def structure_with_coords(self):
         """(structure, to_coords, generators): coordinates of subgroup elements

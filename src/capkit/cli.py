@@ -19,9 +19,9 @@ from .fixtures import (PUBLISHED_EMPIRICAL_P3, PUBLISHED_HEURISTIC_P3,
                        reference_table)
 from .heuristics import HeuristicsError, predicted_rank_distribution
 from .pcgroup import PresentationError, capitulation_type
-from .quadform import (Discriminant, QuadFormError, class_group_structure,
-                       class_group_structures, fundamental_discriminants,
-                       prime_factors)
+from .quadform import (MAX_ABS_DISC, Discriminant, QuadFormError,
+                       class_group_structure, class_group_structures,
+                       fundamental_discriminants, prime_factors)
 from .store import ScanRecord, append_records, now_timestamp, read_store
 
 DEFAULT_STORE = "capkit-scan.tsv"
@@ -129,6 +129,10 @@ def cmd_scan(ns, out):
         print("error: --jobs must be between 1 and %d, got %d"
               % (cpus, ns.jobs), file=sys.stderr)
         return 2
+    if lo < -MAX_ABS_DISC:
+        print("error: scan range reaches below -%d, got %d"
+              % (MAX_ABS_DISC, lo), file=sys.stderr)
+        return 2
     store_dir = os.path.dirname(ns.store) or os.curdir
     if not os.path.isdir(store_dir):
         print("error: store directory %s does not exist or is not a "
@@ -143,11 +147,7 @@ def cmd_scan(ns, out):
             done.add(r.discriminant)
             if lo <= r.discriminant <= hi:
                 relevant.append(r)
-    try:
-        work = _pending_chunks(lo, hi, ns.prime, done)
-    except QuadFormError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    work = _pending_chunks(lo, hi, ns.prime, done)
 
     if ns.jobs > 1 and work:
         with multiprocessing.Pool(ns.jobs) as pool:

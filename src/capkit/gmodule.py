@@ -88,9 +88,6 @@ class GroupAlgebraElement:
     def coefficient(self, g):
         return self._as_dict().get(self.group.reduce(g), 0)
 
-    def reduce_precision(self, m):
-        return GroupAlgebraElement.make(self.group, self.prime, m, self._as_dict())
-
 
 def algebra_one(group, p, m):
     return GroupAlgebraElement.make(group, p, m, {group.zero(): 1})

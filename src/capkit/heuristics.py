@@ -43,9 +43,6 @@ class RankDistribution:
     def residual(self):
         return 1 - sum(q for _, q in self.probs)
 
-    def as_floats(self):
-        return {r: float(q) for r, q in self.probs}
-
 
 def predicted_rank_distribution(p: int, kmax: int = 50) -> RankDistribution:
     """P(rank = 2k) = (1 - p^-2) * p^(-2(k-1)), truncated at k = kmax."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure)
 
@@ -186,10 +187,9 @@ class PcGroup:
         return w
 
     def power(self, u, k):
-        if k < 0:
-            return self.power(self.inv(u), -k)
+        """u^k for any integer k; u^|G| = 1, so k is taken mod |G|."""
         w = self.identity
-        for _ in range(k):
+        for _ in range(k % self.order):
             w = self.mult(w, u)
         return w
 
@@ -269,13 +269,8 @@ class PcGroup:
         """Abelian structure of subset/normal_subgroup (the quotient must be
         abelian).  Returns (AbelianGroup, proj element->coords, lift of each
         invariant-factor generator back to a subset element)."""
-        normal = frozenset(normal_subgroup)
-        rep = {}
-        for x in sorted(subset_elements):
-            if x in rep:
-                continue
-            for d in normal:
-                rep[self.mult(x, d)] = x
+        # xN = Nx, so the right-coset labels name the cosets of the quotient
+        rep = self.coset_labels(subset_elements, normal_subgroup)
         reps = sorted(set(rep.values()))
 
         def qop(a, b):
@@ -288,6 +283,18 @@ class PcGroup:
             return coords[rep[x]]
 
         return res.group, proj, res.generators
+
+    def coset_labels(self, elements, subgroup):
+        """{x: least element of the right coset subgroup x} for every x in
+        elements, a union of right cosets of subgroup.  Walking elements in
+        ascending order, the first unlabelled x of a coset is its least
+        element; it labels the whole coset, one product per element."""
+        label = {}
+        for x in sorted(elements):
+            if x not in label:
+                for h in subgroup:
+                    label[self.mult(h, x)] = x
+        return label
 
     def abelianization(self):
         """(G/G' as AbelianGroup, projection element->coords, generator lifts)."""
@@ -320,6 +327,13 @@ class SubgroupDescriptor:
             raise PresentationError("generated set not closed")
         return cls(G, tuple(gens), elements, G.order // len(elements))
 
+    @cached_property
+    def coset_label(self):
+        """{x: least element of the right coset H x} over the ambient group,
+        computed once per subgroup."""
+        G = self.ambient
+        return G.coset_labels(G.elements(), self.elements)
+
     def is_normal(self):
         G = self.ambient
         return all(G.conjugate(x, t) in self.elements
@@ -351,19 +365,17 @@ def subgroups_index_p_above_derived(G: PcGroup):
         raise PresentationError("G/G' must have rank >= 1")
     k = A.ngens  # == r for a p-group
 
-    def modp(x):
-        return tuple(c % p for c in proj(x))
-
+    images = [(x, tuple(c % p for c in proj(x))) for x in G.elements()]
     subs = []
     if r == 2:
         for v in normalized_lines(p, 2):
             line = {tuple((t * c) % p for c in v) for t in range(p)}
-            elems = [x for x in G.elements() if modp(x) in line]
+            elems = [x for x, im in images if im in line]
             subs.append(SubgroupDescriptor.from_elements(G, elems))
     else:
         for phi in normalized_lines(p, k):
-            elems = [x for x in G.elements()
-                     if sum(a * b for a, b in zip(phi, modp(x))) % p == 0]
+            elems = [x for x, im in images
+                     if sum(a * b for a, b in zip(phi, im)) % p == 0]
             subs.append(SubgroupDescriptor.from_elements(G, elems))
     if len(subs) != (p ** r - 1) // (p - 1):
         raise PresentationError("wrong number of index-p subgroups above G'")
@@ -372,22 +384,20 @@ def subgroups_index_p_above_derived(G: PcGroup):
 
 def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
     """Canonical right-coset representatives of H in G by breadth-first
-    search over H t g, starting at the identity coset, generators in order.
-    Returns the transversal as a list; the identity is first."""
-    hset = H.elements
-
-    def coset_key(t):
-        return min(G.mult(h, t) for h in hset)
-
+    search over H t g, starting at the identity coset, generators in order;
+    a coset H x is named by H.coset_label[x], its least element.  Returns
+    the transversal as a list, sorted by coset label; the identity is
+    first."""
+    label = H.coset_label
     ident = G.identity
-    trans = {coset_key(ident): ident}
+    trans = {label[ident]: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for t in frontier:
             for g in G.generators():
                 u = G.mult(t, g)
-                key = coset_key(u)
+                key = label[u]
                 if key not in trans:
                     trans[key] = u
                     nxt.append(u)
@@ -416,31 +426,28 @@ class TransferMap:
 
 def transfer_on_element(G, H, transversal, proj_H, g):
     """Image of g under the transfer, as coordinates in H/H'."""
-    hset = H.elements
+    label = H.coset_label
+    rep_inv = {label[t]: G.inv(t) for t in transversal}
     total = None
     for t in transversal:
         u = G.mult(t, g)
-        # find the representative of the coset H u
-        for t2 in transversal:
-            h = G.mult(u, G.inv(t2))
-            if h in hset:
-                break
-        else:  # pragma: no cover
-            raise PresentationError("transversal does not cover the group")
-        c = proj_H(h)
+        # t g = h t2 with t2 the representative of the coset H t g
+        c = proj_H(G.mult(u, rep_inv[label[u]]))
         total = c if total is None else tuple(a + b for a, b in zip(total, c))
     return total if total is not None else ()
 
 
 def transfer(G: PcGroup, H: SubgroupDescriptor, transversal=None) -> TransferMap:
     """Transfer map computed by the transversal product formula
-    Ver(g G') = prod_i t_i g t_{sigma_g(i)}^-1 mod H'."""
+    Ver(g G') = prod_i t_i g t_{sigma_g(i)}^-1 mod H', where t_{sigma_g(i)}
+    represents the right coset H t_i g.  The transversal defaults to
+    schreier_transversal(G, H); an explicit one must hold one element of
+    each right coset of H."""
     if transversal is None:
         transversal = schreier_transversal(G, H)
     else:
-        hset = H.elements
-        keys = {min(G.mult(h, t) for h in hset) for t in transversal}
-        if len(transversal) != H.index or len(keys) != H.index:
+        keys = {H.coset_label.get(t) for t in transversal}
+        if len(transversal) != H.index or len(keys) != H.index or None in keys:
             raise PresentationError("not a transversal")
     A_G, proj_G, gens_G = G.abelianization()
     A_H, proj_H, lifts_H = G.quotient_structure(H.elements,

@@ -110,10 +110,6 @@ class QuadForm:
         a, b, c = self.a, self.b, self.c
         return abs(b) <= a <= c and (b >= 0 or (abs(b) < a and a < c))
 
-    @property
-    def is_primitive(self):
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
 
 def _reduce_raw(a, b, c):
     while True:
@@ -256,7 +252,7 @@ class ClassGroupStructure:
         return self.group.invariant_factors
 
 
-_MAX_ABS_DISC = 10 ** 8
+MAX_ABS_DISC = 10 ** 8
 
 
 def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
@@ -268,8 +264,8 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
     but flagged via `is_fundamental`.  `forms`, if given, is the sorted list
     of primitive reduced forms of D from a sieve that has already run.
     """
-    if -D.value > _MAX_ABS_DISC:
-        raise QuadFormError("|D| beyond configured bound %d" % _MAX_ABS_DISC)
+    if -D.value > MAX_ABS_DISC:
+        raise QuadFormError("|D| beyond configured bound %d" % MAX_ABS_DISC)
     Dv = D.value
     if forms is None:
         forms = _reduced_forms(Dv)
@@ -331,8 +327,8 @@ def fundamental_discriminants(lo, hi):
     16 and clears the multiples of p^2 for every odd prime p <= sqrt(|lo|);
     `is_fundamental` is the per-value definition.
     """
-    if lo < -_MAX_ABS_DISC:
-        raise QuadFormError("lower bound %d is below -%d" % (lo, _MAX_ABS_DISC))
+    if lo < -MAX_ABS_DISC:
+        raise QuadFormError("lower bound %d is below -%d" % (lo, MAX_ABS_DISC))
     hi = min(hi, -3)
     if lo > hi:
         return []

@@ -381,7 +381,13 @@ class TestCli:
     def test_bad_input_exits_2(self, tmp_path, capsys, monkeypatch, args):
         def no_class_groups(discs):
             raise AssertionError("class groups computed for bad input")
+
+        def no_store_read(path):
+            raise AssertionError("store read for bad input")
         monkeypatch.setattr(cli, "class_group_structures", no_class_groups)
+        if "{tmp}" not in args:
+            # only a store path that is a directory needs the read to fail
+            monkeypatch.setattr(cli, "read_store", no_store_read)
         store = tmp_path / "scan.tsv"
         if args[0] == "scan" and "--store" not in args:
             args = args[:1] + ["--store", str(store)] + args[1:]

@@ -142,6 +142,15 @@ class TestPresentationValidation:
         assert G.is_metabelian()
         assert sorted(G.element_order(x) for x in G.elements()).count(3) == 26
 
+    def test_power_reduces_exponent_mod_order(self):
+        G = get_group("MC81a")
+        for u in G.elements():
+            assert G.power(u, 10 ** 12 + 1) == \
+                G.power(u, 10 ** 12 % G.order + 1)
+            assert G.power(u, -1) == G.inv(u)
+            assert G.mult(G.power(u, -5), G.power(u, 5)) == G.identity
+        assert G.collect(((0, 10 ** 12),)) == G.power((1, 0, 0, 0), 10 ** 12)
+
     def test_abelianization_structures(self):
         for name, invs in [("C27", (27,)), ("H27", (3, 3)), ("M27", (3, 3)),
                            ("M243", (3, 27)), ("Q8", (2, 2)),
@@ -261,6 +270,35 @@ class TestSubgroups:
             covered = {G.mult(h, t) for h in H.elements for t in T}
             assert covered == set(G.elements())
 
+    def test_coset_labels_match_min_over_subgroup(self):
+        # oracle: the least element of H x, found by multiplying out all of H
+        checked = 0
+        for G in load_catalog().values():
+            if G.abelianization()[0].rank(G.p) < 1:
+                continue
+            derived = SubgroupDescriptor.from_elements(G, G.derived_subgroup())
+            for H in subgroups_index_p_above_derived(G) + [derived]:
+                assert H.coset_label == {
+                    x: min(G.mult(h, x) for h in H.elements)
+                    for x in G.elements()}
+                checked += 1
+        assert checked > 100
+
+    def test_quotient_reps_are_left_cosets_of_h_prime(self):
+        # quotient_structure(H, H') names the coset x H' by its least element
+        for G in load_catalog().values():
+            if G.abelianization()[0].rank(G.p) < 1:
+                continue
+            for H in subgroups_index_p_above_derived(G):
+                derived = G.derived_of(H.generators)
+                left = {x: min(G.mult(x, d) for d in derived)
+                        for x in H.elements}
+                assert G.coset_labels(H.elements, derived) == left
+                A, proj, _ = G.quotient_structure(H.elements, derived)
+                assert all(proj(x) == proj(r) for x, r in left.items())
+                reps = set(left.values())
+                assert len({proj(r) for r in reps}) == len(reps) == A.order()
+
 
 # ---------------------------------------------------------------------------
 # transfer
@@ -312,6 +350,9 @@ class TestTransfer:
         H = subgroups_index_p_above_derived(G)[0]
         with pytest.raises(PresentationError):
             transfer(G, H, transversal=[G.identity] * 3)
+        T = schreier_transversal(G, H)
+        with pytest.raises(PresentationError):
+            transfer(G, H, transversal=T[:2] + [(5, 5, 5)])
 
     def test_transversal_independence(self):
         rng = random.Random(5)
