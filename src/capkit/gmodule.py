@@ -9,12 +9,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from sympy import GF, Poly, symbols
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
                       identity_hom, power_hom, zero_hom)
-from .pcgroup import PcGroup, SubgroupDescriptor, transfer
+from .pcgroup import (PcGroup, SubgroupDescriptor,
+                      subgroups_index_p_above_derived, transfer)
 
 
 class GModuleError(ValueError):
@@ -334,6 +336,11 @@ class RelativeExtensionDatum:
         return self.sigma - identity_hom(self.A_L)
 
     def check_invariants(self):
+        """The violated invariants, as a fresh list of messages."""
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self):  # the fields never change: check once per datum
         out = []
         if self.norm.compose(self.lift) != power_hom(self.A_K, self.p):
             out.append("norm o lift is not the p-th power map")
@@ -343,13 +350,14 @@ class RelativeExtensionDatum:
             out.append("norm is not sigma-invariant")
         if self.sigma.compose(self.lift) != self.lift:
             out.append("lift does not land in the fixed part")
-        return out
+        return tuple(out)
 
 
 def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionDatum:
     """Artin dictionary for a normal index-p subgroup H >= G': A_K = G/G',
     A_L = H/H', lift = transfer, norm = inclusion-induced map, sigma =
-    conjugation by a transversal generator."""
+    conjugation by a transversal generator.  H/H' and the transversal are
+    H's own, shared with every other transfer to H."""
     p = G.p
     if H.index != p:
         raise GModuleError("subgroup must have index p")
@@ -360,9 +368,8 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
         raise GModuleError("subgroup must contain the derived subgroup")
 
     A_K, proj_G, _ = G.abelianization()
-    tmap = transfer(G, H)
-    A_L, proj_H, gens_H = tmap.target, tmap.project, tmap.lifts
-    lift = tmap.hom
+    lift = transfer(G, H).hom
+    A_L, proj_H, gens_H = H.abelianization
 
     norm = Homomorphism(A_L, A_K, [[proj_G(g)[i] for g in gens_H]
                                    for i in range(A_K.ngens)])
@@ -418,7 +425,8 @@ def check_growth_order_law(d: RelativeExtensionDatum, b):
 
 def catalog_relative_data(G: PcGroup):
     """All relative data from index-p subgroups of G above the derived
-    subgroup (the normality requirement is automatic there)."""
-    from .pcgroup import subgroups_index_p_above_derived
+    subgroup (the normality requirement is automatic there).  The subgroups,
+    transversals and H/H' are G's shared index-p lattice, the same objects
+    that capitulation_type reads."""
     return [make_relative_datum(G, H)
             for H in subgroups_index_p_above_derived(G)]

@@ -59,6 +59,7 @@ class PcGroup:
         self._elements = list(itertools.product(range(p), repeat=ngens))
         self._derived = None
         self._abelianization = None
+        self._index_p_subgroups = None
         self._build()
 
     # -- presentation plumbing -------------------------------------------
@@ -222,18 +223,23 @@ class PcGroup:
 
     def closure(self, gens):
         """Subgroup generated by the given elements, as a frozenset."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = [g for g in gens]
+        gens = list(gens)
+        return self._grow(frozenset({self.identity}), gens, gens)
+
+    def _grow(self, sub, gens, new):
+        """Subgroup generated by gens, given the subgroup sub generated by
+        the gens not in new: walks only sub*new outside sub and its reach."""
+        seen = set(sub)
+        frontier, step = list(sub), new
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
+                for g in step:
                     y = self.mult(x, g)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
-            frontier = nxt
+            frontier, step = nxt, gens
         return frozenset(seen)
 
     def derived_subgroup(self):
@@ -251,7 +257,7 @@ class PcGroup:
             x = pending.pop()
             if x not in closed:
                 normal_gens.append(x)
-                closed = self.closure(normal_gens)
+                closed = self._grow(closed, normal_gens, [x])
                 pending.extend(self.conjugate(x, a) for a in gens)
         return closed
 
@@ -314,25 +320,38 @@ class SubgroupDescriptor:
     @classmethod
     def from_elements(cls, G, elements):
         elements = frozenset(elements)
+        if not elements:
+            raise PresentationError("a subgroup cannot be empty")
         if G.order % len(elements):
             raise PresentationError("subgroup order does not divide group order")
-        # greedy small generating set
+        # greedy small generating set, each closure grown from the last
         gens = []
-        current = {G.identity}
+        current = frozenset({G.identity})
         for x in sorted(elements):
             if x not in current:
                 gens.append(x)
-                current = G.closure(gens)
+                current = G._grow(current, gens, [x])
         if current != elements:
             raise PresentationError("generated set not closed")
         return cls(G, tuple(gens), elements, G.order // len(elements))
 
+    # cached: neither the descriptor nor its ambient group ever changes
     @cached_property
     def coset_label(self):
-        """{x: least element of the right coset H x} over the ambient group,
-        computed once per subgroup."""
+        """{x: least element of the right coset H x} over the ambient group."""
         G = self.ambient
         return G.coset_labels(G.elements(), self.elements)
+
+    @cached_property
+    def transversal(self):
+        """schreier_transversal(ambient, self), as a tuple."""
+        return tuple(schreier_transversal(self.ambient, self))
+
+    @cached_property
+    def abelianization(self):
+        """(H/H', projection, generator lifts), as G.abelianization()."""
+        G = self.ambient
+        return G.quotient_structure(self.elements, G.derived_of(self.generators))
 
     def is_normal(self):
         G = self.ambient
@@ -342,44 +361,34 @@ class SubgroupDescriptor:
 
 def normalized_lines(p, r):
     """Directions in F_p^r with first nonzero coordinate 1, lexicographic."""
-    out = []
-    for v in itertools.product(range(p), repeat=r):
-        if not any(v):
-            continue
-        lead = next(x for x in v if x)
-        if lead != 1:
-            continue
-        out.append(v)
-    return sorted(out)
+    return [v for v in itertools.product(range(p), repeat=r)
+            if any(v) and next(x for x in v if x) == 1]
 
 
 def subgroups_index_p_above_derived(G: PcGroup):
     """The (p^r - 1)/(p - 1) subgroups of index p containing G', where r is
     the rank of G/G'.  For r = 2 they are ordered as lines of
     G/(G' G^p) = F_p^2 by normalized direction vector; otherwise as
-    hyperplane functionals by normalized coefficient vector."""
-    p = G.p
-    A, proj, _ = G.abelianization()
-    r = A.rank(p)
-    if r < 1:
-        raise PresentationError("G/G' must have rank >= 1")
-    k = A.ngens  # == r for a p-group
-
-    images = [(x, tuple(c % p for c in proj(x))) for x in G.elements()]
-    subs = []
-    if r == 2:
-        for v in normalized_lines(p, 2):
-            line = {tuple((t * c) % p for c in v) for t in range(p)}
-            elems = [x for x, im in images if im in line]
-            subs.append(SubgroupDescriptor.from_elements(G, elems))
-    else:
-        for phi in normalized_lines(p, k):
+    hyperplane functionals by normalized coefficient vector.  The lattice
+    is computed once per group; each call returns a fresh list."""
+    if G._index_p_subgroups is None:
+        p = G.p
+        A, proj, _ = G.abelianization()
+        r = A.rank(p)
+        if r < 1:
+            raise PresentationError("G/G' must have rank >= 1")
+        images = [(x, tuple(c % p for c in proj(x))) for x in G.elements()]
+        subs = []
+        for v in normalized_lines(p, r):  # r = A.ngens for a p-group
+            # the line through v is the kernel of the functional (v2, -v1)
+            phi = (v[1], -v[0]) if r == 2 else v
             elems = [x for x, im in images
                      if sum(a * b for a, b in zip(phi, im)) % p == 0]
             subs.append(SubgroupDescriptor.from_elements(G, elems))
-    if len(subs) != (p ** r - 1) // (p - 1):
-        raise PresentationError("wrong number of index-p subgroups above G'")
-    return subs
+        if len(subs) != (p ** r - 1) // (p - 1):
+            raise PresentationError("wrong number of index-p subgroups above G'")
+        G._index_p_subgroups = tuple(subs)
+    return list(G._index_p_subgroups)
 
 
 def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
@@ -409,54 +418,48 @@ def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
 
 @dataclass(frozen=True)
 class TransferMap:
-    """The transfer (Verlagerung) G/G' -> H/H' as an explicit Homomorphism,
-    with the projection H -> H/H' (element -> coordinates) and a lift in H
-    of each invariant-factor generator of H/H'."""
+    """The transfer (Verlagerung) G/G' -> H/H' as an explicit Homomorphism.
+    The projection H -> H/H' and the lifts of its generators are
+    subgroup.abelianization."""
     group: PcGroup = field(compare=False)
     subgroup: SubgroupDescriptor = field(compare=False)
     source: AbelianGroup
     target: AbelianGroup
     hom: Homomorphism
-    project: object = field(compare=False)
-    lifts: list = field(compare=False)
 
     def kernel(self):
         return self.hom.kernel()
-
-
-def transfer_on_element(G, H, transversal, proj_H, g):
-    """Image of g under the transfer, as coordinates in H/H'."""
-    label = H.coset_label
-    rep_inv = {label[t]: G.inv(t) for t in transversal}
-    total = None
-    for t in transversal:
-        u = G.mult(t, g)
-        # t g = h t2 with t2 the representative of the coset H t g
-        c = proj_H(G.mult(u, rep_inv[label[u]]))
-        total = c if total is None else tuple(a + b for a, b in zip(total, c))
-    return total if total is not None else ()
 
 
 def transfer(G: PcGroup, H: SubgroupDescriptor, transversal=None) -> TransferMap:
     """Transfer map computed by the transversal product formula
     Ver(g G') = prod_i t_i g t_{sigma_g(i)}^-1 mod H', where t_{sigma_g(i)}
     represents the right coset H t_i g.  The transversal defaults to
-    schreier_transversal(G, H); an explicit one must hold one element of
-    each right coset of H."""
+    H.transversal, the Schreier transversal; an explicit one must hold one
+    element of each right coset of H.  H must be a subgroup of G itself."""
+    if H.ambient is not G:
+        raise PresentationError("subgroup belongs to a different group")
+    label = H.coset_label
     if transversal is None:
-        transversal = schreier_transversal(G, H)
+        transversal = H.transversal
     else:
-        keys = {H.coset_label.get(t) for t in transversal}
+        keys = {label.get(t) for t in transversal}
         if len(transversal) != H.index or len(keys) != H.index or None in keys:
             raise PresentationError("not a transversal")
-    A_G, proj_G, gens_G = G.abelianization()
-    A_H, proj_H, lifts_H = G.quotient_structure(H.elements,
-                                                G.derived_of(H.generators))
-    cols = [A_H.reduce(transfer_on_element(G, H, transversal, proj_H, g))
-            for g in gens_G]
+    A_G, _, gens_G = G.abelianization()
+    A_H, proj_H, _ = H.abelianization
+    rep_inv = {label[t]: G.inv(t) for t in transversal}
+    cols = []
+    for g in gens_G:
+        total = A_H.zero()
+        for t in transversal:
+            u = G.mult(t, g)
+            # t g = h t2 with t2 the representative of the coset H t g
+            c = proj_H(G.mult(u, rep_inv[label[u]]))
+            total = tuple(a + b for a, b in zip(total, c))
+        cols.append(A_H.reduce(total))
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(A_H.ngens)]
-    hom = Homomorphism(A_G, A_H, matrix)
-    return TransferMap(G, H, A_G, A_H, hom, proj_H, lifts_H)
+    return TransferMap(G, H, A_G, A_H, Homomorphism(A_G, A_H, matrix))
 
 
 @dataclass(frozen=True)
@@ -475,34 +478,24 @@ def _line_subgroups(A: AbelianGroup, p):
     line order of the p-torsion."""
     if A.ngens != 2:
         raise PresentationError("line subgroups need an abelian group of rank 2")
-    e1 = (A.invariant_factors[0] // p, 0)
-    e2 = (0, A.invariant_factors[1] // p)
-    out = []
-    for v in normalized_lines(p, 2):
-        gen = A.add(A.scale(v[0], e1), A.scale(v[1], e2))
-        out.append(Subgroup.from_generators(A, [gen]))
-    return out
+    d1, d2 = A.invariant_factors
+    return [Subgroup.from_generators(A, [(v[0] * d1 // p, v[1] * d2 // p)])
+            for v in normalized_lines(p, 2)]
 
 
 def capitulation_type(G: PcGroup):
     """Transfer-kernel pattern over the p+1 index-p subgroups above G'.
 
     Requires rank(G/G') = 2 for the integer encoding; kernels that are
-    neither a canonical line nor the full group are returned flagged."""
-    p = G.p
+    neither a canonical line nor the full group are returned flagged.  The
+    subgroups, their transversals and H/H' are the group's shared index-p
+    lattice, so catalog_relative_data reuses them."""
     A, _, _ = G.abelianization()
-    subs = subgroups_index_p_above_derived(G)
-    lines = _line_subgroups(A, p) if A.ngens == 2 else []
+    lines = _line_subgroups(A, G.p) if A.ngens == 2 else []
+    codes = {line: j for j, line in enumerate(lines, start=1)}
+    codes[Subgroup.full(A)] = 0
     entries = []
-    for i, H in enumerate(subs, start=1):
+    for i, H in enumerate(subgroups_index_p_above_derived(G), start=1):
         ker = transfer(G, H).kernel()
-        code = None
-        if ker == Subgroup.full(A):
-            code = 0
-        else:
-            for j, line in enumerate(lines, start=1):
-                if ker == line:
-                    code = j
-                    break
-        entries.append(CapitulationEntry(i, ker, code))
+        entries.append(CapitulationEntry(i, ker, codes.get(ker)))
     return entries

@@ -17,6 +17,7 @@ import pytest
 
 from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
                             identity_hom)
+from capkit import gmodule
 from capkit.catalog import get_group
 from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             GrowthClass, RelativeExtensionDatum, algebra_one,
@@ -25,7 +26,7 @@ from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             decompose_module, f_property, is_exact_cycle,
                             make_relative_datum, primitive_idempotents,
                             trivial_action_module)
-from capkit.pcgroup import subgroups_index_p_above_derived
+from capkit.pcgroup import PresentationError, subgroups_index_p_above_derived
 
 
 def cyclotomic_coset_count(d, p):
@@ -315,6 +316,34 @@ class TestRelativeDatum:
             G, sorted(G.closure([(0, 0, 1)])))
         with pytest.raises(GModuleError):
             make_relative_datum(G, small)
+
+    def test_subgroup_of_another_group_is_rejected(self):
+        H = subgroups_index_p_above_derived(get_group("M27"))[0]
+        with pytest.raises(PresentationError):
+            make_relative_datum(get_group("H27"), H)
+
+    def test_invariants_are_checked_once_per_datum(self, monkeypatch):
+        G = get_group("M27")
+        H = subgroups_index_p_above_derived(G)[0]
+        calls = []
+        real = gmodule.power_hom
+        monkeypatch.setattr(gmodule, "power_hom",
+                            lambda *a: calls.append(a) or real(*a))
+        d = make_relative_datum(G, H)
+        for _ in range(3):
+            problems = d.check_invariants()
+            assert problems == []
+            problems.append("a caller's own note")
+        assert len(calls) == 1
+        A = AbelianGroup((3,))
+        bad = RelativeExtensionDatum(
+            3, A, A, lift=identity_hom(A), norm=identity_hom(A),
+            sigma=identity_hom(A), synthetic=True)
+        assert len(calls) == 1  # synthetic data are checked lazily
+        first = bad.check_invariants()
+        first.clear()
+        assert any("p-th power" in msg for msg in bad.check_invariants())
+        assert len(calls) == 2
 
     def test_f_property_over_catalog(self):
         for name in ("H27", "M27", "MC81a", "C3wrC3"):

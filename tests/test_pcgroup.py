@@ -11,14 +11,19 @@ Oracles:
     table, inverses, bijectivity, associativity).
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from collections import Counter
 
 import pytest
 
+from capkit import pcgroup
 from capkit.catalog import get_group, load_catalog
+from capkit.gmodule import (catalog_relative_data, classify_growth,
+                            make_relative_datum)
 from capkit.pcgroup import (PcGroup, PresentationError,
                             SubgroupDescriptor, capitulation_type,
                             normalized_lines, schreier_transversal,
@@ -260,6 +265,39 @@ class TestSubgroups:
         with pytest.raises(PresentationError):
             SubgroupDescriptor.from_elements(G, [(0, 0), (1, 0)])
 
+    def test_grown_closures_match_closures_from_the_identity(self):
+        # oracle: the greedy generators and the derived subgroup computed
+        # with a full closure from the identity after every step
+        def greedy(G, elements):
+            gens, current = [], {G.identity}
+            for x in sorted(elements):
+                if x not in current:
+                    gens.append(x)
+                    current = G.closure(gens)
+            return tuple(gens)
+
+        def derived(G, gens):
+            normal_gens, closed = [], {G.identity}
+            pending = [G.commutator(a, b) for a in gens for b in gens]
+            while pending:
+                x = pending.pop()
+                if x not in closed:
+                    normal_gens.append(x)
+                    closed = G.closure(normal_gens)
+                    pending.extend(G.conjugate(x, a) for a in gens)
+            return closed
+
+        rng = random.Random(11)
+        for name in ("D4", "Q8", "H27", "C3wrC3", "MC81a", "MC81c"):
+            G = get_group(name)
+            for _ in range(30):
+                xs = rng.sample(G.elements(), rng.randint(1, 3))
+                H = SubgroupDescriptor.from_elements(G, G.closure(xs))
+                assert H.generators == greedy(G, H.elements)
+                assert G.derived_of(xs) == derived(G, xs)
+                ys = rng.sample(G.elements(), 2)
+                assert G._grow(G.closure(xs), xs + ys, ys) == G.closure(xs + ys)
+
     def test_schreier_transversal(self):
         G = get_group("M27")
         for H in subgroups_index_p_above_derived(G):
@@ -365,6 +403,68 @@ class TestTransfer:
                 assert transfer(G, H, transversal=T).hom == base.hom
 
 
+class TestSharedLattice:
+    """The index-p lattice, each subgroup's transversal and H/H' are
+    computed once and shared; an uncached descriptor of the same subgroup
+    is the oracle."""
+
+    def test_fresh_descriptors_agree_with_the_lattice(self):
+        checked = 0
+        for G in load_catalog().values():
+            if G.abelianization()[0].rank(G.p) < 1:
+                continue
+            capitulation_type(G)
+            data = catalog_relative_data(G)
+            for H, d in zip(subgroups_index_p_above_derived(G), data):
+                fresh = SubgroupDescriptor.from_elements(G, H.elements)
+                cached = {"coset_label", "transversal", "abelianization"}
+                assert fresh is not H and not cached & set(vars(fresh))
+                assert fresh == H
+                assert transfer(G, fresh).hom.matrix == transfer(G, H).hom.matrix
+                assert fresh.abelianization[0] == H.abelianization[0]
+                e = make_relative_datum(G, fresh)
+                assert (e.lift.matrix, e.norm.matrix, e.sigma.matrix) == \
+                    (d.lift.matrix, d.norm.matrix, d.sigma.matrix)
+                checked += 1
+        assert checked == 224
+
+    def test_one_transversal_per_subgroup(self, monkeypatch):
+        base = get_group("MC81a")
+        G = PcGroup(base.p, base.n, base.power_tails, base.conj_tails)
+        seen = Counter()
+        real = pcgroup.schreier_transversal
+
+        def counting(G, H):
+            seen[H.elements] += 1
+            return real(G, H)
+
+        monkeypatch.setattr(pcgroup, "schreier_transversal", counting)
+        capitulation_type(G)
+        catalog_relative_data(G)
+        subs = subgroups_index_p_above_derived(G)
+        assert len(subs) == 4
+        assert seen == Counter(H.elements for H in subs)
+
+    def test_returned_list_is_a_copy(self):
+        G = get_group("H27")
+        subs = subgroups_index_p_above_derived(G)
+        first = list(subs)
+        subs.reverse()
+        subs.pop()
+        again = subgroups_index_p_above_derived(G)
+        assert len(again) == 4
+        assert all(a is b for a, b in zip(again, first))
+
+    def test_subgroup_of_another_group_is_rejected(self):
+        H = subgroups_index_p_above_derived(get_group("M27"))[0]
+        with pytest.raises(PresentationError):
+            transfer(get_group("H27"), H)
+
+    def test_empty_set_is_not_a_subgroup(self):
+        with pytest.raises(PresentationError):
+            SubgroupDescriptor.from_elements(get_group("H27"), [])
+
+
 class TestCapitulationType:
     def test_heisenberg_kernels_are_full(self):
         entries = capitulation_type(get_group("H27"))
@@ -412,3 +512,51 @@ class TestCapitulationType:
         assert G.derived_of(G.generators()[:2]) == G.derived_subgroup()
         assert [e.code for e in entries] == [0] * 6
         assert all(e.kernel.order() == 25 for e in entries)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs over the whole catalog
+# ---------------------------------------------------------------------------
+
+def catalog_dump():
+    """Canonical JSON of every catalog group's derived subgroup and, when
+    rank(G/G') >= 1, its TKT, index-p lattice, transversals, transfers
+    (default and reversed explicit transversal), H/H' and relative data."""
+    out = {}
+    for name, G in sorted(load_catalog().items()):
+        entry = {"derived": sorted(G.derived_subgroup())}
+        if G.abelianization()[0].rank(G.p) >= 1:
+            entry["tkt"] = [[e.code, e.kernel.basis]
+                            for e in capitulation_type(G)]
+            entry["subgroups"] = []
+            subs = subgroups_index_p_above_derived(G)
+            for H, d in zip(subs, catalog_relative_data(G)):
+                T = schreier_transversal(G, H)
+                tm = transfer(G, H)
+                entry["subgroups"].append({
+                    "generators": H.generators,
+                    "transversal": T,
+                    "transfer": tm.hom.matrix,
+                    "transfer_reversed":
+                        transfer(G, H, transversal=T[::-1]).hom.matrix,
+                    "abelianization": tm.target.invariant_factors,
+                    "derived": sorted(G.derived_of(H.generators)),
+                    "datum": [d.lift.matrix, d.norm.matrix, d.sigma.matrix],
+                    "growth": classify_growth(d).value,
+                    "problems": d.check_invariants(),
+                })
+        out[name] = entry
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+# sha256 of catalog_dump(), recorded before the index-p lattice was shared
+# between capitulation_type and catalog_relative_data; a change to any
+# pcgroup or gmodule output over the catalog changes it
+CATALOG_DUMP_SHA256 = (
+    "94492c233bfbe8695ad01a131074c07e6f99be62874882ced972b688cfb1c2ae")
+
+
+def test_catalog_dump_is_pinned():
+    assert len(load_catalog()) == 36
+    digest = hashlib.sha256(catalog_dump().encode("utf-8")).hexdigest()
+    assert digest == CATALOG_DUMP_SHA256
