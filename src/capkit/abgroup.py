@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 
@@ -552,27 +553,61 @@ class Subgroup:
 
 class StructureResult:
     """Structure of an abstractly presented finite abelian group: `group` in
-    invariant-factor form, `generators` (one element per invariant factor)
-    and `coords(elem)`, the coordinates of an element in that basis."""
+    invariant-factor form, `generators` (one element per invariant factor,
+    computed on first read) and `coords(elem)`, the coordinates of an
+    element in that basis."""
 
-    def __init__(self, group, generators, span, coord_fn):
+    def __init__(self, group, span, coord_fn, generator_fn):
         self.group = group
-        self.generators = generators
         self._span = span          # element -> exponents of the greedy gens
         self._coord_fn = coord_fn
+        self._generator_fn = generator_fn
+
+    @cached_property
+    def generators(self):
+        return self._generator_fn()
 
     def coords(self, elem):
         return self._coord_fn(self._span[elem])
 
 
-def abelian_structure(elements, op, identity):
+def abelian_structure(elements, op, identity, cofactor=1):
     """Greedy generator selection with a relation lattice, invariant factors
-    by Smith normal form.  `elements` must list every element exactly once
-    (iteration order fixes the generator choice and hence determinism)."""
+    by Smith normal form, of the subgroup spanned by {x^cofactor : x in
+    elements}.  `elements` must list every element of a finite abelian group
+    exactly once (iteration order fixes the generator choice and hence
+    determinism).
+
+    With cofactor = 1 the span is the whole group.  With a Hall cofactor of
+    the group order n (gcd(cofactor, n // cofactor) = 1) it is the subgroup
+    of order n // cofactor, the product of the Sylow subgroups for the
+    primes not dividing cofactor; the elements are then powered and visited
+    only until their powers span that subgroup."""
+    m, rest = divmod(len(elements), cofactor)
+    if rest:
+        raise AbgroupError("cofactor %d does not divide the number of "
+                           "elements %d" % (cofactor, len(elements)))
+
+    def pow_op(g, k):
+        # square-and-multiply for k >= 0; the first factor is not composed
+        # with the identity
+        y = None
+        while k:
+            if k & 1:
+                y = g if y is None else op(y, g)
+            k >>= 1
+            if k:
+                g = op(g, g)
+        return identity if y is None else y
+
     span = {identity: ()}
     gens = []
     rels = []
     for x in elements:
+        if cofactor != 1:
+            if len(span) == m:
+                break
+            x = pow_op(x, cofactor)
         if x in span:
             continue
         # minimal e >= 1 with x^e inside the current span; the powers
@@ -598,32 +633,23 @@ def abelian_structure(elements, op, identity):
                     z = op(z, x)
         span = new_span
         gens.append(x)
-    n = len(elements)
-    if len(span) != n:
+    if len(span) != m:
         raise AbgroupError("span does not exhaust the element list")
     T = len(gens)
     padded = [list(r) + [0] * (T - len(r)) for r in rels]
     invariants, coord_fn, genvecs = quotient_coords(padded, T)
     group = AbelianGroup(invariants)
-    if group.order() != n:
+    if group.order() != m:
         raise AbgroupError("structure order mismatch")
 
-    def pow_op(g, k):
-        # square-and-multiply; g^n = identity for the group order n
-        k %= n
-        y = identity
-        while k:
-            if k & 1:
-                y = op(y, g)
-            k >>= 1
-            if k:
-                g = op(g, g)
-        return y
+    def generator_fn():
+        out = []
+        for gv in genvecs:
+            elem = identity
+            for g, c in zip(gens, gv):
+                # g^m = identity for the span's order m
+                elem = op(elem, pow_op(g, c % m))
+            out.append(elem)
+        return out
 
-    gen_elements = []
-    for gv in genvecs:
-        elem = identity
-        for g, c in zip(gens, gv):
-            elem = op(elem, pow_op(g, c))
-        gen_elements.append(elem)
-    return StructureResult(group, gen_elements, span, coord_fn)
+    return StructureResult(group, span, coord_fn, generator_fn)

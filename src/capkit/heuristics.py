@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .quadform import prime_factors
+
 
 class HeuristicsError(ValueError):
     pass
@@ -27,8 +29,9 @@ class RankDistribution:
     probs: tuple  # ((2k, Fraction), ...) ascending
 
     def __post_init__(self):
-        if self.p < 2 or self.kmax < 1:
-            raise HeuristicsError("need a prime p >= 2 and kmax >= 1")
+        _check_prime(self.p)
+        if self.kmax < 1:
+            raise HeuristicsError("need kmax >= 1")
         if len(self.probs) != self.kmax:
             raise HeuristicsError("need one mass per rank 2..2*kmax")
 
@@ -44,10 +47,18 @@ class RankDistribution:
         return 1 - sum(q for _, q in self.probs)
 
 
+# the primality test is trial division, so p stays below this
+MAX_P = 10 ** 12
+
+
+def _check_prime(p):
+    if not 2 <= p <= MAX_P or prime_factors(p) != [p]:
+        raise HeuristicsError("p must be a prime <= %d, got %d" % (MAX_P, p))
+
+
 def predicted_rank_distribution(p: int, kmax: int = 50) -> RankDistribution:
     """P(rank = 2k) = (1 - p^-2) * p^(-2(k-1)), truncated at k = kmax."""
-    if p < 2:
-        raise HeuristicsError("p must be at least 2")
+    _check_prime(p)
     head = 1 - Fraction(1, p * p)
     probs = tuple((2 * k, head * Fraction(1, p ** (2 * (k - 1))))
                   for k in range(1, kmax + 1))
@@ -60,6 +71,7 @@ def monte_carlo_rank_distribution(p: int, trials: int, seed: int,
     starts at 2 and is promoted while both of two independent uniform
     residues mod p^2 vanish mod p.  Promotion probability p^-2 per step
     reproduces the closed-form masses."""
+    _check_prime(p)
     if trials < 1:
         raise HeuristicsError("need at least one trial")
     rng = random.Random(seed)

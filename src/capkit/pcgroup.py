@@ -353,6 +353,12 @@ class SubgroupDescriptor:
         G = self.ambient
         return G.quotient_structure(self.elements, G.derived_of(self.generators))
 
+    @cached_property
+    def default_transfer(self):
+        """transfer(ambient, self) over self.transversal; the map is frozen,
+        so every caller shares it."""
+        return _transfer_product(self.ambient, self, self.transversal)
+
     def is_normal(self):
         G = self.ambient
         return all(G.conjugate(x, t) in self.elements
@@ -436,16 +442,21 @@ def transfer(G: PcGroup, H: SubgroupDescriptor, transversal=None) -> TransferMap
     Ver(g G') = prod_i t_i g t_{sigma_g(i)}^-1 mod H', where t_{sigma_g(i)}
     represents the right coset H t_i g.  The transversal defaults to
     H.transversal, the Schreier transversal; an explicit one must hold one
-    element of each right coset of H.  H must be a subgroup of G itself."""
+    element of each right coset of H.  H must be a subgroup of G itself.
+    The default map is computed once per subgroup, H.default_transfer; an
+    explicit transversal is computed on every call."""
     if H.ambient is not G:
         raise PresentationError("subgroup belongs to a different group")
-    label = H.coset_label
     if transversal is None:
-        transversal = H.transversal
-    else:
-        keys = {label.get(t) for t in transversal}
-        if len(transversal) != H.index or len(keys) != H.index or None in keys:
-            raise PresentationError("not a transversal")
+        return H.default_transfer
+    keys = {H.coset_label.get(t) for t in transversal}
+    if len(transversal) != H.index or len(keys) != H.index or None in keys:
+        raise PresentationError("not a transversal")
+    return _transfer_product(G, H, transversal)
+
+
+def _transfer_product(G, H, transversal):
+    label = H.coset_label
     A_G, _, gens_G = G.abelianization()
     A_H, proj_H, _ = H.abelianization
     rep_inv = {label[t]: G.inv(t) for t in transversal}

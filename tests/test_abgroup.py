@@ -6,6 +6,7 @@ over the rationals) rather than against any fixed output, so the oracle is
 independent of the implementation's pivoting.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -296,6 +297,15 @@ class TestSubgroup:
         assert len(seen) == H.order()
 
 
+def element_order(x, op, identity):
+    """Order of x by repeated composition."""
+    k, y = 1, x
+    while y != identity:
+        y = op(y, x)
+        k += 1
+    return k
+
+
 class TestAbelianStructure:
     def test_cyclic_from_modular_addition(self):
         for n in (1, 2, 6, 12):
@@ -317,6 +327,49 @@ class TestAbelianStructure:
             for y in elems[::7]:
                 assert res.coords(op(x, y)) == G.add(res.coords(x),
                                                      res.coords(y))
+
+    def test_cofactor_spans_the_sylow_part(self):
+        # Z/4 x Z/6 x Z/9: 2-part C2 x C4, 3-part C3 x C9, together C6 x C36
+        mods = (4, 6, 9)
+        elems = list(itertools.product(*(range(m) for m in mods)))
+
+        def op(x, y):
+            return tuple((a + b) % m for a, b, m in zip(x, y, mods))
+
+        ident = (0, 0, 0)
+        assert abelian_structure(elems, op, ident).group.invariant_factors \
+            == (6, 36)
+        # |G| = 216 = 2^3 * 3^3
+        two = abelian_structure(elems, op, ident, cofactor=27)
+        three = abelian_structure(elems, op, ident, cofactor=8)
+        assert two.group.invariant_factors == (2, 4)
+        assert three.group.invariant_factors == (3, 9)
+        for res, q in ((two, 2), (three, 3)):
+            # the span is the q-part: the elements of order dividing q^v;
+            # the lazy generators have the orders of its invariant factors
+            qv = len(res._span)
+            assert set(res._span) == \
+                {x for x in elems if qv % element_order(x, op, ident) == 0}
+            for g, d in zip(res.generators, res.group.invariant_factors):
+                assert element_order(g, op, ident) == d
+
+    def test_cofactor_must_divide_and_span(self):
+        n = 12
+        elems = list(range(n))
+
+        def op(a, b):
+            return (a + b) % n
+
+        with pytest.raises(AbgroupError):
+            abelian_structure(elems, op, 0, cofactor=5)
+        # 2 is no Hall cofactor of |C2 x C2| = 4: the squares span only
+        # the identity, not 4 / 2 elements
+        klein = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        with pytest.raises(AbgroupError):
+            abelian_structure(klein, lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]),
+                              (0, 0), cofactor=2)
+        assert abelian_structure(elems, op, 0, cofactor=12).group \
+            .invariant_factors == ()
 
     def test_quotient_coords_chain(self):
         # Z^2 / <(2,0),(0,4)> = C2 x C4

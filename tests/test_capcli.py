@@ -423,6 +423,13 @@ class TestCli:
         code, text = run_cli(["heuristic", "5"])
         assert code == 0 and "published" not in text
 
+    @pytest.mark.parametrize("p", ["4", "9"])
+    def test_heuristic_composite_p_exits_2(self, capsys, p):
+        code, text = run_cli(["heuristic", p])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and "prime" in err
+
     def test_report_empty_store(self, tmp_path):
         code, text = run_cli(["report", "--store", str(tmp_path / "no.tsv")])
         assert code == 0

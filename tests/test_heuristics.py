@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkit.heuristics import (HeuristicsError, RankDistribution,
+from capkit.heuristics import (MAX_P, HeuristicsError, RankDistribution,
                                compare_distributions,
                                monte_carlo_rank_distribution,
                                predicted_rank_distribution)
@@ -44,6 +44,16 @@ class TestClosedForm:
             RankDistribution(3, 2, ((2, Fraction(1)),))
         with pytest.raises(HeuristicsError):
             predicted_rank_distribution(3).mass(3)
+
+
+@pytest.mark.parametrize("p", [4, 9, 0, -3, MAX_P + 1])
+def test_non_prime_p_is_rejected(p):
+    with pytest.raises(HeuristicsError):
+        predicted_rank_distribution(p)
+    with pytest.raises(HeuristicsError):
+        monte_carlo_rank_distribution(p, 10, seed=1)
+    with pytest.raises(HeuristicsError):
+        RankDistribution(p, 1, ((2, Fraction(1)),))
 
 
 class TestMonteCarlo:

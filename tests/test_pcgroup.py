@@ -445,6 +445,29 @@ class TestSharedLattice:
         assert len(subs) == 4
         assert seen == Counter(H.elements for H in subs)
 
+    def test_one_default_transfer_per_subgroup(self, monkeypatch):
+        base = get_group("MC81a")
+        G = PcGroup(base.p, base.n, base.power_tails, base.conj_tails)
+        seen = Counter()
+        real = pcgroup._transfer_product
+
+        def counting(G, H, transversal):
+            seen[H.elements] += 1
+            return real(G, H, transversal)
+
+        monkeypatch.setattr(pcgroup, "_transfer_product", counting)
+        capitulation_type(G)
+        catalog_relative_data(G)
+        subs = subgroups_index_p_above_derived(G)
+        assert seen == Counter(H.elements for H in subs)
+        for H in subs:
+            assert transfer(G, H) is transfer(G, H)
+            # an explicit transversal is computed anew, to the same matrix
+            explicit = transfer(G, H, transversal=list(H.transversal)[::-1])
+            assert explicit is not transfer(G, H)
+            assert explicit.hom.matrix == transfer(G, H).hom.matrix
+        assert seen == Counter(H.elements for H in subs * 2)
+
     def test_returned_list_is_a_copy(self):
         G = get_group("H27")
         subs = subgroups_index_p_above_derived(G)

@@ -12,6 +12,7 @@ Oracles used here, all independent of the implementation under test:
     the per-value definition `is_fundamental`.
 """
 
+import hashlib
 import random
 from math import gcd, isqrt
 
@@ -23,7 +24,7 @@ from capkit import quadform
 from capkit.abgroup import abelian_structure
 from capkit.quadform import (ClassGroupStructure, Discriminant, QuadForm,
                              QuadFormError, _compose_raw, _principal_raw,
-                             _reduce_raw, _reduced_forms_in,
+                             _reduce_raw, _reduced_forms_in, _solve_linmod,
                              class_group_structure, class_group_structures,
                              class_number, compose, enumerate_reduced,
                              fundamental_discriminants, genus_two_rank,
@@ -365,3 +366,98 @@ class TestPinnedStructures:
         for _ in range(200):
             x, y = rng.choice(forms), rng.choice(forms)
             assert coords[op(x, y)] == G.add(coords[x], coords[y])
+
+
+def _greedy_invariants(dv, forms):
+    """Oracle: the greedy selection over every form, the path that the
+    Sylow-wise structure replaced and that `generators` still takes."""
+    def op(x, y):
+        return _reduce_raw(*_compose_raw(x, y, dv))
+    return abelian_structure(forms, op, _principal_raw(dv)).group.invariant_factors
+
+
+class TestSylowStructure:
+    def test_every_small_discriminant_matches_greedy(self):
+        discs = _discs_in(-3000, -3)
+        for s in class_group_structures(discs):
+            dv = s.discriminant.value
+            assert s.invariant_factors == \
+                _greedy_invariants(dv, _reduced_forms_in([dv])[dv]), dv
+
+    def test_table_range_chunks_match_greedy(self):
+        rng = random.Random(7)
+        for _ in range(4):
+            lo = rng.randrange(-85099, -12451 - 255)
+            discs = _discs_in(lo, lo + 255)
+            buckets = _reduced_forms_in(discs)
+            for s in class_group_structures(discs):
+                dv = s.discriminant.value
+                assert s.order == len(buckets[dv])
+                assert s.invariant_factors == \
+                    _greedy_invariants(dv, buckets[dv]), dv
+
+    @pytest.mark.parametrize("dv, h", [(-47, 5), (-23, 3), (-71, 7),
+                                       (-3, 1), (-82051, 47)])
+    def test_squarefree_class_number_makes_no_composition(self, monkeypatch,
+                                                          dv, h):
+        calls = []
+        real = quadform._compose_raw
+
+        def counting(f1, f2, D):
+            calls.append(D)
+            return real(f1, f2, D)
+
+        monkeypatch.setattr(quadform, "_compose_raw", counting)
+        s = class_group_structure(Discriminant(dv))
+        assert s.order == h and s.invariant_factors == ((h,) if h > 1 else ())
+        assert calls == []
+        # reading the generators runs the greedy selection, which composes
+        assert len(s.generators) == len(s.invariant_factors)
+        assert bool(calls) == (h > 1)
+
+    def test_a_scan_never_computes_generators(self, monkeypatch):
+        results = []
+        real = quadform.abelian_structure
+
+        def recording(elements, op, identity, cofactor=1):
+            results.append(real(elements, op, identity, cofactor))
+            return results[-1]
+
+        monkeypatch.setattr(quadform, "abelian_structure", recording)
+        structures = class_group_structures(fundamental_discriminants(-82300,
+                                                                      -82000))
+        # one span per Sylow subgroup of non-prime order, and no more
+        assert len(results) == sum(1 for s in structures
+                                   for q in prime_factors(s.order)
+                                   if s.order % (q * q) == 0) > 0
+        assert not any("generators" in vars(r) for r in results)
+        assert not any("generators" in vars(s) for s in structures)
+        s = structures[0]
+        assert len(s.generators) == len(s.invariant_factors)
+        assert "generators" in vars(s) and "generators" in vars(results[-1])
+
+    def test_scan_outputs_are_pinned(self):
+        # sha256 of "D h d1,d2,...\n" per fundamental D in the first 5,100
+        # integers of the table range, recorded from the greedy path
+        discs = fundamental_discriminants(-85099, -80000)
+        text = "".join("%d %d %s\n" % (s.discriminant.value, s.order,
+                                       ",".join(map(str, s.invariant_factors)))
+                       for s in class_group_structures(discs))
+        assert len(discs) == 1552
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "3fab93b22717f89309a90180719f944127cd2781eb7b8edc668b49b58d64dbd5"
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 4))
+@settings(max_examples=300, deadline=None)
+def test_linear_congruence_solutions(a, b, m):
+    solvable = any((a * x - b) % m == 0 for x in range(m))
+    if not solvable:
+        with pytest.raises(QuadFormError):
+            _solve_linmod(a, b, m)
+        return
+    u, v = _solve_linmod(a, b, m)
+    assert v == m // gcd(a, m) and 0 <= u < v
+    assert [x for x in range(m) if (a * x - b) % m == 0] == \
+        list(range(u, m, v))
