@@ -53,8 +53,9 @@ def classify_capitulation_pattern(pattern, p=5):
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Integers of D per reduced-form sieve pass in `scan`.  Wider chunks share
-# more of the sieve's fixed cost but hold more forms in memory at once.
+# Integers of D per reduced-form sieve pass in `scan`.  Each pass visits
+# about amax^2/8 pairs (a, c), amax = sqrt(|D|/3), however few forms it
+# finds; wider chunks share that fixed cost but hold more forms at once.
 SCAN_CHUNK = 256
 
 

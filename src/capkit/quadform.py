@@ -185,34 +185,36 @@ def inverse(f: QuadForm, D: Discriminant) -> QuadForm:
 
 def _reduced_forms_in(discs):
     """Primitive reduced forms of each discriminant in `discs` (ascending,
-    all negative), by one sieve over the range discs[0]..discs[-1].
+    all negative), by one sieve over the range lo = discs[0]..hi = discs[-1].
 
-    For each a <= sqrt(|lo|/3) and b in (-a, a], c steps down from the
-    largest value with b^2 - 4ac >= lo while the discriminant stays <= hi and
-    the form stays reduced (c >= a); each form goes to its discriminant's
-    bucket.  The work is sum h(D) + O(amax^2) for the whole range instead of
-    O(|D|) per discriminant (Cohen, GTM 138, 5.3-5.4).  Forms arrive in
-    (a, b) order, and c is fixed by (a, b, D), so every bucket is sorted.
+    For each a <= sqrt(|lo|/3) and c in [max(a, ceil(-hi/4a)),
+    floor((a^2 - lo)/4a)], b runs over 0 <= b <= a with lo + 4ac <= b^2 <=
+    hi + 4ac, and (a, b, c), plus (a, -b, c) if 0 < b < a != c, go to the
+    bucket of b^2 - 4ac.  A window of width W costs about amax^2/8 +
+    (W/4) ln amax pairs (a, c) plus sum h(D) forms, instead of O(|D|) per
+    discriminant (Cohen, GTM 138, 5.3-5.4).  c is fixed by (a, b, D), so
+    each sorted bucket is in (a, b) order.
     """
     lo, hi = discs[0], discs[-1]
     buckets = {d: [] for d in discs}
-    step = 2 if lo == hi else 1  # one discriminant fixes b = D mod 2
+    get = buckets.get
     for a in range(1, isqrt(-lo // 3) + 1):
         fa = 4 * a
-        for b in range(1 - a + (1 - a - lo) % step, a + 1, step):
-            bb = b * b
-            c = (bb - lo) // fa
-            D = bb - fa * c
-            while D <= hi and c >= a:
-                forms = buckets.get(D)
-                # b = -a never occurs; b < 0 with a == c is the excluded
-                # boundary representative, and imprimitive forms are not
-                # classes of the order
-                if forms is not None and not (b < 0 and a == c) and \
-                        gcd(gcd(a, b), c) == 1:
+        for c in range(max(a, -(hi // fa)), (a * a - lo) // fa + 1):
+            fac = fa * c
+            low = lo + fac
+            g = gcd(a, c)
+            for b in range(isqrt(low - 1) + 1 if low > 0 else 0,
+                           min(a, isqrt(hi + fac)) + 1):
+                forms = get(b * b - fac)
+                # imprimitive forms are not classes of the order
+                if forms is not None and (g == 1 or gcd(g, b) == 1):
                     forms.append((a, b, c))
-                c -= 1
-                D += fa
+                    # (a, -a, c) and (a, -b, a) are not reduced
+                    if 0 < b < a != c:
+                        forms.append((a, -b, c))
+    for forms in buckets.values():
+        forms.sort()
     return buckets
 
 
@@ -269,15 +271,16 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
     """Invariant factors of the form class group, one Sylow subgroup at a
     time (Teske, Math. Comp. 67, 1998; Cohen, GTM 138, 5.4).
 
-    h is the number of primitive reduced forms.  For each prime q with
-    q^v || h: if v = 1 the q-part is C_q, at no composition; otherwise the
-    forms are raised to the power h / q^v in sieve order until their powers
-    span q^v classes, and the relation lattice of that span is resolved by
-    Smith normal form.  The q-parts combine by the Chinese remainder
-    theorem: the i-th invariant factor from the top is the product of the
-    i-th q-factors from the top.  Each q-part costs about 1.5 log2(h / q^v)
-    compositions per form powered and q^v to 2 q^v for its span; a
-    squarefree h costs none.
+    h is the number of primitive reduced forms.  A q-part of order q^v and
+    rank r in {1, v - 1, v} is forced, at no composition: C_q^(r-1) x
+    C_{q^(v-r+1)}.  r is known for q = 2, as each class of order <= 2 holds
+    one ambiguous reduced form (b = 0, a = b or a = c; Buell, Binary
+    Quadratic Forms, ch. 4), and for v = 1.  Any other q-part is spanned by
+    the forms raised to the power h / q^v in sieve order, at about
+    1.5 log2(h / q^v) compositions per form and q^v to 2 q^v for the span,
+    and its relation lattice is resolved by Smith normal form.  The q-parts
+    combine by the Chinese remainder theorem: the i-th invariant factor
+    from the top is the product of the i-th q-factors from the top.
 
     `generators` is computed only when read, by the greedy selection over
     all h forms.  Non-fundamental discriminants are computed on (class
@@ -291,13 +294,20 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
     if forms is None:
         forms = _reduced_forms(Dv)
     h = len(forms)
+    ambiguous = len([1 for a, b, c in forms if b == 0 or a == b or a == c])
+    two_rank = max(ambiguous.bit_length() - 1, 0)
+    if ambiguous != 1 << two_rank or h % ambiguous or \
+            (ambiguous > 1) != (h % 2 == 0):
+        raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
+                            "%d classes (D = %d)" % (ambiguous, h, Dv))
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
-        qv = q
+        v, qv = 1, q
         while h % (qv * q) == 0:
-            qv *= q
-        if qv == q:
-            part = (q,)
+            v, qv = v + 1, qv * q
+        r = two_rank if q == 2 else 1 if v == 1 else None
+        if r in (1, v - 1, v):
+            part = (q,) * (r - 1) + (qv // q ** (r - 1),)
         else:
             part = abelian_structure(forms, _form_op(Dv), _principal_raw(Dv),
                                      cofactor=h // qv).group.invariant_factors

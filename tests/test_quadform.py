@@ -285,6 +285,27 @@ class TestRangeSieve:
             sparse = fundamental_discriminants(lo, hi)[1:]
             assert _reduced_forms_in(sparse) == {d: buckets[d] for d in sparse}
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 64, 255, 256, 257,
+                                       1000])
+    def test_chunk_widths(self, width):
+        # the c range of each a and the isqrt bounds of b move with the
+        # window: at width W, W/4a crosses 1 inside the a loop.  One window
+        # starts at a seeded discriminant in [-20000, -3], one near -85000
+        rng = random.Random(width)
+        for start in (rng.randrange(-20000, -2 - width),
+                      rng.randrange(-85099, -84000)):
+            lo = start // 4 * 4 + rng.randrange(2)
+            discs = _discs_in(lo, lo + width - 1)
+            assert discs[0] == lo and discs[-1] <= -3
+            buckets = _reduced_forms_in(discs)
+            assert sorted(buckets) == discs
+            for d in discs:
+                assert buckets[d] == _enumerate_reduced_raw(d), (width, d)
+            sparse = fundamental_discriminants(lo, lo + width - 1)
+            if sparse:
+                assert _reduced_forms_in(sparse) == \
+                    {d: buckets[d] for d in sparse}
+
     def test_batched_structures_match_single(self):
         discs = fundamental_discriminants(-82300, -82000)
         for s in class_group_structures(discs):
@@ -426,15 +447,71 @@ class TestSylowStructure:
         monkeypatch.setattr(quadform, "abelian_structure", recording)
         structures = class_group_structures(fundamental_discriminants(-82300,
                                                                       -82000))
-        # one span per Sylow subgroup of non-prime order, and no more
+
+        def forced(s, q):
+            # a q-part of order q^v and rank 1, v - 1 or v, where the rank is
+            # known for v = 1 and, by genus theory, for q = 2
+            v = 1
+            while s.order % q ** (v + 1) == 0:
+                v += 1
+            r = genus_two_rank(s.discriminant) if q == 2 else \
+                1 if v == 1 else None
+            return r in (1, v - 1, v)
+
+        # one span per Sylow subgroup that its order and rank do not force,
+        # and no more
         assert len(results) == sum(1 for s in structures
                                    for q in prime_factors(s.order)
-                                   if s.order % (q * q) == 0) > 0
+                                   if not forced(s, q)) > 0
         assert not any("generators" in vars(r) for r in results)
         assert not any("generators" in vars(s) for s in structures)
         s = structures[0]
         assert len(s.generators) == len(s.invariant_factors)
         assert "generators" in vars(s) and "generators" in vars(results[-1])
+
+    # Discriminants whose Sylow parts all have rank r in {1, v - 1, v} for
+    # their order q^v, and one whose 2-part does not, found by search over
+    # [-6000, -3] and the table range
+    @pytest.mark.parametrize("dv, invs, forced", [
+        (-95, (8,), True),               # r = 1, v >= 2
+        (-1751, (48,), True),
+        (-84, (2, 2), True),             # r = v
+        (-2415, (2, 2, 10), True),
+        (-4935, (2, 2, 12), True),       # r = v - 1
+        (-82047, (2, 60), True),
+        (-999, (24,), True),             # not fundamental
+        (-1760, (2, 2, 6), True),
+        (-5775, (2, 2, 12), True),
+        (-3615, (2, 24), False),         # 2-part of order 2^4 and rank 2
+    ])
+    def test_forced_parts_make_no_composition(self, monkeypatch, dv, invs,
+                                              forced):
+        calls = []
+        real = quadform._compose_raw
+
+        def counting(f1, f2, D):
+            calls.append(D)
+            return real(f1, f2, D)
+
+        monkeypatch.setattr(quadform, "_compose_raw", counting)
+        s = class_group_structure(Discriminant(dv))
+        assert (calls == []) == forced
+        assert s.invariant_factors == invs == \
+            _greedy_invariants(dv, _reduced_forms_in([dv])[dv])
+
+    @pytest.mark.parametrize("dv, forms", [
+        (-84, []),
+        # three ambiguous forms: not a power of two
+        (-84, [(1, 0, 21), (2, 2, 11), (3, 0, 7)]),
+        # four ambiguous forms among six
+        (-84, [(1, 0, 21), (2, 2, 11), (3, 0, 7), (5, 4, 5),
+               (7, 3, 9), (7, -3, 9)]),
+        # two forms, but the identity is the only ambiguous one
+        (-23, [(1, 1, 6), (2, 1, 3)]),
+    ])
+    def test_inconsistent_form_lists_are_rejected(self, dv, forms):
+        with pytest.raises(QuadFormError, match="ambiguous"):
+            class_group_structure(Discriminant(dv), forms)
 
     def test_scan_outputs_are_pinned(self):
         # sha256 of "D h d1,d2,...\n" per fundamental D in the first 5,100
