@@ -445,14 +445,20 @@ class Subgroup:
             raise AbgroupError("subgroup lattice does not contain diag(d)")
         return total // det
 
-    def contains(self, vec):
+    def _basis_coords(self, vec):
+        """The unique y with y * basis = vec, by substitution down the
+        diagonal pivots of the HNF basis; None when vec is not in the
+        lattice."""
         v = list(vec)
+        y = []
         for i, row in enumerate(self.basis):
-            if v[i] % row[i]:
-                return False
-            q = v[i] // row[i]
+            q = v[i] // row[i]  # a remainder stays in v[i]
+            y.append(q)
             v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        return None if any(v) else y
+
+    def contains(self, vec):
+        return self._basis_coords(vec) is not None
 
     def contains_subgroup(self, other):
         return all(self.contains(row) for row in other.basis)
@@ -475,21 +481,12 @@ class Subgroup:
         if other.ambient != self.ambient:
             raise AbgroupError("ambient mismatch")
         k = self.ambient.ngens
-        if k == 0:
-            return self
         stacked = [list(r) for r in self.basis] + \
                   [[-x for x in r] for r in other.basis]
         # left kernel of `stacked`: rows (y, z) with y*B1 = z*B2
-        D, U, V, _ = smith_normal_form(transpose(stacked))
-        nrows = len(stacked)
-        gens = []
-        for j in range(nrows):
-            d = D[j][j] if j < min(k, nrows) else 0
-            if d == 0:
-                y = [V[i][j] for i in range(nrows)][:len(self.basis)]
-                vec = [sum(y[i] * self.basis[i][c] for i in range(len(self.basis)))
-                       for c in range(k)]
-                gens.append(vec)
+        gens = [[sum(y[i] * self.basis[i][c] for i in range(len(self.basis)))
+                 for c in range(k)]
+                for y in right_kernel(transpose(stacked))]
         return Subgroup.from_generators(self.ambient, gens)
 
     def _relation_rows(self):
@@ -499,7 +496,7 @@ class Subgroup:
         for i in range(k):
             target = [self.ambient.invariant_factors[i] if j == i else 0
                       for j in range(k)]
-            y = solve_integer(transpose([list(r) for r in self.basis]), target)
+            y = self._basis_coords(target)
             if y is None:
                 raise AbgroupError("subgroup lattice does not contain diag(d)")
             rows.append(y)
@@ -517,10 +514,9 @@ class Subgroup:
             return AbelianGroup(()), (lambda vec: ()), []
         invariants, coord_fn, genvecs = quotient_coords(self._relation_rows(), k)
         B = [list(r) for r in self.basis]
-        Bt = transpose(B)
 
         def to_coords(vec):
-            y = solve_integer(Bt, list(vec))
+            y = self._basis_coords(vec)
             if y is None:
                 raise AbgroupError("element not in subgroup")
             return coord_fn(y)

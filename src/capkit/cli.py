@@ -157,7 +157,12 @@ def cmd_scan(ns, out):
         parts = [_scan_chunk(w) for w in work]
     fresh = [rec for part in parts for rec in part]
     if fresh:
-        append_records(ns.store, fresh)
+        try:
+            append_records(ns.store, fresh)
+        except OSError as exc:
+            print("error: cannot write store %s: %s"
+                  % (ns.store, exc.strerror or exc), file=sys.stderr)
+            return 2
 
     relevant += fresh
     hist = Counter(r.rank for r in relevant)

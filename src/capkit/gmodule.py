@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from sympy import GF, Poly, symbols
-
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
                       identity_hom, power_hom, zero_hom)
 from .pcgroup import (PcGroup, SubgroupDescriptor,
@@ -95,23 +93,108 @@ def algebra_one(group, p, m):
     return GroupAlgebraElement.make(group, p, m, {group.zero(): 1})
 
 
+# F_p[x] arithmetic on coefficient lists, lowest degree first, with no
+# trailing zeros (the zero polynomial is [])
+
+def _fp_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b."""
+    r = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + len(b) - 1] * inv % p
+        q[i] = c
+        for j, bj in enumerate(b):
+            r[i + j] = (r[i + j] - c * bj) % p
+    return _fp_trim(q), _fp_trim(r[:len(b) - 1])
+
+
+def _fp_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _fp_trim(out)
+
+
+def _fp_gcd(a, b, p):
+    """Monic gcd of a nonzero a and any b."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_inverse(a, f, p):
+    """a^-1 mod f, by the extended Euclidean algorithm; s_i a = r_i mod f."""
+    r0, r1 = f, _fp_divmod(a, f, p)[1]
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        q, r = _fp_divmod(r0, r1, p)
+        qs = itertools.zip_longest(s0, _fp_mul(q, s1, p), fillvalue=0)
+        s0, s1 = s1, _fp_trim([(a - b) % p for a, b in qs])
+        r0, r1 = r1, r
+    if not r1:
+        raise GModuleError("polynomial is not invertible mod %d" % p)
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
 def _cyclic_idempotents_modp(d, p):
     """Primitive idempotents of F_p[C_d] as coefficient lists indexed by
-    exponent of the generator, one per irreducible factor of x^d - 1."""
-    x = symbols("x")
-    modulus = Poly(x ** d - 1, x, domain=GF(p))
-    factors = Poly(x ** d - 1, x, domain=GF(p)).factor_list()[1]
+    exponent of the generator, one per irreducible factor of x^d - 1.
+
+    For p not dividing d, the polynomials b with b^p = b mod x^d - 1
+    (Berlekamp's subalgebra) are spanned by the orbit sums sum_{j in O} x^j
+    over the orbits O of j -> p j mod d, one orbit per irreducible factor.
+    Every factor f of x^d - 1 is then the product of the gcd(f, b - t),
+    t in F_p, and the orbit sums b together separate all irreducible
+    factors (Berlekamp, Math. Comp. 24, 1970; Cohen, GTM 138, 3.4).  The
+    factors are listed by degree, then by coefficients from the top."""
+    if d % p == 0:
+        raise GModuleError("x^%d - 1 is not squarefree mod %d" % (d, p))
+    orbits, seen = [], set()
+    for j in range(d):
+        if j not in seen:
+            orbit, k = [j], j * p % d
+            while k != j:
+                orbit.append(k)
+                k = k * p % d
+            seen.update(orbit)
+            orbits.append(orbit)
+    modulus = [p - 1] + [0] * (d - 1) + [1]
+    factors = [modulus]
+    for orbit in orbits:
+        if len(factors) == len(orbits):
+            break
+        b = [int(j in orbit) for j in range(d)]
+        split = []
+        for f in factors:
+            bf = _fp_divmod(b, f, p)[1]
+            if len(bf) <= 1:
+                split.append(f)
+                continue
+            for t in range(p):
+                g = _fp_gcd(f, [(bf[0] - t) % p] + bf[1:], p)
+                if len(g) > 1:
+                    split.append(g)
+        factors = split
+    factors.sort(key=lambda f: (len(f), f[::-1]))
     out = []
-    for f, mult in factors:
-        if mult != 1:
-            raise GModuleError("x^%d - 1 is not squarefree mod %d" % (d, p))
-        cof = modulus.div(f)[0]
-        inv = cof.invert(f)
-        e = (cof * inv).rem(modulus)
-        coeffs = [0] * d
-        for mono, c in zip(e.monoms(), e.coeffs()):
-            coeffs[mono[0]] = int(c) % p
-        out.append(coeffs)
+    for f in factors:
+        cof = _fp_divmod(modulus, f, p)[0]
+        inv = _fp_inverse(cof, f, p)
+        e = [0] * d  # cof * (cof^-1 mod f) mod x^d - 1
+        for i, x in enumerate(cof):
+            for j, y in enumerate(inv):
+                e[(i + j) % d] += x * y
+        out.append([c % p for c in e])
     return out
 
 
@@ -129,7 +212,8 @@ def primitive_idempotents(G: AbelianGroup, p: int, m: int):
     """Pairwise orthogonal primitive idempotents of (Z/p^m)[G] summing to 1.
 
     Factor idempotents of the mod-p group algebra (by factoring x^d - 1 over
-    F_p per cyclic invariant factor) are multiplied out over the factors and
+    F_p per cyclic invariant factor, with Berlekamp's split by the orbit
+    sums of j -> p j mod d) are multiplied out over the factors and
     Hensel-lifted to precision m; characters with values outside F_p appear
     orbit-summed."""
     if G.order() % p == 0:

@@ -243,12 +243,15 @@ class ClassGroupStructure:
     discriminant: Discriminant
     order: int
     group: AbelianGroup
-    is_fundamental: bool
     forms: list = field(compare=False, repr=False)  # reduced, in sieve order
 
     @property
     def invariant_factors(self):
         return self.group.invariant_factors
+
+    @property
+    def is_fundamental(self):
+        return self.discriminant.is_fundamental
 
     @cached_property
     def generators(self):
@@ -319,7 +322,6 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
         discriminant=D,
         order=h,
         group=AbelianGroup(top[::-1]),
-        is_fundamental=D.is_fundamental,
         forms=forms,
     )
 

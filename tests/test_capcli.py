@@ -398,6 +398,16 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_store_exits_2(self, tmp_path, capsys, monkeypatch):
+        # '' passes the directory check and reads as an empty store, so the
+        # error only shows once the computed records are appended
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(["scan", "--store", "", "--", "-30", "-3"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: cannot write store ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_table(self):
         code, text = run_cli(["verify-table"])
         assert code == 0

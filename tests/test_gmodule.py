@@ -6,6 +6,9 @@ Oracles:
     the count of p-cyclotomic cosets mod d, computed here directly;
   - idempotent identities (e^2 = e, orthogonality, sum to one) are verified
     by plain algebra arithmetic;
+  - the mod-p idempotents of each cyclic factor equal, list and order
+    included, those from sympy's factorisation of x^d - 1 over GF(p)
+    (skipped where sympy is not installed);
   - randomized modules are assembled from explicitly constructed blocks and
     scrambled by elementary automorphisms, so the expected decomposition
     shape is known by construction.
@@ -87,6 +90,42 @@ class TestIdempotents:
     def test_trivial_group_has_identity_only(self):
         es = primitive_idempotents(AbelianGroup(()), 3, 2)
         assert es == [algebra_one(AbelianGroup(()), 3, 2)]
+
+
+def sympy_cyclic_idempotents_modp(d, p):
+    """Primitive idempotents of F_p[C_d] as coefficient lists indexed by
+    exponent of the generator, one per irreducible factor of x^d - 1."""
+    from sympy import GF, Poly, symbols
+    x = symbols("x")
+    modulus = Poly(x ** d - 1, x, domain=GF(p))
+    factors = Poly(x ** d - 1, x, domain=GF(p)).factor_list()[1]
+    out = []
+    for f, mult in factors:
+        if mult != 1:
+            raise GModuleError("x^%d - 1 is not squarefree mod %d" % (d, p))
+        cof = modulus.div(f)[0]
+        inv = cof.invert(f)
+        e = (cof * inv).rem(modulus)
+        coeffs = [0] * d
+        for mono, c in zip(e.monoms(), e.coeffs()):
+            coeffs[mono[0]] = int(c) % p
+        out.append(coeffs)
+    return out
+
+
+class TestCyclicIdempotentOracle:
+    def test_matches_sympy_factorisation(self):
+        pytest.importorskip("sympy")
+        cases = [(d, p) for d in range(1, 33) for p in (2, 3, 5, 7, 11, 13)
+                 if d % p]
+        assert len(cases) == 152
+        for d, p in cases:
+            assert gmodule._cyclic_idempotents_modp(d, p) == \
+                sympy_cyclic_idempotents_modp(d, p), (d, p)
+
+    def test_rejects_prime_dividing_the_order(self):
+        with pytest.raises(GModuleError, match="not squarefree"):
+            gmodule._cyclic_idempotents_modp(6, 3)
 
 
 # ---------------------------------------------------------------------------
