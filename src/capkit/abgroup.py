@@ -296,18 +296,20 @@ class AbelianGroup:
 @dataclass(frozen=True)
 class Homomorphism:
     """Map between finite abelian groups; column j of `matrix` is the image
-    of the j-th source generator."""
+    of the j-th source generator, and row i is reduced mod the target's
+    i-th invariant factor, so each map has exactly one matrix."""
 
     source: AbelianGroup
     target: AbelianGroup
     matrix: tuple  # target.ngens rows x source.ngens cols
 
     def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", mat)
         kt, ks = self.target.ngens, self.source.ngens
-        if len(mat) != kt or any(len(row) != ks for row in mat):
+        if len(self.matrix) != kt or any(len(row) != ks for row in self.matrix):
             raise AbgroupError("homomorphism matrix has wrong shape")
+        mat = tuple(tuple(int(x) % di for x in row) for row, di
+                    in zip(self.matrix, self.target.invariant_factors))
+        object.__setattr__(self, "matrix", mat)
         for j, dj in enumerate(self.source.invariant_factors):
             for i, di in enumerate(self.target.invariant_factors):
                 if (dj * mat[i][j]) % di:
@@ -315,12 +317,11 @@ class Homomorphism:
                         "matrix column %d does not respect source order %d" % (j, dj))
 
     def __call__(self, vec):
-        return self.target.reduce(
-            tuple(sum(self.matrix[i][j] * vec[j] for j in range(self.source.ngens))
-                  for i in range(self.target.ngens)))
+        return self.target.reduce(mat_vec(self.matrix, vec))
 
     def compose(self, other):
         """self o other."""
+        # not mat_mul, which cannot tell the column count from no inner rows
         if other.target != self.source:
             raise AbgroupError("composition mismatch")
         inner = self.source.ngens
@@ -329,35 +330,18 @@ class Homomorphism:
                for i in range(self.target.ngens)]
         return Homomorphism(other.source, self.target, mat)
 
-    def __add__(self, other):
+    def _plus(self, other, sign, what):
         if (other.source, other.target) != (self.source, self.target):
-            raise AbgroupError("sum mismatch")
+            raise AbgroupError("%s mismatch" % what)
         return Homomorphism(self.source, self.target,
-                            [[a + b for a, b in zip(r1, r2)]
+                            [[a + sign * b for a, b in zip(r1, r2)]
                              for r1, r2 in zip(self.matrix, other.matrix)])
+
+    def __add__(self, other):
+        return self._plus(other, 1, "sum")
 
     def __sub__(self, other):
-        if (other.source, other.target) != (self.source, self.target):
-            raise AbgroupError("difference mismatch")
-        return Homomorphism(self.source, self.target,
-                            [[a - b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.matrix, other.matrix)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Homomorphism):
-            return NotImplemented
-        if (other.source, other.target) != (self.source, self.target):
-            return False
-        for i, di in enumerate(self.target.invariant_factors):
-            for j in range(self.source.ngens):
-                if (self.matrix[i][j] - other.matrix[i][j]) % di:
-                    return False
-        return True
-
-    def __hash__(self):
-        norm = tuple(tuple(x % di for x in row)
-                     for row, di in zip(self.matrix, self.target.invariant_factors))
-        return hash((self.source, self.target, norm))
+        return self._plus(other, -1, "difference")
 
     def kernel(self):
         ks = self.source.ngens
@@ -374,12 +358,10 @@ class Homomorphism:
         return Subgroup.from_generators(self.source, gens)
 
     def image(self):
-        cols = [[self.matrix[i][j] for i in range(self.target.ngens)]
-                for j in range(self.source.ngens)]
-        return Subgroup.from_generators(self.target, cols)
+        return Subgroup.from_generators(self.target, transpose(self.matrix))
 
     def is_zero(self):
-        return self == zero_hom(self.source, self.target)
+        return not any(map(any, self.matrix))
 
 
 def identity_hom(A):

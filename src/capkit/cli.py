@@ -100,6 +100,12 @@ def _load_store(path):
     return records
 
 
+def _write_error(path, exc):
+    print("error: cannot write store %s: %s"
+          % (path, exc.strerror or exc), file=sys.stderr)
+    return 2
+
+
 def cmd_classgroup(ns, out):
     try:
         D = Discriminant(ns.D)
@@ -149,6 +155,11 @@ def cmd_scan(ns, out):
             if lo <= r.discriminant <= hi:
                 relevant.append(r)
     work = _pending_chunks(lo, hi, ns.prime, done)
+    if work:
+        try:  # fail before computing anything, not after
+            open(ns.store, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _write_error(ns.store, exc)
 
     if ns.jobs > 1 and work:
         with multiprocessing.Pool(ns.jobs) as pool:
@@ -160,9 +171,7 @@ def cmd_scan(ns, out):
         try:
             append_records(ns.store, fresh)
         except OSError as exc:
-            print("error: cannot write store %s: %s"
-                  % (ns.store, exc.strerror or exc), file=sys.stderr)
-            return 2
+            return _write_error(ns.store, exc)
 
     relevant += fresh
     hist = Counter(r.rank for r in relevant)
@@ -177,7 +186,7 @@ def cmd_scan(ns, out):
 
     if ns.prime == 5 and ns.min_rank <= 2:
         known = {row.discriminant for row in reference_table()}
-        table_lo, table_hi = -85099, -12451
+        table_lo, table_hi = min(known), max(known)
         extra = [r.discriminant for r in hits
                  if r.rank == 2 and table_lo <= r.discriminant <= table_hi
                  and r.discriminant not in known]

@@ -6,6 +6,7 @@ classifier for norm kernels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -284,17 +285,13 @@ class GModule:
         return out
 
     def orbit_span(self, b):
-        """Smallest action-stable subgroup containing b."""
-        span = Subgroup.from_generators(self.module, [b])
-        while True:
-            gens = span.generators()
-            nxt = span
-            for h in self.action:
-                nxt = nxt.join(Subgroup.from_generators(
-                    self.module, [h(g) for g in gens]))
-            if nxt == span:
-                return span
-            span = nxt
+        """Smallest action-stable subgroup containing b: the span of b's
+        orbit under the acting group."""
+        orbit = frontier = {tuple(b)}
+        while frontier:
+            frontier = {h(x) for x in frontier for h in self.action} - orbit
+            orbit = orbit | frontier
+        return Subgroup.from_generators(self.module, orbit)
 
     def stable(self, sub: Subgroup):
         return all(sub.contains(h(g)) for h in self.action for g in sub.generators())
@@ -327,6 +324,7 @@ def cycle_decomposition(M: GModule):
     trivial = Subgroup.trivial(A)
 
     dead_ends = set()
+    orbit_span = functools.cache(M.orbit_span)  # one span per element
 
     def search(current, gens):
         if current == full:
@@ -336,7 +334,7 @@ def cycle_decomposition(M: GModule):
         for b in elements:
             if current.contains(b):
                 continue
-            span = M.orbit_span(b)
+            span = orbit_span(b)
             if span.intersection(current) != trivial:
                 continue
             res = search(current.join(span), gens + [b])
@@ -411,9 +409,11 @@ class RelativeExtensionDatum:
                 raise GModuleError("datum invariants violated: " + "; ".join(bad))
 
     def norm_element_action(self):
-        out = zero_hom(self.A_L, self.A_L)
-        for i in range(self.p):
-            out = out + hom_power(self.sigma, i)
+        """1 + sigma + ... + sigma^(p-1), by a running power."""
+        power = out = identity_hom(self.A_L)
+        for _ in range(self.p - 1):
+            power = self.sigma.compose(power)
+            out = out + power
         return out
 
     def s_map(self):
@@ -458,7 +458,8 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
     norm = Homomorphism(A_L, A_K, [[proj_G(g)[i] for g in gens_H]
                                    for i in range(A_K.ngens)])
 
-    t = next(x for x in sorted(G.elements()) if x not in H.elements)
+    # H t holds the least element outside H; sigma depends only on H t
+    t = H.transversal[1]
     sigma = Homomorphism(A_L, A_L, [[proj_H(G.conjugate(g, t))[i] for g in gens_H]
                                     for i in range(A_L.ngens)])
     return RelativeExtensionDatum(p, A_K, A_L, lift, norm, sigma)

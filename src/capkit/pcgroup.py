@@ -57,8 +57,6 @@ class PcGroup:
         self.conj_tails = {k: tuple(v) for k, v in conj_tails.items() if v}
         self._validate_tails()
         self._elements = list(itertools.product(range(p), repeat=ngens))
-        self._derived = None
-        self._abelianization = None
         self._index_p_subgroups = None
         self._build()
 
@@ -242,10 +240,15 @@ class PcGroup:
             frontier, step = nxt, gens
         return frozenset(seen)
 
+    @cached_property
+    def as_subgroup(self):
+        """G as a SubgroupDescriptor of itself: G' and G/G' are its cached
+        derived and abelianization, computed as for any subgroup."""
+        return SubgroupDescriptor(self, tuple(self.generators()),
+                                  frozenset(self._elements), 1)
+
     def derived_subgroup(self):
-        if self._derived is None:
-            self._derived = self.derived_of(self.generators())
-        return self._derived
+        return self.as_subgroup.derived
 
     def derived_of(self, gens):
         """Derived subgroup of the subgroup H generated by gens: the normal
@@ -304,10 +307,7 @@ class PcGroup:
 
     def abelianization(self):
         """(G/G' as AbelianGroup, projection element->coords, generator lifts)."""
-        if self._abelianization is None:
-            self._abelianization = self.quotient_structure(
-                self._elements, self.derived_subgroup())
-        return self._abelianization
+        return self.as_subgroup.abelianization
 
 
 @dataclass(frozen=True)
@@ -348,10 +348,14 @@ class SubgroupDescriptor:
         return tuple(schreier_transversal(self.ambient, self))
 
     @cached_property
+    def derived(self):
+        """H', as a frozenset."""
+        return self.ambient.derived_of(self.generators)
+
+    @cached_property
     def abelianization(self):
         """(H/H', projection, generator lifts), as G.abelianization()."""
-        G = self.ambient
-        return G.quotient_structure(self.elements, G.derived_of(self.generators))
+        return self.ambient.quotient_structure(self.elements, self.derived)
 
     @cached_property
     def default_transfer(self):

@@ -12,7 +12,10 @@ a read.
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from math import prod
 from typing import NamedTuple
+
+from .abgroup import AbelianGroup, AbgroupError
 
 
 class ScanRecord(NamedTuple):
@@ -43,17 +46,15 @@ def format_record(rec: ScanRecord) -> str:
 
 def _shape(invs_s, p_s):
     """(invariant factors, p, their product, whether they are a divisor
-    chain of integers > 1, their p-rank or None when p < 2) of the
-    invariant-factor and prime fields of a record."""
+    chain of integers > 1, their p-rank or None when they are not one or
+    p < 2) of the invariant-factor and prime fields of a record."""
     invs = () if invs_s == "1" else tuple(int(x) for x in invs_s.split(","))
     p = int(p_s)
-    prod = 1
-    for x in invs:
-        prod *= x
-    chain = all(x > 1 for x in invs) and \
-        all(b % a == 0 for a, b in zip(invs, invs[1:]))
-    p_rank = sum(1 for x in invs if x % p == 0) if p >= 2 else None
-    return invs, p, prod, chain, p_rank
+    try:
+        group = AbelianGroup(invs)
+    except AbgroupError:
+        return invs, p, prod(invs), False, None
+    return invs, p, prod(invs), True, group.rank(p) if p >= 2 else None
 
 
 # Builds a ScanRecord from a tuple, skipping the per-field argument handling

@@ -237,6 +237,24 @@ class TestHomomorphism:
         with pytest.raises(AbgroupError):
             Homomorphism(A, B, [[1]])  # generator of order 2 cannot hit order 4
 
+    def test_matrix_is_reduced_mod_the_target_factors(self):
+        # row i is reduced mod d_i, so matrices that agree mod d_i give the
+        # same map with the same matrix and the same hash
+        A = AbelianGroup((3, 9))
+        B = AbelianGroup((3, 27))
+        rng = random.Random(11)
+        for _ in range(20):
+            base = [[rng.randrange(3) for _ in range(2)],
+                    [9 * rng.randrange(3), 3 * rng.randrange(9)]]
+            shifted = [[x + 3 * rng.randrange(-5, 6) for x in base[0]],
+                       [x + 27 * rng.randrange(-5, 6) for x in base[1]]]
+            f, g = Homomorphism(A, B, base), Homomorphism(A, B, shifted)
+            assert f.matrix == g.matrix == tuple(map(tuple, base))
+            assert f == g and hash(f) == hash(g)
+        h = Homomorphism(A, A, [[-1, 0], [0, 10]])
+        assert h.matrix == ((2, 0), (0, 1))
+        assert (h - h).is_zero() and (h - h).matrix == ((0, 0), (0, 0))
+
 
 class TestSubgroup:
     def test_malformed_input_raises(self):

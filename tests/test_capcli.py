@@ -408,6 +408,19 @@ class TestCli:
         assert err.startswith("error: cannot write store ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_store_fails_before_computing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_class_groups(discs):
+            raise AssertionError("class groups computed for an unwritable store")
+        monkeypatch.setattr(cli, "class_group_structures", no_class_groups)
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(["scan", "--store", "", "--", "-30", "-3"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: cannot write store ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_table(self):
         code, text = run_cli(["verify-table"])
         assert code == 0

@@ -323,6 +323,41 @@ class TestCycles:
             is_exact_cycle(M, (1,))
 
 
+def fixpoint_orbit_span(M, b):
+    """The smallest action-stable subgroup containing b, grown by joining
+    the images of the span's generators until nothing changes."""
+    span = Subgroup.from_generators(M.module, [b])
+    while True:
+        gens = span.generators()
+        nxt = span
+        for h in M.action:
+            nxt = nxt.join(Subgroup.from_generators(
+                M.module, [h(g) for g in gens]))
+        if nxt == span:
+            return span
+        span = nxt
+
+
+class TestOrbitSpan:
+    def test_matches_the_fixpoint_over_criterion_7_modules(self):
+        # the modules of acceptance criterion 7, drawn in the same order:
+        # every element of the C3-modules it decomposes into cycles, a
+        # sample of each C2-module
+        rng = random.Random(31)
+        c2_modules = [random_c2_module(rng, max_order=3 ** 6)
+                      for _ in range(100)]
+        c3_modules = [random_c3_module(rng, max_order=3 ** 5)
+                      for _ in range(60)]
+        pick = random.Random(5)
+        checks = [(M, list(M.module.elements())) for M in c3_modules]
+        checks += [(M, pick.sample(list(M.module.elements()),
+                                   min(M.module.order(), 12)))
+                   for M in c2_modules]
+        for M, elements in checks:
+            for b in elements:
+                assert M.orbit_span(b) == fixpoint_orbit_span(M, b)
+
+
 class TestRelativeDatum:
     def test_catalog_data_satisfy_invariants(self):
         for name in ("H27", "M27", "C3wrC3", "M243", "Q8", "E125exp25"):
