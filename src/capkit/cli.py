@@ -6,7 +6,6 @@ a store report."""
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
 from collections import Counter
@@ -162,6 +161,7 @@ def cmd_scan(ns, out):
             return _write_error(ns.store, exc)
 
     if ns.jobs > 1 and work:
+        import multiprocessing  # only --jobs > 1 pays for the import
         with multiprocessing.Pool(ns.jobs) as pool:
             parts = pool.map(_scan_chunk, work)
     else:

@@ -7,8 +7,13 @@ exponent tuple (e1, ..., en).  Stored relations:
     power:      gi^p   = tail word in g_{i+1} .. g_n
     commutator: [gj,gi] = tail word in g_{j+1} .. g_n   (i < j)
 
-with [x, y] = x^-1 y^-1 x y and the rewriting rule gj gi -> gi gj [gj,gi];
-words are collected from the left.  Consistency is not assumed: the right
+with [x, y] = x^-1 y^-1 x y, so gj gi = gi gj^gi with gj^gi = gj [gj,gi].
+The product u g of a normal word and a generator is found by collection
+from the left on the exponent vector of u, with a stack of the letters still
+to multiply on (PcGroup._times_gen): popping g moves the letters of u above
+g to the stack as their conjugates by g, raises the exponent of g, and
+replaces g^p by its power tail.  Each pop puts only letters above g on the
+stack, so collection terminates.  Consistency is not assumed: the right
 multiplications of the normal words by the generators are checked to satisfy
 every defining relation, which proves that the presentation defines a group
 of order p^n (see PcGroup._prove_consistency); a PresentationError is raised
@@ -76,34 +81,44 @@ class PcGroup:
                     raise PresentationError(
                         "commutator tail [g%d,g%d] uses invalid letter" % (j + 1, i + 1))
 
-    def _collect_letters(self, letters):
-        """Collection from the left on a list of single generator letters:
-        rewrite the leftmost descent gj gi or run of p equal letters until
-        the word is normal; return its exponent vector."""
-        w = list(letters)
-        p = self.p
+    def _times_gen(self, u, k):
+        """u g_k by collection from the left on the exponent vector of u;
+        the stack holds the letters still to multiply on, the next on top."""
+        p, n = self.p, self.n
+        conj, power = self._conj_letters, self._power_letters
+        e = list(u)
+        stack = [k]
         for _ in range(_COLLECT_CAP):
-            run = 0
-            for k, g in enumerate(w):
-                if k + 1 < len(w) and g > w[k + 1]:
-                    tail = self.conj_tails.get((g, w[k + 1]), ())
-                    w[k:k + 2] = [w[k + 1], g] + _word_letters(tail)
-                    break
-                run = run + 1 if k and g == w[k - 1] else 1
-                if run == p:
-                    w[k - p + 1:k + 1] = _word_letters(self.power_tails[g])
-                    break
-            else:
-                return tuple(w.count(g) for g in range(self.n))
+            if not stack:
+                return tuple(e)
+            g = stack.pop()
+            for l in range(n - 1, g, -1):
+                if e[l]:
+                    stack.extend(conj[l][g] * e[l])
+                    e[l] = 0
+            e[g] += 1
+            if e[g] == p:
+                e[g] = 0
+                stack.extend(power[g])
         raise PresentationError("collection did not terminate")
 
     def _build(self):
+        # _times_gen pops a letter g, pushes the letters of u above g as
+        # their conjugates g_l^g = g_l [g_l, g] (popping in word order), then
+        # raises e_g, wrapping at p with g's power tail pushed to pop first.
+        # These pushes are reversed letter lists, built here once per group.
+        # Each pop replaces g on the stack by finitely many letters above g,
+        # so collection terminates: the stack falls in the multiset order
+        # that ranks higher letters lower (Dershowitz-Manna).
+        n = self.n
+        self._conj_letters = [
+            [([l] + _word_letters(self.conj_tails.get((l, g), ())))[::-1]
+             for g in range(l)] for l in range(n)]
+        self._power_letters = [_word_letters(t)[::-1] for t in self.power_tails]
         # _gen_table[u][g] = u g and _inv_gen_table[u][g] = u g^-1: the only
         # multiplication data, |G| n entries each
-        n = self.n
         self._gen_table = {
-            u: [self._collect_letters(_word_letters(enumerate(u)) + [g])
-                for g in range(n)]
+            u: [self._times_gen(u, g) for g in range(n)]
             for u in self._elements}
         self._prove_consistency()
         inverse = {u: [None] * n for u in self._elements}
@@ -186,10 +201,15 @@ class PcGroup:
         return w
 
     def power(self, u, k):
-        """u^k for any integer k; u^|G| = 1, so k is taken mod |G|."""
+        """u^k for any integer k; u^|G| = 1, so k is taken mod |G|, then
+        square-and-multiply: O(log |G|) products."""
+        k %= self.order
         w = self.identity
-        for _ in range(k % self.order):
-            w = self.mult(w, u)
+        while k:
+            if k & 1:
+                w = self.mult(w, u)
+            u = self.mult(u, u)
+            k >>= 1
         return w
 
     def element_order(self, u):

@@ -8,13 +8,17 @@ Oracles:
     transversal chosen by a different rule, and compared modulo H';
   - the relator-check consistency proof is compared against an exhaustive
     check that the collected multiplication is a group law (|G|^2 product
-    table, inverses, bijectivity, associativity).
+    table, inverses, bijectivity, associativity);
+  - the right-multiplication table, filled by stack collection on exponent
+    vectors, is compared against a word-rewriting collector that rescans
+    the whole letter list from the left after every rewrite.
 """
 
 import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from collections import Counter
 
@@ -236,6 +240,131 @@ class TestConsistencyProof:
                 (p, n, power, conj)
             verdicts[proven] += 1
         assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+
+# ---------------------------------------------------------------------------
+# word-rewriting collection, the oracle for the right-multiplication table
+# ---------------------------------------------------------------------------
+
+def word_letters(word):
+    """Expand ((gen, exp), ...) into single generator letters."""
+    return [g for g, e in word for _ in range(e)]
+
+
+def collect_word(p, n, power_tails, conj_tails, letters):
+    """Collection from the left on a list of single generator letters:
+    rewrite the leftmost descent gj gi or run of p equal letters until the
+    word is normal; return its exponent vector.  power_tails maps each
+    generator index to its tail word, a missing index to the empty word."""
+    w = list(letters)
+    while True:
+        run = 0
+        for k, g in enumerate(w):
+            if k + 1 < len(w) and g > w[k + 1]:
+                tail = conj_tails.get((g, w[k + 1]), ())
+                w[k:k + 2] = [w[k + 1], g] + word_letters(tail)
+                break
+            run = run + 1 if k and g == w[k - 1] else 1
+            if run == p:
+                w[k - p + 1:k + 1] = word_letters(power_tails.get(g, ()))
+                break
+        else:
+            return tuple(w.count(g) for g in range(n))
+
+
+def word_collector_table(p, n, power_tails, conj_tails):
+    """{u: [u g_0, ..., u g_{n-1}]} over all normal words u, each entry the
+    collected letters of u followed by g.  power_tails is a dict or a list
+    indexed by generator, as PcGroup accepts it."""
+    if not isinstance(power_tails, dict):
+        power_tails = dict(enumerate(power_tails))
+    return {u: [collect_word(p, n, power_tails, conj_tails,
+                             word_letters(enumerate(u)) + [g])
+                for g in range(n)]
+            for u in itertools.product(range(p), repeat=n)}
+
+
+# the order-5^5 group of maximal class of test_order_5_to_the_5_maximal_class
+MAXIMAL_CLASS_5_5 = (5, 5, {}, {(1, 0): ((2, 1),), (2, 0): ((3, 1),),
+                                (3, 0): ((4, 1),)})
+
+INCONSISTENT_MESSAGE = (r"^presentation inconsistent: (power relation of g\d+"
+                        r"|commutator relation \[g\d+,g\d+\]) fails$")
+
+
+def random_presentations(seed, count):
+    """count seeded random presentations, p in {2, 3, 5}, each with its
+    verdict: the PcGroup, or the PresentationError it raised."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(3, {2: 6, 3: 5, 5: 4}[p])
+        power, conj = random_presentation(rng, p, n)
+        try:
+            yield (p, n, power, conj), PcGroup(p, n, power, conj)
+        except PresentationError as exc:
+            yield (p, n, power, conj), exc
+
+
+class TestTableAgainstWordCollector:
+    def test_catalog_tables(self):
+        for name, G in load_catalog().items():
+            assert G._gen_table == word_collector_table(
+                G.p, G.n, G.power_tails, G.conj_tails), name
+
+    def test_order_5_to_the_5_maximal_class_table(self):
+        G = PcGroup(*MAXIMAL_CLASS_5_5)
+        assert G._gen_table == word_collector_table(*MAXIMAL_CLASS_5_5)
+
+    def test_random_presentations(self):
+        # rejected presentations are compared too, on the unproven table: a
+        # wrong table would otherwise only show as one more rejection
+        consistent = Counter()
+        for presentation, G in random_presentations(2013, 250):
+            if isinstance(G, PcGroup):
+                consistent[G.p] += 1
+            else:
+                G = _Unproven(*presentation)
+            assert G._gen_table == word_collector_table(*presentation), \
+                presentation
+        assert sum(consistent.values()) >= 100, consistent
+        assert min(consistent[p] for p in (2, 3, 5)) >= 20, consistent
+
+    def test_rejection_messages(self):
+        rejected = Counter()
+        for presentation, G in random_presentations(2014, 220):
+            if not isinstance(G, PcGroup):
+                assert re.match(INCONSISTENT_MESSAGE, str(G)), (presentation, G)
+                rejected[str(G).split()[2]] += 1
+        # both kinds of failing relation occur
+        assert rejected["power"] >= 20 and rejected["commutator"] >= 3, rejected
+
+
+class TestPower:
+    def test_power_matches_repeated_products(self):
+        G = PcGroup(*MAXIMAL_CLASS_5_5)
+        rng = random.Random(3)
+        for u in G.generators() + rng.sample(G.elements(), 20):
+            powers = [G.identity]  # powers[k] = u^k by k products
+            for _ in range(G.order - 1):
+                powers.append(G.mult(powers[-1], u))
+            assert G.mult(powers[-1], u) == G.identity
+            for k in (-7, -1, 0, 1, 2, 5, 3124, 10 ** 12 + 1):
+                assert G.power(u, k) == powers[k % G.order], (u, k)
+
+    def test_power_makes_logarithmically_many_products(self):
+        G = PcGroup(*MAXIMAL_CLASS_5_5)
+        products = Counter()
+        mult = G.mult
+
+        def counting(u, v):
+            products["mult"] += 1
+            return mult(u, v)
+
+        G.mult = counting
+        assert G.collect(((0, -1),)) == G.inv(G.generators()[0])
+        # k = |G| - 1 = 3124 has 12 binary digits: at most 2 products each
+        assert 0 < products["mult"] <= 2 * 12 + 1, products
 
 
 class TestSubgroups:
