@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 
@@ -488,12 +488,16 @@ class Subgroup:
         """Invariant factors of the subgroup itself."""
         return self.structure_with_coords()[0]
 
+    # Equal subgroups share one entry: callers such as classify_growth build
+    # a fresh Subgroup of the same lattice on every call.
+    @lru_cache(maxsize=1024)
     def structure_with_coords(self):
         """(structure, to_coords, generators): coordinates of subgroup elements
-        with respect to an invariant-factor decomposition of the subgroup."""
+        with respect to an invariant-factor decomposition of the subgroup.
+        Computed once per subgroup; the generators are a tuple."""
         k = self.ambient.ngens
         if k == 0 or self.order() == 1:
-            return AbelianGroup(()), (lambda vec: ()), []
+            return AbelianGroup(()), (lambda vec: ()), ()
         invariants, coord_fn, genvecs = quotient_coords(self._relation_rows(), k)
         B = [list(r) for r in self.basis]
 
@@ -503,9 +507,9 @@ class Subgroup:
                 raise AbgroupError("element not in subgroup")
             return coord_fn(y)
 
-        gens = [self.ambient.reduce([sum(g[i] * B[i][c] for i in range(k))
-                                     for c in range(k)])
-                for g in genvecs]
+        gens = tuple(self.ambient.reduce([sum(g[i] * B[i][c] for i in range(k))
+                                          for c in range(k)])
+                     for g in genvecs)
         return AbelianGroup(invariants), to_coords, gens
 
     def elements(self):

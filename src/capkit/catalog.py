@@ -7,7 +7,8 @@ File grammar (documented in full at the top of data/catalog.txt):
     [g<j>,g<i>] = <word>         commutator relation, j > i
     <word> ::= 1 | factor (* factor)*, factor ::= g<k> | g<k>^<e>
 
-Blocks are blank-line terminated; '#' starts a comment line.
+Blocks are blank-line terminated; '#' starts a comment line.  A block
+states each power and each commutator relation at most once.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def parse_catalog(text):
                     raise CatalogError("power relation %r must use exponent %d" % (line, p))
                 if not 1 <= i <= n:
                     raise CatalogError("generator g%d out of range" % i)
+                if i - 1 in power_tails:
+                    raise CatalogError("duplicate power relation %r" % line)
                 power_tails[i - 1] = _parse_word(pm.group(3), p, n)
                 continue
             cm = _COMM.match(line)
@@ -74,6 +77,8 @@ def parse_catalog(text):
                 j, i = int(cm.group(1)), int(cm.group(2))
                 if not (1 <= i < j <= n):
                     raise CatalogError("commutator relation %r out of order" % line)
+                if (j - 1, i - 1) in conj_tails:
+                    raise CatalogError("duplicate commutator relation %r" % line)
                 conj_tails[(j - 1, i - 1)] = _parse_word(cm.group(3), p, n)
                 continue
             raise CatalogError("unparsable relation line %r" % line)

@@ -8,16 +8,21 @@ exponent tuple (e1, ..., en).  Stored relations:
     commutator: [gj,gi] = tail word in g_{j+1} .. g_n   (i < j)
 
 with [x, y] = x^-1 y^-1 x y, so gj gi = gi gj^gi with gj^gi = gj [gj,gi].
-The product u g of a normal word and a generator is found by collection
-from the left on the exponent vector of u, with a stack of the letters still
-to multiply on (PcGroup._times_gen): popping g moves the letters of u above
-g to the stack as their conjugates by g, raises the exponent of g, and
-replaces g^p by its power tail.  Each pop puts only letters above g on the
-stack, so collection terminates.  Consistency is not assumed: the right
-multiplications of the normal words by the generators are checked to satisfy
-every defining relation, which proves that the presentation defines a group
-of order p^n (see PcGroup._prove_consistency); a PresentationError is raised
-otherwise.
+The product u g_k of a normal word and a generator is what collection from
+the left on the exponent vector of u gives: it moves the letters of u above
+g_k past g_k as their conjugates, raises e_k and replaces g_k^p by its power
+tail, so
+
+    u g_k = x . (power tail of g_k, if e_k wraps to 0) . prod_{l>k} (g_l^g_k)^e_l
+
+with x the word u cut after position k and e_k raised by one.  Every letter
+on the right lies above k and is one entry of the table of u g_l, l > k, so
+PcGroup._build fills the table from g_n down to g_1 by this recurrence: it
+terminates, each entry depending on entries at most n generators deep.
+Consistency is not assumed: the right multiplications of the normal words
+by the generators are checked to satisfy every defining relation, which
+proves that the presentation defines a group of order p^n (see
+PcGroup._prove_consistency); a PresentationError is raised otherwise.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure)
 
 class PresentationError(ValueError):
     pass
-
-
-_COLLECT_CAP = 10_000_000
 
 
 def _word_letters(word):
@@ -57,8 +59,14 @@ class PcGroup:
         self.p = p
         self.n = ngens
         self.name = name
-        self.power_tails = [tuple(power_tails.get(i, ())) if isinstance(power_tails, dict)
-                            else tuple(power_tails[i]) for i in range(ngens)]
+        if isinstance(power_tails, dict):
+            for i in power_tails:
+                if not 0 <= i < ngens:
+                    raise PresentationError("power tail key %r is not a "
+                                            "generator index 0..%d"
+                                            % (i, ngens - 1))
+            power_tails = [power_tails.get(i, ()) for i in range(ngens)]
+        self.power_tails = [tuple(power_tails[i]) for i in range(ngens)]
         self.conj_tails = {k: tuple(v) for k, v in conj_tails.items() if v}
         self._validate_tails()
         self._elements = list(itertools.product(range(p), repeat=ngens))
@@ -81,64 +89,59 @@ class PcGroup:
                     raise PresentationError(
                         "commutator tail [g%d,g%d] uses invalid letter" % (j + 1, i + 1))
 
-    def _times_gen(self, u, k):
-        """u g_k by collection from the left on the exponent vector of u;
-        the stack holds the letters still to multiply on, the next on top."""
-        p, n = self.p, self.n
-        conj, power = self._conj_letters, self._power_letters
-        e = list(u)
-        stack = [k]
-        for _ in range(_COLLECT_CAP):
-            if not stack:
-                return tuple(e)
-            g = stack.pop()
-            for l in range(n - 1, g, -1):
-                if e[l]:
-                    stack.extend(conj[l][g] * e[l])
-                    e[l] = 0
-            e[g] += 1
-            if e[g] == p:
-                e[g] = 0
-                stack.extend(power[g])
-        raise PresentationError("collection did not terminate")
-
     def _build(self):
-        # _times_gen pops a letter g, pushes the letters of u above g as
-        # their conjugates g_l^g = g_l [g_l, g] (popping in word order), then
-        # raises e_g, wrapping at p with g's power tail pushed to pop first.
-        # These pushes are reversed letter lists, built here once per group.
-        # Each pop replaces g on the stack by finitely many letters above g,
-        # so collection terminates: the stack falls in the multiset order
-        # that ranks higher letters lower (Dershowitz-Manna).
-        n = self.n
-        self._conj_letters = [
-            [([l] + _word_letters(self.conj_tails.get((l, g), ())))[::-1]
-             for g in range(l)] for l in range(n)]
-        self._power_letters = [_word_letters(t)[::-1] for t in self.power_tails]
+        # The recurrence of the module docstring, one column u -> u g_k at a
+        # time from k = n - 1 down to 0.  Each letter of g_k's power tail and
+        # of the conjugates g_l^{g_k} = g_l [g_l, g_k], l > k, is one lookup
+        # in a finished column, so an entry depends on entries at most n
+        # columns deep and the fill terminates.  Normal words are numbered by
+        # their place in exponent-vector order, and a column is a list of
+        # numbers.  Walking u in that order, u g_k is the entry of u with its
+        # last nonzero exponent e_m (m > k) lowered by one, times g_m^{g_k};
+        # with no exponent above k it is x, times the power tail if e_k wraps.
+        p, n = self.p, self.n
+        elements = self._elements
+        weight = [p ** (n - 1 - l) for l in range(n)]  # the number of g_l
+        last = [-1]  # the position of the last nonzero exponent, per word
+        for l in range(n):
+            last = [l if e else m for m in last for e in range(p)]
+        cols = [None] * n
+        for k in reversed(range(n)):
+            tail = [cols[g] for g in _word_letters(self.power_tails[k])]
+            conj = {l: [cols[g] for g in [l] + _word_letters(
+                        self.conj_tails.get((l, k), ()))]
+                    for l in range(k + 1, n)}
+            col = []
+            for i, u in enumerate(elements):
+                m = last[i]
+                if m > k:
+                    v, letters = col[i - weight[m]], conj[m]
+                elif u[k] < p - 1:
+                    col.append(i + weight[k])
+                    continue
+                else:
+                    v, letters = i - (p - 1) * weight[k], tail
+                for c in letters:
+                    v = c[v]
+                col.append(v)
+            cols[k] = col
         # _gen_table[u][g] = u g and _inv_gen_table[u][g] = u g^-1: the only
         # multiplication data, |G| n entries each
-        self._gen_table = {
-            u: [self._times_gen(u, g) for g in range(n)]
-            for u in self._elements}
+        self._gen_table = {u: [elements[c[i]] for c in cols]
+                           for i, u in enumerate(elements)}
         self._prove_consistency()
-        inverse = {u: [None] * n for u in self._elements}
+        inverse = {u: [None] * n for u in elements}
         for u, row in self._gen_table.items():
             for g, w in enumerate(row):
                 inverse[w][g] = u
         self._inv_gen_table = inverse
 
-    def _apply(self, u, letters):
-        """u times the given generator letters, one table lookup each."""
-        table = self._gen_table
-        for g in letters:
-            u = table[u][g]
-        return u
-
     def _prove_consistency(self):
         """Raise PresentationError unless the right multiplications R_i
         (u -> collected u g_i, from _gen_table) satisfy every defining
         relation at every normal word u:  R_i^p = R(power tail of g_i) and
-        R_j R_i = R_i R_j R(tail of [g_j, g_i]) for i < j.  O(|G| n^2) lookups.
+        R_j R_i = R_i R_j R(tail of [g_j, g_i]) for i < j.  Each side is mapped
+        over all |G| words at once, one dict per generator: O(|G| n^2) lookups.
 
         This proves consistency.  By the power relations each R_i is a
         bijection (R_n^p is the identity, R_i^p a product of R_k, k > i), so
@@ -150,19 +153,26 @@ class PcGroup:
         have order p^n, Q acts regularly, and u * v = u R(letters of v),
         which is mult(), is the group law."""
         p, n = self.p, self.n
-        relations = []
+        table = self._gen_table
+        columns = [dict(zip(table, col)) for col in zip(*table.values())]
+
+        def images(letters):
+            # u R(letters) for every normal word u, in table order
+            words = list(table)
+            for g in letters:
+                words = list(map(columns[g].__getitem__, words))
+            return words
+
         for i in range(n):
-            relations.append(("power relation of g%d" % (i + 1),
-                              [i] * p, _word_letters(self.power_tails[i])))
+            if images([i] * p) != images(_word_letters(self.power_tails[i])):
+                raise PresentationError("presentation inconsistent: power "
+                                        "relation of g%d fails" % (i + 1))
             for j in range(i + 1, n):
                 tail = _word_letters(self.conj_tails.get((j, i), ()))
-                relations.append(("commutator relation [g%d,g%d]" % (j + 1, i + 1),
-                                  [j, i], [i, j] + tail))
-        for what, lhs, rhs in relations:
-            for u in self._elements:
-                if self._apply(u, lhs) != self._apply(u, rhs):
+                if images([j, i]) != images([i, j] + tail):
                     raise PresentationError(
-                        "presentation inconsistent: %s fails" % what)
+                        "presentation inconsistent: commutator relation "
+                        "[g%d,g%d] fails" % (j + 1, i + 1))
 
     def _gen_vec(self, i):
         return tuple(1 if j == i else 0 for j in range(self.n))

@@ -6,7 +6,9 @@ One record per line, UTF-8, tab-separated:
 
 Lines starting with '#' are comments.  Corrupted lines, undecodable bytes
 included, are reported with their line number and skipped; they never abort
-a read.
+a read.  A reader checks each record shape (the fields between D and the
+timestamp) once and builds the other records of that shape from a memo
+(see read_store).
 """
 
 from __future__ import annotations
@@ -62,14 +64,9 @@ def _shape(invs_s, p_s):
 _new_record = tuple.__new__
 
 
-def parse_record(line: str, memo=None) -> ScanRecord:
+def parse_record(line: str) -> ScanRecord:
     """The record on one store line; ValueError says why a line is not one.
-
-    memo maps (invariant-factor field, prime field) to what `_shape` makes
-    of them, and each timestamp to itself.  A reader that passes one dict
-    for a whole store so parses each distinct shape once, and its records
-    share one invariant-factor tuple per shape and one string per timestamp
-    (a scan stamps its records to the second)."""
+    This is the only check of a store line (see read_store)."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -80,12 +77,7 @@ def parse_record(line: str, memo=None) -> ScanRecord:
         raise ValueError("expected 6 tab-separated fields, got %d" % len(parts))
     d, h, invs_s, p_s, rank, ts = parts
     d, h = int(d), int(h)
-    if memo is None:
-        memo = {}
-    shape = memo.get((invs_s, p_s))
-    if shape is None:
-        shape = memo[invs_s, p_s] = _shape(invs_s, p_s)
-    invs, p, prod, chain, p_rank = shape
+    invs, p, prod, chain, p_rank = _shape(invs_s, p_s)
     rank = int(rank)
     if d >= 0 or h < 1 or p < 2 or rank < 0:
         raise ValueError("field values out of range")
@@ -97,30 +89,58 @@ def parse_record(line: str, memo=None) -> ScanRecord:
     if rank != p_rank:
         raise ValueError("rank %d differs from the %d-rank %d of the "
                          "invariant factors" % (rank, p, p_rank))
-    ts = memo.setdefault(ts, ts)
     return _new_record(ScanRecord, (d, h, invs, p, rank, ts))
 
 
 def read_store(path):
     """(records, problems): problems are (line number, message) pairs.
 
+    A line's shape is its text between the first and the last tab: h, the
+    invariant factors, p and the rank.  Once parse_record has accepted a
+    line, its shape holds for every line that carries it, and such a line
+    is a record exactly when its D field is a negative integer.  So a later
+    ASCII line of a known shape whose D field int() reads as negative is
+    built from the memoized fields, its own D and its timestamp, without
+    splitting the shape or checking it again; every other line (the first
+    of each shape, any non-ASCII line, any line whose D int() rejects or
+    reads as >= 0) goes to parse_record, and fails there if it fails.  Records
+    of one shape share one invariant-factor tuple, and records of one
+    timestamp one string (a scan stamps its records to the second).
+
     A missing file reads as empty; any other OSError from opening the path
     (a directory, no permission) propagates."""
     records, problems = [], []
-    memo = {}
+    shapes, stamps = {}, {}
     try:
         fh = open(path, encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
         return records, problems
     with fh:
         for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            line = line.strip()
+            if not line or line.startswith("#"):
                 continue
+            head, _, ts = line.rpartition("\t")
+            d, _, shape = head.partition("\t")
+            # non-ASCII text may hold undecodable bytes: parse_record says so
+            fields = shapes.get(shape) if line.isascii() else None
+            if fields is not None:
+                try:
+                    d = int(d)
+                except ValueError:
+                    d = 0
+                if d < 0:
+                    h, invs, p, rank = fields
+                    records.append(_new_record(ScanRecord, (
+                        d, h, invs, p, rank, stamps.setdefault(ts, ts))))
+                    continue
             try:
-                records.append(parse_record(stripped, memo))
+                rec = parse_record(line)
             except ValueError as exc:
                 problems.append((lineno, str(exc)))
+                continue
+            records.append(rec)
+            shapes[shape] = rec[1:5]
     return records, problems
 
 

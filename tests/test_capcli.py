@@ -39,6 +39,10 @@ class OracleRecord:
 
 
 def oracle_parse_record(line):
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("line is not valid UTF-8") from None
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 6:
         raise ValueError("expected 6 tab-separated fields, got %d" % len(parts))
@@ -66,7 +70,7 @@ def oracle_parse_record(line):
 
 def oracle_read_store(path):
     records, problems = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -126,6 +130,37 @@ def synthetic_store_text(seed, n_lines):
             p=p, r=r, r1=r + 1,
             ts="2026-01-01T00:00:%02d+00:00" % rng.randrange(60)))
     return "\n".join(lines) + "\n"
+
+
+# Lines that share a few shapes (the fields between D and the timestamp),
+# so that a reader's memo of a shape is hit by D fields and timestamps of
+# every kind.  Each shape is (h, invariant factors, p, rank); the last two
+# are no records (rank mismatch, product mismatch).
+_MEMO_SHAPES = (("25", "5,5", "5", "2"), ("3", "3", "5", "0"),
+                ("025", "5,5", "5", "2"), ("4", "2,2", "2", "2"),
+                ("3", "3", "3", "0"), ("7", "3", "5", "0"))
+_MEMO_D_FIELDS = ("{d}", "{d}", "{d}", "-0{n}", "-1_0", "-\u0663", "+{n}",
+                  "0", "x-{n}", "{d} ", "--{n}", "-", "{n}", "-{n}.0")
+_MEMO_STAMPS = (b"2026-01-01T00:00:00+00:00", b"2026-01-01T00:00:00+00:00",
+                b"2026-01-01T00:00:07+00:00", b"ts \xc3\xa9",  # non-ASCII
+                b"2026\xff\xfe", b"")                           # undecodable
+
+
+def memo_store_bytes(seed, n_lines):
+    """A store of n_lines seeded lines over _MEMO_SHAPES, after a prefix in
+    which the first line of a shape fails on its D field and valid lines of
+    that shape follow."""
+    rng = random.Random(seed)
+    lines = [b"x-5\t9\t9\t3\t1\tts", b"+5\t9\t9\t3\t1\tts",
+             b"-5\t9\t9\t3\t1\tts", b"-05\t9\t9\t3\t1\tts",
+             b"0\t9\t9\t3\t1\tts"]
+    for _ in range(n_lines):
+        n = rng.randint(3, 10 ** 6)
+        d = rng.choice(_MEMO_D_FIELDS).format(d=-n, n=n)
+        fields = [d, *rng.choice(_MEMO_SHAPES)]
+        lines.append("\t".join(fields).encode("utf-8") + b"\t"
+                     + rng.choice(_MEMO_STAMPS))
+    return b"\n".join(lines) + b"\n"
 
 
 class TestPatternClassifier:
@@ -234,6 +269,29 @@ class TestStore:
         for reason in ("expected 6", "invalid literal", "out of range",
                        "inconsistent", "divisor chain", "differs"):
             assert any(reason in msg for _, msg in problems), reason
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_shape_memo_matches_oracle(self, tmp_path, seed):
+        # a memo that took a line without its D check or its ASCII check
+        # would keep a line that the oracle skips
+        path = tmp_path / "s.tsv"
+        path.write_bytes(memo_store_bytes(seed, 800))
+        got, problems = read_store(path)
+        want, want_problems = oracle_read_store(path)
+        assert [tuple(r) for r in got] == \
+            [dataclasses.astuple(r) for r in want]
+        assert problems == want_problems
+        assert problems[:3] == [(1, "invalid literal for int() with base "
+                                    "10: 'x-5'"),
+                                (2, "field values out of range"),
+                                (5, "field values out of range")]
+        assert [r.discriminant for r in got[:2]] == [-5, -5]
+        for reason in ("invalid literal", "out of range", "not valid UTF-8",
+                       "differs", "inconsistent", "expected 6"):
+            assert any(reason in msg for _, msg in problems), reason
+        assert {-10, -3} <= {r.discriminant for r in got}  # -1_0, -\u0663
+        assert "ts \u00e9" in {r.timestamp for r in got}
+        assert len(got) > 120
 
     @pytest.mark.parametrize("line", [
         "-84\t4\t1,4\t2\t1\tts",      # factor 1

@@ -3,6 +3,7 @@ the shipped presentations, via invariants computed from the raw
 multiplication only (element order statistics, abelianization, derived
 subgroup size, center structure, conjugacy class count)."""
 
+import re
 from collections import Counter
 
 import pytest
@@ -47,6 +48,18 @@ class TestParser:
         ]:
             with pytest.raises(CatalogError):
                 parse_catalog(text)
+
+    @pytest.mark.parametrize("relations, line", [
+        ("g1^3 = g2\ng1^3 = 1", "g1^3 = 1"),        # would load as C3 x C3
+        ("g1^p = g2\ng1^3 = g2", "g1^3 = g2"),      # shorthand, same tail
+        ("[g2,g1] = 1\n[g2,g1] = 1", "[g2,g1] = 1"),
+        ("[g2,g1] = 1\ng2^3 = 1\n[g2,g1] = g2", "[g2,g1] = g2"),
+    ])
+    def test_rejects_duplicate_relations(self, relations, line):
+        text = "group X prime 3 ngens 2\n%s\n" % relations
+        with pytest.raises(CatalogError, match="duplicate .* '%s'$"
+                           % re.escape(line)):
+            parse_catalog(text)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header comment\n\ngroup X prime 2 ngens 1\ng1^2 = 1\n\n# tail\n"

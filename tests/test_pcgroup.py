@@ -9,9 +9,11 @@ Oracles:
   - the relator-check consistency proof is compared against an exhaustive
     check that the collected multiplication is a group law (|G|^2 product
     table, inverses, bijectivity, associativity);
-  - the right-multiplication table, filled by stack collection on exponent
-    vectors, is compared against a word-rewriting collector that rescans
-    the whole letter list from the left after every rewrite.
+  - the right-multiplication table, filled column by column from the
+    collection recurrence, is compared against a word-rewriting collector
+    that rescans the whole letter list from the left after every rewrite;
+  - the column-wise consistency proof is compared, verdict and message,
+    against a per-element relator check on the same table.
 """
 
 import hashlib
@@ -137,6 +139,14 @@ class TestPresentationValidation:
             PcGroup(3, 2, {0: ((0, 1),)}, {})
         with pytest.raises(PresentationError):
             PcGroup(3, 3, {}, {(1, 0): ((1, 1),)})
+
+    @pytest.mark.parametrize("key", [2, 5, -1])
+    def test_rejects_power_tail_keys_outside_the_generators(self, key):
+        # {5: ...} on two generators used to be dropped, leaving C3 x C3
+        with pytest.raises(PresentationError,
+                           match=r"power tail key %d is not a generator "
+                                 r"index 0\.\.1" % key):
+            PcGroup(3, 2, {key: ((1, 1),)}, {})
 
     def test_rejects_inconsistent_presentation(self):
         # g1^3 = g3 together with [g3,g2] = g4 admits no group of order 3^4
@@ -338,6 +348,53 @@ class TestTableAgainstWordCollector:
                 rejected[str(G).split()[2]] += 1
         # both kinds of failing relation occur
         assert rejected["power"] >= 20 and rejected["commutator"] >= 3, rejected
+
+
+# ---------------------------------------------------------------------------
+# the per-element relator check, the oracle for the column-wise proof
+# ---------------------------------------------------------------------------
+
+def relator_check(G):
+    """The relations of G's presentation checked on its right-multiplication
+    table one normal word at a time, two walks through the table per word
+    and relation, in PcGroup._prove_consistency's order of relations: None
+    when all hold, else the message of the first that fails."""
+    table = G._gen_table
+
+    def apply(u, letters):
+        for g in letters:
+            u = table[u][g]
+        return u
+
+    relations = []
+    for i in range(G.n):
+        relations.append(("power relation of g%d" % (i + 1),
+                          [i] * G.p, word_letters(G.power_tails[i])))
+        for j in range(i + 1, G.n):
+            tail = word_letters(G.conj_tails.get((j, i), ()))
+            relations.append(("commutator relation [g%d,g%d]" % (j + 1, i + 1),
+                              [j, i], [i, j] + tail))
+    for what, lhs, rhs in relations:
+        for u in G.elements():
+            if apply(u, lhs) != apply(u, rhs):
+                return "presentation inconsistent: %s fails" % what
+    return None
+
+
+class TestProofAgainstRelatorCheck:
+    def test_catalog(self):
+        for name, G in load_catalog().items():
+            assert relator_check(G) is None, name
+
+    @pytest.mark.parametrize("seed, count", [(2013, 250), (2014, 220)])
+    def test_random_presentations(self, seed, count):
+        verdicts = Counter()
+        for presentation, G in random_presentations(seed, count):
+            got = None if isinstance(G, PcGroup) else str(G)
+            assert got == relator_check(_Unproven(*presentation)), \
+                presentation
+            verdicts[got is None] += 1
+        assert verdicts[True] >= 80 and verdicts[False] >= 80, verdicts
 
 
 class TestPower:
