@@ -357,6 +357,9 @@ class Homomorphism:
         gens = [vec[:ks] for vec in right_kernel(block)]
         return Subgroup.from_generators(self.source, gens)
 
+    # Equal maps share one entry: classify_growth builds the same norm and
+    # power maps afresh for every datum.
+    @lru_cache(maxsize=1024)
     def image(self):
         return Subgroup.from_generators(self.target, transpose(self.matrix))
 

@@ -8,21 +8,53 @@ exponent tuple (e1, ..., en).  Stored relations:
     commutator: [gj,gi] = tail word in g_{j+1} .. g_n   (i < j)
 
 with [x, y] = x^-1 y^-1 x y, so gj gi = gi gj^gi with gj^gi = gj [gj,gi].
-The product u g_k of a normal word and a generator is what collection from
-the left on the exponent vector of u gives: it moves the letters of u above
-g_k past g_k as their conjugates, raises e_k and replaces g_k^p by its power
-tail, so
+
+Numbering.  The N = p^n normal words are numbered in exponent-vector order:
+u is number sum_m e_m w_m with w_m = p^(n-1-m), so g_m adds w_m.  PcGroup
+keeps one integer column per generator, _cols[k][i] = the number of u_i g_k,
+and _index maps each exponent tuple to its number.  mult applies the letters
+of v to the number of u, one lookup each; a set of words is a list of
+numbers mapped one letter, one column, at a time.
+
+Filling a column.  u g_k is what collection from the left on the exponent
+vector of u gives:
 
     u g_k = x . (power tail of g_k, if e_k wraps to 0) . prod_{l>k} (g_l^g_k)^e_l
 
 with x the word u cut after position k and e_k raised by one.  Every letter
-on the right lies above k and is one entry of the table of u g_l, l > k, so
-PcGroup._build fills the table from g_n down to g_1 by this recurrence: it
-terminates, each entry depending on entries at most n generators deep.
-Consistency is not assumed: the right multiplications of the normal words
-by the generators are checked to satisfy every defining relation, which
-proves that the presentation defines a group of order p^n (see
-PcGroup._prove_consistency); a PresentationError is raised otherwise.
+on the right lies above k, so the columns are filled from g_n down to g_1,
+each by strided slices, never word by word:
+
+  - the words with nothing above k and e_k = e < p - 1 sit at
+    col[e w_k :: p w_k], and u g_k is u + w_k;
+  - those with e_k = p - 1 map to x, the numbers range(0, N, p w_k), times
+    the letters of the power tail;
+  - for m = k+1 .. n-1 and e = 1 .. p-1, the words whose last nonzero
+    exponent is e_m = e sit at col[e w_m :: p w_m]; u = u' g_m with u' at
+    col[(e-1) w_m :: p w_m], already filled, and u g_k = (u' g_k) g_m^g_k:
+    that slice mapped through the letters of g_m [g_m, g_k].
+
+Each step is a rewrite by the rules below, so every entry is a normal word
+that u g_k rewrites to, whether or not the presentation is consistent.
+
+Consistency.  Read as rewriting rules on positive words, gi^p -> tail_i and
+gj gi -> gi gj [gj,gi] (j > i) terminate: with g1 > ... > gn, a word read
+from its right end as a nested term decreases under each rule in the
+recursive path ordering (Dershowitz 1982), which is well-founded and
+compatible with prefixes and suffixes.  The irreducible words are the
+normal words, so by Newman's lemma the presentation defines a group of order
+p^n exactly when every critical pair of rules rewrites to one normal word
+(Knuth-Bendix).  The critical pairs come from the overlaps ("test words",
+Wamsley 1974; Vaughan-Lee, J. Symbolic Comput. 9, 1990)
+
+    gi^(p+1),  gj^p gi,  gj gi^p  (j > i),  gk gj gi  (k > j > i);
+
+an overlap gi^(p+t), 1 < t < p, is a chain of gi^(p+1) overlaps that the
+induction of Newman's lemma joins.  Every column entry is a rewriting
+descendant of u g_k, so collecting a word letter by letter from the identity
+gives a normal descendant of it; PcGroup._prove_consistency compares the two
+reducts of each overlap that way, O(n^3) lookups, and raises
+PresentationError naming the first overlap whose two sides differ.
 """
 
 from __future__ import annotations
@@ -30,6 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure)
 
@@ -46,6 +79,18 @@ def _word_letters(word):
     return out
 
 
+def _mapped(nums, cols):
+    """The numbers nums mapped through each column of cols in turn."""
+    for col in cols:
+        nums = list(map(col.__getitem__, nums))
+    return nums
+
+
+def _is_prime(p):
+    return isinstance(p, int) and p >= 2 and \
+        all(p % d for d in range(2, isqrt(p) + 1))
+
+
 class PcGroup:
     """Finite p-group with a consistent polycyclic presentation.
 
@@ -56,6 +101,11 @@ class PcGroup:
     """
 
     def __init__(self, p, ngens, power_tails, conj_tails, name=None):
+        if not _is_prime(p):
+            raise PresentationError("p = %r is not a prime" % (p,))
+        if not isinstance(ngens, int) or ngens < 0:
+            raise PresentationError("ngens = %r is not a count of generators"
+                                    % (ngens,))
         self.p = p
         self.n = ngens
         self.name = name
@@ -66,10 +116,12 @@ class PcGroup:
                                             "generator index 0..%d"
                                             % (i, ngens - 1))
             power_tails = [power_tails.get(i, ()) for i in range(ngens)]
-        self.power_tails = [tuple(power_tails[i]) for i in range(ngens)]
+        elif len(power_tails) != ngens:
+            raise PresentationError("%d power tails for %d generators"
+                                    % (len(power_tails), ngens))
+        self.power_tails = [tuple(t) for t in power_tails]
         self.conj_tails = {k: tuple(v) for k, v in conj_tails.items() if v}
         self._validate_tails()
-        self._elements = list(itertools.product(range(p), repeat=ngens))
         self._index_p_subgroups = None
         self._build()
 
@@ -89,90 +141,81 @@ class PcGroup:
                     raise PresentationError(
                         "commutator tail [g%d,g%d] uses invalid letter" % (j + 1, i + 1))
 
+    # the normal words by number and the numbers by word, built on first use:
+    # loading the catalog needs neither
+    @cached_property
+    def _elements(self):
+        return list(itertools.product(range(self.p), repeat=self.n))
+
+    @cached_property
+    def _index(self):
+        return dict(zip(self._elements, range(self.order)))
+
     def _build(self):
-        # The recurrence of the module docstring, one column u -> u g_k at a
-        # time from k = n - 1 down to 0.  Each letter of g_k's power tail and
-        # of the conjugates g_l^{g_k} = g_l [g_l, g_k], l > k, is one lookup
-        # in a finished column, so an entry depends on entries at most n
-        # columns deep and the fill terminates.  Normal words are numbered by
-        # their place in exponent-vector order, and a column is a list of
-        # numbers.  Walking u in that order, u g_k is the entry of u with its
-        # last nonzero exponent e_m (m > k) lowered by one, times g_m^{g_k};
-        # with no exponent above k it is x, times the power tail if e_k wraps.
-        p, n = self.p, self.n
-        elements = self._elements
-        weight = [p ** (n - 1 - l) for l in range(n)]  # the number of g_l
-        last = [-1]  # the position of the last nonzero exponent, per word
-        for l in range(n):
-            last = [l if e else m for m in last for e in range(p)]
+        # the slice fill of the module docstring, from g_n down to g_1; each
+        # letter of a power tail or conjugate lies above k, so its column is
+        # finished
+        p, n, size = self.p, self.n, self.order
+        weight = [p ** (n - 1 - m) for m in range(n)]  # the number of g_m
         cols = [None] * n
         for k in reversed(range(n)):
-            tail = [cols[g] for g in _word_letters(self.power_tails[k])]
-            conj = {l: [cols[g] for g in [l] + _word_letters(
-                        self.conj_tails.get((l, k), ()))]
-                    for l in range(k + 1, n)}
-            col = []
-            for i, u in enumerate(elements):
-                m = last[i]
-                if m > k:
-                    v, letters = col[i - weight[m]], conj[m]
-                elif u[k] < p - 1:
-                    col.append(i + weight[k])
-                    continue
-                else:
-                    v, letters = i - (p - 1) * weight[k], tail
-                for c in letters:
-                    v = c[v]
-                col.append(v)
+            col = [0] * size
+            w, step = weight[k], p * weight[k]
+            for e in range(p - 1):
+                col[e * w::step] = range((e + 1) * w, size + w, step)
+            col[(p - 1) * w::step] = _mapped(
+                range(0, size, step),
+                [cols[g] for g in _word_letters(self.power_tails[k])])
+            for m in range(k + 1, n):
+                conj = [cols[g] for g in [m] + _word_letters(
+                    self.conj_tails.get((m, k), ()))]
+                w, step = weight[m], p * weight[m]
+                for e in range(1, p):
+                    col[e * w::step] = _mapped(col[(e - 1) * w::step], conj)
             cols[k] = col
-        # _gen_table[u][g] = u g and _inv_gen_table[u][g] = u g^-1: the only
-        # multiplication data, |G| n entries each
-        self._gen_table = {u: [elements[c[i]] for c in cols]
-                           for i, u in enumerate(elements)}
+        self._cols = cols  # the only multiplication data, |G| n numbers
         self._prove_consistency()
-        inverse = {u: [None] * n for u in elements}
-        for u, row in self._gen_table.items():
-            for g, w in enumerate(row):
-                inverse[w][g] = u
-        self._inv_gen_table = inverse
 
     def _prove_consistency(self):
-        """Raise PresentationError unless the right multiplications R_i
-        (u -> collected u g_i, from _gen_table) satisfy every defining
-        relation at every normal word u:  R_i^p = R(power tail of g_i) and
-        R_j R_i = R_i R_j R(tail of [g_j, g_i]) for i < j.  Each side is mapped
-        over all |G| words at once, one dict per generator: O(|G| n^2) lookups.
+        """Raise PresentationError unless the two reducts of every overlap
+        collect, letter by letter from the identity on the columns, to one
+        normal word; that proves the group has order p^n (module
+        docstring).  Overlaps are tried in the order gi^(p+1), gj^p gi,
+        gj gi^p, gk gj gi; the message names the first that fails.  The
+        first side is the overlap itself, whose collection rewrites its
+        leftmost rule first; the second rewrites its rightmost rule:
 
-        This proves consistency.  By the power relations each R_i is a
-        bijection (R_n^p is the identity, R_i^p a product of R_k, k > i), so
-        the R_i generate a permutation group Q of the normal words that is a
-        quotient of the presented group, whose order is at most p^n because
-        collection turns every word into a normal word.  Every prefix of a
-        normal word w is normal, so the letters of w carry the empty word to
-        w: Q is transitive on p^n words.  Hence Q and the presented group
-        have order p^n, Q acts regularly, and u * v = u R(letters of v),
-        which is mult(), is the group law."""
-        p, n = self.p, self.n
-        table = self._gen_table
-        columns = [dict(zip(table, col)) for col in zip(*table.values())]
+            gi^(p+1)   against  gi . tail_i
+            gj^p gi    against  gj^(p-1) gi gj [gj,gi]
+            gj gi^p    against  gj . tail_i
+            gk gj gi   against  gk gi gj [gj,gi]"""
+        p, n, cols = self.p, self.n, self._cols
+        tail = [_word_letters(t) for t in self.power_tails]
 
-        def images(letters):
-            # u R(letters) for every normal word u, in table order
-            words = list(table)
+        def comm(j, i):
+            return _word_letters(self.conj_tails.get((j, i), ()))
+
+        def collected(letters):
+            u = 0
             for g in letters:
-                words = list(map(columns[g].__getitem__, words))
-            return words
+                u = cols[g][u]
+            return u
 
-        for i in range(n):
-            if images([i] * p) != images(_word_letters(self.power_tails[i])):
-                raise PresentationError("presentation inconsistent: power "
-                                        "relation of g%d fails" % (i + 1))
-            for j in range(i + 1, n):
-                tail = _word_letters(self.conj_tails.get((j, i), ()))
-                if images([j, i]) != images([i, j] + tail):
-                    raise PresentationError(
-                        "presentation inconsistent: commutator relation "
-                        "[g%d,g%d] fails" % (j + 1, i + 1))
+        overlaps = itertools.chain(
+            (("g%d^%d" % (i + 1, p + 1), [i] * (p + 1), [i] + tail[i])
+             for i in range(n)),
+            (("g%d^%d g%d" % (j + 1, p, i + 1), [j] * p + [i],
+              [j] * (p - 1) + [i, j] + comm(j, i))
+             for i, j in itertools.combinations(range(n), 2)),
+            (("g%d g%d^%d" % (j + 1, i + 1, p), [j] + [i] * p, [j] + tail[i])
+             for i, j in itertools.combinations(range(n), 2)),
+            (("g%d g%d g%d" % (k + 1, j + 1, i + 1), [k, j, i],
+              [k, i, j] + comm(j, i))
+             for i, j, k in itertools.combinations(range(n), 3)))
+        for name, lhs, rhs in overlaps:
+            if collected(lhs) != collected(rhs):
+                raise PresentationError("presentation inconsistent: overlap "
+                                        "%s fails" % name)
 
     def _gen_vec(self, i):
         return tuple(1 if j == i else 0 for j in range(self.n))
@@ -194,21 +237,31 @@ class PcGroup:
         return [self._gen_vec(i) for i in range(self.n)]
 
     def mult(self, u, v):
-        """u v: the letters of v applied to u, at most n(p-1) lookups."""
-        table = self._gen_table
-        for g, e in enumerate(v):
+        """u v: the letters of v applied to the number of u, at most n(p-1)
+        lookups."""
+        i = self._index[u]
+        for col, e in zip(self._cols, v):
             for _ in range(e):
-                u = table[u][g]
-        return u
+                i = col[i]
+        return self._elements[i]
 
     def inv(self, u):
         """u^-1: the letters of u undone in reverse order."""
-        table = self._inv_gen_table
-        w = self.identity
-        for g in range(self.n - 1, -1, -1):
-            for _ in range(u[g]):
-                w = table[w][g]
-        return w
+        i = 0
+        for col, e in zip(reversed(self._inv_cols), reversed(u)):
+            for _ in range(e):
+                i = col[i]
+        return self._elements[i]
+
+    @cached_property
+    def _inv_cols(self):
+        """_inv_cols[k][i] = the number of u_i g_k^-1, built on first use."""
+        return [sorted(range(len(col)), key=col.__getitem__)
+                for col in self._cols]
+
+    def _letter_cols(self, u):
+        """The column of each letter of u, in order."""
+        return [col for col, e in zip(self._cols, u) for _ in range(e)]
 
     def power(self, u, k):
         """u^k for any integer k; u^|G| = 1, so k is taken mod |G|, then
@@ -256,19 +309,20 @@ class PcGroup:
 
     def _grow(self, sub, gens, new):
         """Subgroup generated by gens, given the subgroup sub generated by
-        the gens not in new: walks only sub*new outside sub and its reach."""
-        seen = set(sub)
-        frontier, step = list(sub), new
+        the gens not in new: walks only sub*new outside sub and its reach,
+        each step a list of numbers mapped through a generator's letters."""
+        seen = set(map(self._index.__getitem__, sub))
+        frontier = list(seen)
+        step = [self._letter_cols(g) for g in new]
+        gen_cols = [self._letter_cols(g) for g in gens]
         while frontier:
-            nxt = []
-            for x in frontier:
-                for g in step:
-                    y = self.mult(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier, step = nxt, gens
-        return frozenset(seen)
+            reached = set()
+            for cols in step:
+                reached.update(_mapped(frontier, cols))
+            reached -= seen
+            seen |= reached
+            frontier, step = list(reached), gen_cols
+        return frozenset(map(self._elements.__getitem__, seen))
 
     @cached_property
     def as_subgroup(self):
@@ -327,13 +381,16 @@ class PcGroup:
         """{x: least element of the right coset subgroup x} for every x in
         elements, a union of right cosets of subgroup.  Walking elements in
         ascending order, the first unlabelled x of a coset is its least
-        element; it labels the whole coset, one product per element."""
+        element; it labels the whole coset, the numbers of subgroup mapped
+        through the letters of x."""
+        index, words = self._index, self._elements
+        hs = list(map(index.__getitem__, subgroup))
         label = {}
-        for x in sorted(elements):
+        for x in sorted(map(index.__getitem__, elements)):
             if x not in label:
-                for h in subgroup:
-                    label[self.mult(h, x)] = x
-        return label
+                label.update(dict.fromkeys(
+                    _mapped(hs, self._letter_cols(words[x])), x))
+        return {words[y]: words[x] for y, x in label.items()}
 
     def abelianization(self):
         """(G/G' as AbelianGroup, projection element->coords, generator lifts)."""

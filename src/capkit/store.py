@@ -13,7 +13,7 @@ timestamp) once and builds the other records of that shape from a memo
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import time
 from math import prod
 from typing import NamedTuple
 
@@ -37,7 +37,8 @@ class ScanRecord(NamedTuple):
 
 
 def now_timestamp():
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    """The UTC time to the second, as datetime's isoformat gives it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def format_record(rec: ScanRecord) -> str:

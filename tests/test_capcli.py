@@ -6,6 +6,10 @@ import io
 import os
 import pickle
 import random
+import re
+import subprocess
+import sys
+from datetime import datetime, timezone
 
 import pytest
 
@@ -250,6 +254,13 @@ class TestStore:
     def test_missing_file_is_empty(self, tmp_path):
         got, problems = read_store(tmp_path / "absent.tsv")
         assert got == [] and problems == []
+
+    def test_timestamp_has_the_isoformat_form(self):
+        ours = now_timestamp()
+        theirs = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        assert re.sub(r"\d", "0", ours) == re.sub(r"\d", "0", theirs)
+        age = datetime.now(timezone.utc) - datetime.fromisoformat(ours)
+        assert abs(age.total_seconds()) < 5
 
     def test_format_parse_identity(self):
         rec = ScanRecord(-84, 4, (2, 2), 2, 2, "2026-01-01T00:00:00+00:00")
@@ -510,6 +521,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2 and text == ""
         assert err.startswith("error: ") and "prime" in err
+
+    def test_cli_import_leaves_command_modules_out(self):
+        # a fresh interpreter, since this one has imported them already;
+        # only modules that the import of capkit.cli adds are judged
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "import capkit.cli\n"
+                "print(*sorted(set(sys.modules) - before))")
+        added = set(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout.split())
+        assert "capkit.cli" in added
+        unused = {"hashlib", "fractions", "decimal", "datetime",
+                  "capkit.fixtures", "capkit.heuristics"}
+        assert not added & unused, added & unused
 
     def test_report_empty_store(self, tmp_path):
         code, text = run_cli(["report", "--store", str(tmp_path / "no.tsv")])

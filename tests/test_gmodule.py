@@ -19,9 +19,9 @@ import random
 import pytest
 
 from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
-                            identity_hom)
-from capkit import gmodule
-from capkit.catalog import get_group
+                            identity_hom, power_hom)
+from capkit import abgroup, gmodule
+from capkit.catalog import get_group, load_catalog
 from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             GrowthClass, RelativeExtensionDatum, algebra_one,
                             catalog_relative_data, check_growth_order_law,
@@ -435,6 +435,26 @@ class TestRelativeDatum:
         kinds = {classify_growth(x) for x in
                  catalog_relative_data(get_group("MC81a"))}
         assert GrowthClass.WILD in kinds
+
+    def test_growth_builds_one_image_per_map(self, monkeypatch):
+        # each image is an HNF; over the catalog the 224 data ask for 610
+        # images of far fewer distinct maps
+        data = [d for G in load_catalog().values()
+                if G.abelianization()[0].rank(G.p) >= 1
+                for d in catalog_relative_data(G)]
+        maps = {h for d in data for h in (
+            d.norm, power_hom(d.A_K, d.p), hom_power(d.s_map(), d.p - 1))}
+        Homomorphism.image.cache_clear()  # shared by all tests
+        built = []
+        hnf = abgroup.hnf_rows
+        monkeypatch.setattr(abgroup, "hnf_rows",
+                            lambda *a: built.append(a) or hnf(*a))
+        first = [classify_growth(d) for d in data]
+        assert len(data) == 224
+        assert 0 < len(built) <= len(maps) < 224, (len(built), len(maps))
+        count = len(built)
+        assert [classify_growth(d) for d in data] == first
+        assert len(built) == count
 
     def test_growth_order_law_never_fails_when_applicable(self):
         for name in ("C9", "C27", "M243", "H9c243", "MC81a", "MC81b"):

@@ -6,14 +6,14 @@ Oracles:
     affine maps of Z/9), none of which go through the collection code;
   - the transfer is recomputed from the raw coset-product definition with a
     transversal chosen by a different rule, and compared modulo H';
-  - the relator-check consistency proof is compared against an exhaustive
-    check that the collected multiplication is a group law (|G|^2 product
-    table, inverses, bijectivity, associativity);
-  - the right-multiplication table, filled column by column from the
-    collection recurrence, is compared against a word-rewriting collector
-    that rescans the whole letter list from the left after every rewrite;
-  - the column-wise consistency proof is compared, verdict and message,
-    against a per-element relator check on the same table.
+  - the test-word consistency proof is compared, verdict for verdict,
+    against an exhaustive check that the collected multiplication is a
+    group law (|G|^2 product table, inverses, bijectivity, associativity)
+    and against a per-element relator check on the same table; the overlap
+    a rejection names is checked to be the first whose two sides differ;
+  - the right-multiplication columns, filled by strided slices, are
+    compared against a word-rewriting collector that rescans the whole
+    letter list from the left after every rewrite.
 """
 
 import hashlib
@@ -148,6 +148,25 @@ class TestPresentationValidation:
                                  r"index 0\.\.1" % key):
             PcGroup(3, 2, {key: ((1, 1),)}, {})
 
+    @pytest.mark.parametrize("p", [4, 1, 0, -3, 2.0])
+    def test_rejects_a_p_that_is_not_a_prime(self, p):
+        # p = 4 used to build a group "of order 16", p = 1 one "of order 1"
+        with pytest.raises(PresentationError, match="is not a prime"):
+            PcGroup(p, 2, {}, {})
+
+    @pytest.mark.parametrize("tails", [[()], [(), (), ()]])
+    def test_rejects_a_power_tail_list_of_the_wrong_length(self, tails):
+        # a short list used to raise IndexError, a long one was truncated
+        with pytest.raises(PresentationError, match="power tails for 2 "
+                                                    "generators"):
+            PcGroup(3, 2, tails, {})
+
+    @pytest.mark.parametrize("ngens", [-1, 2.0])
+    def test_rejects_a_bad_generator_count(self, ngens):
+        # -1 used to raise a bare ValueError from itertools.product
+        with pytest.raises(PresentationError, match="not a count"):
+            PcGroup(3, ngens, {}, {})
+
     def test_rejects_inconsistent_presentation(self):
         # g1^3 = g3 together with [g3,g2] = g4 admits no group of order 3^4
         with pytest.raises(PresentationError):
@@ -184,14 +203,21 @@ class TestPresentationValidation:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive group-law check, the oracle for the consistency proof
+# exhaustive group-law check, a verdict oracle for the consistency proof
 # ---------------------------------------------------------------------------
 
 class _Unproven(PcGroup):
-    """Builds the right-multiplication table but skips the proof."""
+    """Builds the right-multiplication columns but skips the proof."""
 
     def _prove_consistency(self):
         pass
+
+
+def gen_table(G):
+    """{u: [u g_0, ..., u g_{n-1}]} over all normal words u, read off G's
+    numbered columns."""
+    words = G.elements()
+    return {u: [words[col[i]] for col in G._cols] for i, u in enumerate(words)}
 
 
 def exhaustive_group_law(p, n, power_tails, conj_tails):
@@ -200,22 +226,22 @@ def exhaustive_group_law(p, n, power_tails, conj_tails):
     multiplication by each generator is bijective, and the product is
     associative."""
     G = _Unproven(p, n, power_tails, conj_tails)
-    gen_table, elements = G._gen_table, G.elements()
+    right, elements = gen_table(G), G.elements()
     table = {}
     for u in elements:
         for v in elements:
             w = u
             for i, e in enumerate(v):
                 for _ in range(e):
-                    w = gen_table[w][i]
+                    w = right[w][i]
             table[(u, v)] = w
     if any(all(table[(u, v)] != G.identity for v in elements)
            for u in elements):
         return False
-    if any(len({gen_table[u][g] for u in elements}) != len(elements)
+    if any(len({right[u][g] for u in elements}) != len(elements)
            for g in range(n)):
         return False
-    return all(gen_table[table[(u, v)]][g] == table[(u, gen_table[v][g])]
+    return all(right[table[(u, v)]][g] == table[(u, right[v][g])]
                for u in elements for v in elements for g in range(n))
 
 
@@ -244,8 +270,10 @@ class TestConsistencyProof:
             try:
                 PcGroup(p, n, power, conj)
                 proven = True
-            except PresentationError:
+            except PresentationError as exc:
                 proven = False
+                assert_names_first_failing_overlap(
+                    _Unproven(p, n, power, conj), str(exc))
             assert proven == exhaustive_group_law(p, n, power, conj), \
                 (p, n, power, conj)
             verdicts[proven] += 1
@@ -253,7 +281,7 @@ class TestConsistencyProof:
 
 
 # ---------------------------------------------------------------------------
-# word-rewriting collection, the oracle for the right-multiplication table
+# word-rewriting collection, the oracle for the right-multiplication columns
 # ---------------------------------------------------------------------------
 
 def word_letters(word):
@@ -298,8 +326,9 @@ def word_collector_table(p, n, power_tails, conj_tails):
 MAXIMAL_CLASS_5_5 = (5, 5, {}, {(1, 0): ((2, 1),), (2, 0): ((3, 1),),
                                 (3, 0): ((4, 1),)})
 
-INCONSISTENT_MESSAGE = (r"^presentation inconsistent: (power relation of g\d+"
-                        r"|commutator relation \[g\d+,g\d+\]) fails$")
+INCONSISTENT_MESSAGE = (r"^presentation inconsistent: overlap (g\d+\^\d+"
+                        r"|g\d+\^\d+ g\d+|g\d+ g\d+\^\d+|g\d+ g\d+ g\d+) "
+                        r"fails$")
 
 
 def random_presentations(seed, count):
@@ -319,12 +348,12 @@ def random_presentations(seed, count):
 class TestTableAgainstWordCollector:
     def test_catalog_tables(self):
         for name, G in load_catalog().items():
-            assert G._gen_table == word_collector_table(
+            assert gen_table(G) == word_collector_table(
                 G.p, G.n, G.power_tails, G.conj_tails), name
 
     def test_order_5_to_the_5_maximal_class_table(self):
         G = PcGroup(*MAXIMAL_CLASS_5_5)
-        assert G._gen_table == word_collector_table(*MAXIMAL_CLASS_5_5)
+        assert gen_table(G) == word_collector_table(*MAXIMAL_CLASS_5_5)
 
     def test_random_presentations(self):
         # rejected presentations are compared too, on the unproven table: a
@@ -335,7 +364,7 @@ class TestTableAgainstWordCollector:
                 consistent[G.p] += 1
             else:
                 G = _Unproven(*presentation)
-            assert G._gen_table == word_collector_table(*presentation), \
+            assert gen_table(G) == word_collector_table(*presentation), \
                 presentation
         assert sum(consistent.values()) >= 100, consistent
         assert min(consistent[p] for p in (2, 3, 5)) >= 20, consistent
@@ -345,21 +374,24 @@ class TestTableAgainstWordCollector:
         for presentation, G in random_presentations(2014, 220):
             if not isinstance(G, PcGroup):
                 assert re.match(INCONSISTENT_MESSAGE, str(G)), (presentation, G)
-                rejected[str(G).split()[2]] += 1
-        # both kinds of failing relation occur
-        assert rejected["power"] >= 20 and rejected["commutator"] >= 3, rejected
+                overlap = str(G).split("overlap ")[1][:-len(" fails")]
+                rejected[re.sub(r"\d+", "N", overlap)] += 1
+        # every kind of overlap fails somewhere
+        assert rejected["gN^N"] >= 20 and rejected["gN^N gN"] >= 3 and \
+            rejected["gN gN^N"] >= 3 and rejected["gN gN gN"] >= 1, rejected
 
 
 # ---------------------------------------------------------------------------
-# the per-element relator check, the oracle for the column-wise proof
+# the per-element relator check, a verdict oracle for the test-word proof
 # ---------------------------------------------------------------------------
 
 def relator_check(G):
     """The relations of G's presentation checked on its right-multiplication
     table one normal word at a time, two walks through the table per word
-    and relation, in PcGroup._prove_consistency's order of relations: None
-    when all hold, else the message of the first that fails."""
-    table = G._gen_table
+    and relation: None when all hold, else the first that fails.  The
+    relations hold at every word exactly when the presentation is
+    consistent, so this is a verdict oracle for the test-word proof."""
+    table = gen_table(G)
 
     def apply(u, letters):
         for g in letters:
@@ -377,8 +409,51 @@ def relator_check(G):
     for what, lhs, rhs in relations:
         for u in G.elements():
             if apply(u, lhs) != apply(u, rhs):
-                return "presentation inconsistent: %s fails" % what
+                return what
     return None
+
+
+def overlaps(G):
+    """(name, word, reduct) of each test word of G's presentation, in the
+    order the proof tries them: the word itself, and the word with its
+    rightmost rule rewritten, both as letter lists."""
+    p, n = G.p, G.n
+    tail = [word_letters(t) for t in G.power_tails]
+
+    def comm(j, i):
+        return word_letters(G.conj_tails.get((j, i), ()))
+
+    out = [("g%d^%d" % (i + 1, p + 1), [i] * (p + 1), [i] + tail[i])
+           for i in range(n)]
+    out += [("g%d^%d g%d" % (j + 1, p, i + 1), [j] * p + [i],
+             [j] * (p - 1) + [i, j] + comm(j, i))
+            for i in range(n) for j in range(i + 1, n)]
+    out += [("g%d g%d^%d" % (j + 1, i + 1, p), [j] + [i] * p, [j] + tail[i])
+            for i in range(n) for j in range(i + 1, n)]
+    out += [("g%d g%d g%d" % (k + 1, j + 1, i + 1), [k, j, i],
+             [k, i, j] + comm(j, i))
+            for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+    return out
+
+
+def assert_names_first_failing_overlap(G, message):
+    """message names an overlap whose word and reduct collect differently
+    on G's table, and every overlap tried before it collects alike."""
+    table = gen_table(G)
+
+    def collected(letters):
+        u = G.identity
+        for g in letters:
+            u = table[u][g]
+        return u
+
+    assert re.match(INCONSISTENT_MESSAGE, message), message
+    for name, word, reduct in overlaps(G):
+        if message == "presentation inconsistent: overlap %s fails" % name:
+            assert collected(word) != collected(reduct), message
+            return
+        assert collected(word) == collected(reduct), (name, message)
+    raise AssertionError("no overlap named in %r" % message)
 
 
 class TestProofAgainstRelatorCheck:
@@ -390,10 +465,12 @@ class TestProofAgainstRelatorCheck:
     def test_random_presentations(self, seed, count):
         verdicts = Counter()
         for presentation, G in random_presentations(seed, count):
-            got = None if isinstance(G, PcGroup) else str(G)
-            assert got == relator_check(_Unproven(*presentation)), \
-                presentation
-            verdicts[got is None] += 1
+            proven = isinstance(G, PcGroup)
+            unproven = _Unproven(*presentation)
+            assert proven == (relator_check(unproven) is None), presentation
+            if not proven:
+                assert_names_first_failing_overlap(unproven, str(G))
+            verdicts[proven] += 1
         assert verdicts[True] >= 80 and verdicts[False] >= 80, verdicts
 
 
@@ -422,6 +499,25 @@ class TestPower:
         assert G.collect(((0, -1),)) == G.inv(G.generators()[0])
         # k = |G| - 1 = 3124 has 12 binary digits: at most 2 products each
         assert 0 < products["mult"] <= 2 * 12 + 1, products
+
+
+class TestScale:
+    def test_order_5_to_the_7_builds(self):
+        # the order-5^6 group of maximal class ([g_k, g_1] = g_{k+1},
+        # k = 2..5) times C5, generated by g7
+        start = time.perf_counter()
+        G = PcGroup(5, 7, {}, {(k, 0): ((k + 1, 1),) for k in range(1, 5)})
+        assert time.perf_counter() - start < 2.0
+        assert G.order == 5 ** 7
+        assert G.abelianization()[0].invariant_factors == (5, 5, 5)
+
+    def test_order_5_to_the_7_chain_with_a_power_is_rejected(self):
+        # g2^5 = g7 and [g_k, g_1] = g_{k+1} for k <= 6
+        power = {1: ((6, 1),)}
+        conj = {(k, 0): ((k + 1, 1),) for k in range(1, 6)}
+        with pytest.raises(PresentationError, match=INCONSISTENT_MESSAGE):
+            PcGroup(5, 7, power, conj)
+        assert relator_check(_Unproven(5, 7, power, conj)) is not None
 
 
 class TestSubgroups:
