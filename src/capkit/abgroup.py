@@ -10,11 +10,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 
 class AbgroupError(ValueError):
     pass
+
+
+def is_prime(n):
+    """Whether n is a prime integer, by trial division: callers bound n
+    where it comes from outside."""
+    return isinstance(n, int) and n >= 2 and \
+        all(n % d for d in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -23,15 +30,6 @@ class AbgroupError(ValueError):
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
-    if any(len(r) != k for r in A):
-        raise AbgroupError("matrix shapes do not match for a product")
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
 
 
 def mat_vec(A, v):
@@ -136,24 +134,6 @@ def smith_normal_form(M):
                 row[t] = -row[t]
         t += 1
     return A, U, V, Uinv
-
-
-def solve_integer(A, v):
-    """One integer solution x of A x = v, or None if there is none."""
-    D, U, V, _ = smith_normal_form(A)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    uv = mat_vec(U, v)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if i < n and d:
-            if uv[i] % d:
-                return None
-            y[i] = uv[i] // d
-        elif uv[i]:
-            return None
-    return mat_vec(V, y)
 
 
 def right_kernel(A):
@@ -321,7 +301,8 @@ class Homomorphism:
 
     def compose(self, other):
         """self o other."""
-        # not mat_mul, which cannot tell the column count from no inner rows
+        # the column count is other.source.ngens, also when there are no
+        # inner rows to read it from
         if other.target != self.source:
             raise AbgroupError("composition mismatch")
         inner = self.source.ngens

@@ -84,7 +84,10 @@ def parse_catalog(text):
             raise CatalogError("unparsable relation line %r" % line)
         if name in groups:
             raise CatalogError("duplicate group name %r" % name)
-        groups[name] = PcGroup(p, n, power_tails, conj_tails, name=name)
+        try:
+            groups[name] = PcGroup(p, n, power_tails, conj_tails, name=name)
+        except PresentationError as exc:
+            raise CatalogError("group %s: %s" % (name, exc)) from exc
 
     for raw in text.splitlines() + [""]:
         line = raw.strip()

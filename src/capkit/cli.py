@@ -16,11 +16,12 @@ from operator import attrgetter
 # fixtures and heuristics (hashlib, fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
 # the benchmark's tracer finds their names when it wraps them
+from .abgroup import is_prime
 from .catalog import CatalogError, get_group, load_catalog
 from .pcgroup import PresentationError, capitulation_type
 from .quadform import (MAX_ABS_DISC, Discriminant, QuadFormError,
                        class_group_structure, class_group_structures,
-                       fundamental_discriminants, prime_factors)
+                       fundamental_discriminants)
 from .store import ScanRecord, append_records, now_timestamp, read_store
 
 DEFAULT_STORE = "capkit-scan.tsv"
@@ -81,10 +82,6 @@ def _scan_chunk(args):
 MAX_PRIME = 10 ** 8
 
 
-def _is_prime(n):
-    return 2 <= n <= MAX_PRIME and prime_factors(n) == [n]
-
-
 def _load_store(path):
     """The records of the store at path, its skipped lines reported on
     stderr; None, after an error message, when the path cannot be read."""
@@ -126,7 +123,7 @@ def cmd_scan(ns, out):
     lo, hi = ns.lo, ns.hi
     if lo > hi:
         lo, hi = hi, lo
-    if not _is_prime(ns.prime):
+    if not (ns.prime <= MAX_PRIME and is_prime(ns.prime)):
         print("error: --prime must be a prime <= %d, got %d"
               % (MAX_PRIME, ns.prime), file=sys.stderr)
         return 2
@@ -326,7 +323,12 @@ def build_parser():
 
 
 def main(argv=None, out=None):
-    ns = build_parser().parse_args(argv)
+    try:  # the parser lists the catalog's groups, so it loads the catalog
+        parser = build_parser()
+    except CatalogError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    ns = parser.parse_args(argv)
     return ns.func(ns, out if out is not None else sys.stdout)
 
 

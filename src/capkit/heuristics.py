@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quadform import prime_factors
+from .abgroup import is_prime
 
 
 class HeuristicsError(ValueError):
@@ -52,7 +52,7 @@ MAX_P = 10 ** 12
 
 
 def _check_prime(p):
-    if not 2 <= p <= MAX_P or prime_factors(p) != [p]:
+    if not (p <= MAX_P and is_prime(p)):
         raise HeuristicsError("p must be a prime <= %d, got %d" % (MAX_P, p))
 
 

@@ -14,7 +14,15 @@ u is number sum_m e_m w_m with w_m = p^(n-1-m), so g_m adds w_m.  PcGroup
 keeps one integer column per generator, _cols[k][i] = the number of u_i g_k,
 and _index maps each exponent tuple to its number.  mult applies the letters
 of v to the number of u, one lookup each; a set of words is a list of
-numbers mapped one letter, one column, at a time.
+numbers mapped one letter, one column, at a time.  The columns are
+PcGroup's only multiplication data.
+
+Inverses.  Multiplying by g_k changes no exponent before position k (see
+below), so inv clears u's exponents from the left by right collection: at
+step k the running number i has i // w_k = e_k, and column k is applied
+v_k = (p - e_k) mod p times.  Then u g_0^v_0 ... g_{n-1}^v_{n-1} = 1, so v
+is the exponent tuple of u^-1 (Sims, Computation with Finitely Presented
+Groups, ch. 9).
 
 Filling a column.  u g_k is what collection from the left on the exponent
 vector of u gives:
@@ -62,9 +70,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt
 
-from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure)
+from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
+                      is_prime)
 
 
 class PresentationError(ValueError):
@@ -86,11 +94,6 @@ def _mapped(nums, cols):
     return nums
 
 
-def _is_prime(p):
-    return isinstance(p, int) and p >= 2 and \
-        all(p % d for d in range(2, isqrt(p) + 1))
-
-
 class PcGroup:
     """Finite p-group with a consistent polycyclic presentation.
 
@@ -101,7 +104,7 @@ class PcGroup:
     """
 
     def __init__(self, p, ngens, power_tails, conj_tails, name=None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise PresentationError("p = %r is not a prime" % (p,))
         if not isinstance(ngens, int) or ngens < 0:
             raise PresentationError("ngens = %r is not a count of generators"
@@ -111,7 +114,7 @@ class PcGroup:
         self.name = name
         if isinstance(power_tails, dict):
             for i in power_tails:
-                if not 0 <= i < ngens:
+                if not (isinstance(i, int) and 0 <= i < ngens):
                     raise PresentationError("power tail key %r is not a "
                                             "generator index 0..%d"
                                             % (i, ngens - 1))
@@ -119,27 +122,42 @@ class PcGroup:
         elif len(power_tails) != ngens:
             raise PresentationError("%d power tails for %d generators"
                                     % (len(power_tails), ngens))
-        self.power_tails = [tuple(t) for t in power_tails]
-        self.conj_tails = {k: tuple(v) for k, v in conj_tails.items() if v}
-        self._validate_tails()
+        self.power_tails = [self._tail(t, i, "power tail of g%d" % (i + 1))
+                            for i, t in enumerate(power_tails)]
+        self.conj_tails = {}
+        for key, tail in conj_tails.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(isinstance(g, int) for g in key)
+                    and 0 <= key[1] < key[0] < ngens):
+                raise PresentationError("commutator key %r is not a pair j > i"
+                                        " of generator indices 0..%d"
+                                        % (key, ngens - 1))
+            tail = self._tail(tail, key[0], "commutator tail [g%d,g%d]"
+                              % (key[0] + 1, key[1] + 1))
+            if tail:
+                self.conj_tails[key] = tail
+        self._gens = tuple(tuple(int(j == i) for j in range(ngens))
+                           for i in range(ngens))
         self._index_p_subgroups = None
         self._build()
 
     # -- presentation plumbing -------------------------------------------
 
-    def _validate_tails(self):
-        for i, tail in enumerate(self.power_tails):
-            for g, e in tail:
-                if not (i < g < self.n) or not (1 <= e < self.p):
-                    raise PresentationError(
-                        "power tail of g%d uses invalid letter g%d^%d" % (i + 1, g + 1, e))
-        for (j, i), tail in self.conj_tails.items():
-            if not (0 <= i < j < self.n):
-                raise PresentationError("commutator [g%d,g%d] out of order" % (j + 1, i + 1))
-            for g, e in tail:
-                if not (j < g < self.n) or not (1 <= e < self.p):
-                    raise PresentationError(
-                        "commutator tail [g%d,g%d] uses invalid letter" % (j + 1, i + 1))
+    def _tail(self, word, above, what):
+        """word as a tuple of (generator, exponent) pairs, checked."""
+        try:
+            pairs = tuple((g, e) for g, e in word)
+        except (TypeError, ValueError):
+            raise PresentationError("%s is not a sequence of (generator, "
+                                    "exponent) pairs" % what) from None
+        for g, e in pairs:
+            if not (isinstance(g, int) and isinstance(e, int)):
+                raise PresentationError("%s holds the non-integer letter %r"
+                                        % (what, (g, e)))
+            if not (above < g < self.n and 1 <= e < self.p):
+                raise PresentationError("%s uses invalid letter g%d^%d"
+                                        % (what, g + 1, e))
+        return pairs
 
     # the normal words by number and the numbers by word, built on first use:
     # loading the catalog needs neither
@@ -217,9 +235,6 @@ class PcGroup:
                 raise PresentationError("presentation inconsistent: overlap "
                                         "%s fails" % name)
 
-    def _gen_vec(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.n))
-
     # -- group operations -------------------------------------------------
 
     @property
@@ -234,7 +249,7 @@ class PcGroup:
         return list(self._elements)
 
     def generators(self):
-        return [self._gen_vec(i) for i in range(self.n)]
+        return list(self._gens)
 
     def mult(self, u, v):
         """u v: the letters of v applied to the number of u, at most n(p-1)
@@ -246,18 +261,17 @@ class PcGroup:
         return self._elements[i]
 
     def inv(self, u):
-        """u^-1: the letters of u undone in reverse order."""
-        i = 0
-        for col, e in zip(reversed(self._inv_cols), reversed(u)):
+        """u^-1 by right collection (module docstring), at most n(p-1)
+        lookups."""
+        p, i, w = self.p, self._index[u], self.order
+        v = []
+        for col in self._cols:
+            w //= p
+            e = -(i // w) % p
             for _ in range(e):
                 i = col[i]
-        return self._elements[i]
-
-    @cached_property
-    def _inv_cols(self):
-        """_inv_cols[k][i] = the number of u_i g_k^-1, built on first use."""
-        return [sorted(range(len(col)), key=col.__getitem__)
-                for col in self._cols]
+            v.append(e)
+        return tuple(v)
 
     def _letter_cols(self, u):
         """The column of each letter of u, in order."""
@@ -297,7 +311,7 @@ class PcGroup:
         for g, e in word:
             if not 0 <= g < self.n:
                 raise PresentationError("letter g%d out of range" % (g + 1))
-            w = self.mult(w, self.power(self._gen_vec(g), e))
+            w = self.mult(w, self.power(self._gens[g], e))
         return w
 
     # -- subgroup machinery ------------------------------------------------
@@ -328,7 +342,7 @@ class PcGroup:
     def as_subgroup(self):
         """G as a SubgroupDescriptor of itself: G' and G/G' are its cached
         derived and abelianization, computed as for any subgroup."""
-        return SubgroupDescriptor(self, tuple(self.generators()),
+        return SubgroupDescriptor(self, self._gens,
                                   frozenset(self._elements), 1)
 
     def derived_subgroup(self):
@@ -482,8 +496,6 @@ def subgroups_index_p_above_derived(G: PcGroup):
             elems = [x for x, im in images
                      if sum(a * b for a, b in zip(phi, im)) % p == 0]
             subs.append(SubgroupDescriptor.from_elements(G, elems))
-        if len(subs) != (p ** r - 1) // (p - 1):
-            raise PresentationError("wrong number of index-p subgroups above G'")
         G._index_p_subgroups = tuple(subs)
     return list(G._index_p_subgroups)
 
@@ -496,12 +508,13 @@ def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
     first."""
     label = H.coset_label
     ident = G.identity
+    gens = G.generators()
     trans = {label[ident]: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for t in frontier:
-            for g in G.generators():
+            for g in gens:
                 u = G.mult(t, g)
                 key = label[u]
                 if key not in trans:
@@ -578,8 +591,6 @@ class CapitulationEntry:
 def _line_subgroups(A: AbelianGroup, p):
     """The p+1 order-p subgroups of a rank-2 abelian p-group, in canonical
     line order of the p-torsion."""
-    if A.ngens != 2:
-        raise PresentationError("line subgroups need an abelian group of rank 2")
     d1, d2 = A.invariant_factors
     return [Subgroup.from_generators(A, [(v[0] * d1 // p, v[1] * d2 // p)])
             for v in normalized_lines(p, 2)]

@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 import pytest
 
 from capkit import cli
+from capkit.catalog import parse_catalog
 from capkit.cli import (PatternClass, classify_capitulation_pattern, main)
 from capkit.fixtures import reference_discriminants, reference_table
 from capkit.quadform import Discriminant, is_fundamental
@@ -489,6 +490,17 @@ class TestCli:
         assert err.startswith("error: cannot write store ")
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [["--help"], ["classgroup", "-23"]])
+    def test_invalid_catalog_exits_2(self, capsys, monkeypatch, args):
+        # build_parser loads the catalog for every command; an edit that
+        # breaks it used to end even `capkit --help` in a traceback
+        monkeypatch.setattr(cli, "load_catalog", lambda: parse_catalog(
+            "group X prime 4 ngens 1\ng1^4 = 1\n"))
+        code, text = run_cli(args)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == \
+            "error: group X: p = 4 is not a prime\n"
 
     def test_verify_table(self):
         code, text = run_cli(["verify-table"])

@@ -10,6 +10,7 @@ import pytest
 
 from capkit.abgroup import abelian_structure
 from capkit.catalog import CatalogError, get_group, load_catalog, parse_catalog
+from capkit.pcgroup import PresentationError
 
 
 def fingerprint(G):
@@ -64,6 +65,18 @@ class TestParser:
     def test_comments_and_blank_lines_ignored(self):
         text = "# header comment\n\ngroup X prime 2 ngens 1\ng1^2 = 1\n\n# tail\n"
         assert list(parse_catalog(text)) == ["X"]
+
+    @pytest.mark.parametrize("block, message", [
+        ("group X prime 4 ngens 1\ng1^4 = 1", r"group X: p = 4 is not a prime"),
+        ("group Y prime 3 ngens 4\ng1^3 = g3\n[g3,g2] = g4",
+         r"group Y: presentation inconsistent: overlap .* fails"),
+    ])
+    def test_rejected_block_is_named(self, block, message):
+        # PcGroup's error used to escape without the name of the block
+        text = "group A prime 3 ngens 1\ng1^3 = 1\n\n%s\n" % block
+        with pytest.raises(CatalogError, match="^%s$" % message) as info:
+            parse_catalog(text)
+        assert isinstance(info.value.__cause__, PresentationError)
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(CatalogError, match="unknown catalog group"):

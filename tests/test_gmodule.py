@@ -391,6 +391,24 @@ class TestRelativeDatum:
         with pytest.raises(GModuleError):
             make_relative_datum(G, small)
 
+    def test_index_p_subgroups_are_normal_and_contain_the_derived(self):
+        # why make_relative_datum tests G' <= H and no normality: in a
+        # p-group every subgroup of index p contains G', hence is normal.
+        # Oracle: random closures, each conjugate h^g (h in H, g a
+        # generator of G) looked up in H
+        rng = random.Random(1)
+        found = 0
+        for name, G in sorted(load_catalog().items()):
+            der, elements = G.derived_subgroup(), G.elements()
+            for _ in range(30):
+                H = G.closure(rng.choices(elements, k=rng.randint(1, 3)))
+                if len(H) * G.p == G.order:
+                    found += 1
+                    assert der <= H, name
+                    assert all(G.conjugate(h, g) in H
+                               for g in G.generators() for h in H), name
+        assert found >= 200, found
+
     def test_subgroup_of_another_group_is_rejected(self):
         H = subgroups_index_p_above_derived(get_group("M27"))[0]
         with pytest.raises(PresentationError):

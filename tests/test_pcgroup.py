@@ -13,7 +13,9 @@ Oracles:
     a rejection names is checked to be the first whose two sides differ;
   - the right-multiplication columns, filled by strided slices, are
     compared against a word-rewriting collector that rescans the whole
-    letter list from the left after every rewrite.
+    letter list from the left after every rewrite;
+  - inv, read off the columns by right collection, is compared with
+    power(u, -1) = u^(|G| - 1), a product of forward multiplications.
 """
 
 import hashlib
@@ -166,6 +168,21 @@ class TestPresentationValidation:
         # -1 used to raise a bare ValueError from itertools.product
         with pytest.raises(PresentationError, match="not a count"):
             PcGroup(3, ngens, {}, {})
+
+    @pytest.mark.parametrize("power, conj, part", [
+        ({}, {(1,): ((1, 1),)}, r"commutator key \(1,\) "),
+        ({0: ((1,),)}, {}, "power tail of g1 "),
+        ({0: ((1, 1.0),)}, {}, r"power tail of g1 .* \(1, 1\.0\)$"),
+        ({0: 5}, {}, "power tail of g1 "),
+        ({}, {(0, 1): ()}, r"commutator key \(0, 1\) "),
+        ({}, {(7, 0): ()}, r"commutator key \(7, 0\) "),
+    ])
+    def test_rejects_malformed_presentation_parts(self, power, conj, part):
+        # the first two raised a bare ValueError, the next two a TypeError;
+        # an empty commutator tail was dropped before its key was checked,
+        # so the last two built
+        with pytest.raises(PresentationError, match=part):
+            PcGroup(3, 2, power, conj)
 
     def test_rejects_inconsistent_presentation(self):
         # g1^3 = g3 together with [g3,g2] = g4 admits no group of order 3^4
@@ -472,6 +489,27 @@ class TestProofAgainstRelatorCheck:
                 assert_names_first_failing_overlap(unproven, str(G))
             verdicts[proven] += 1
         assert verdicts[True] >= 80 and verdicts[False] >= 80, verdicts
+
+
+class TestInverse:
+    @staticmethod
+    def groups():
+        yield from load_catalog().values()
+        yield PcGroup(*MAXIMAL_CLASS_5_5)
+        for _, G in random_presentations(2013, 250):
+            if isinstance(G, PcGroup):
+                yield G
+
+    def test_inverse_is_the_power_minus_one(self):
+        # oracle: power(u, -1) = u^(|G| - 1), by products on the columns
+        checked = 0
+        for G in self.groups():
+            for u in G.elements():
+                v = G.inv(u)
+                assert v == G.power(u, -1), (G.p, G.n, u)
+                assert G.mult(u, v) == G.identity, (G.p, G.n, u)
+            checked += 1
+        assert checked >= 36 + 1 + 80, checked
 
 
 class TestPower:
