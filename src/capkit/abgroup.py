@@ -43,15 +43,14 @@ def transpose(A):
 
 
 def smith_normal_form(M):
-    """Return (D, U, V, Uinv) with U*M*V = D, U and V unimodular, Uinv the
-    inverse of U, D diagonal with D[0][0] | D[1][1] | ... .  Pivoting picks
-    the smallest nonzero entry."""
+    """Return (D, U, Uinv) with D = U*M*V for some unimodular V, U unimodular,
+    Uinv the inverse of U, D diagonal with D[0][0] | D[1][1] | ... .
+    Pivoting picks the smallest nonzero entry."""
     A = [list(row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     U = _identity(m)
     Uinv = _identity(m)  # each row operation on U is undone on its columns
-    V = _identity(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -62,8 +61,6 @@ def smith_normal_form(M):
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):  # row_i += q * row_j
         A[i] = [a + q * b for a, b in zip(A[i], A[j])]
@@ -73,8 +70,6 @@ def smith_normal_form(M):
 
     def add_col(i, j, q):  # col_i += q * col_j
         for row in A:
-            row[i] += q * row[j]
-        for row in V:
             row[i] += q * row[j]
 
     t = 0
@@ -133,22 +128,7 @@ def smith_normal_form(M):
             for row in Uinv:
                 row[t] = -row[t]
         t += 1
-    return A, U, V, Uinv
-
-
-def right_kernel(A):
-    """Basis (list of vectors) of {x : A x = 0} over Z."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    D, U, V, _ = smith_normal_form(A)
-    basis = []
-    for j in range(n):
-        d = D[j][j] if j < min(m, n) else 0
-        if d == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
+    return A, U, Uinv
 
 
 def hnf_rows(vectors, n):
@@ -202,7 +182,7 @@ def quotient_coords(relation_rows, ngens):
     if not rels:
         raise AbgroupError("quotient is infinite")
     M = transpose(rels)  # relations as columns, ngens x r
-    D, U, V, Uinv = smith_normal_form(M)
+    D, U, Uinv = smith_normal_form(M)
     r = len(rels)
     diag = [D[i][i] if i < min(ngens, r) else 0 for i in range(ngens)]
     if any(d == 0 for d in diag):
@@ -325,18 +305,14 @@ class Homomorphism:
         return self._plus(other, -1, "difference")
 
     def kernel(self):
-        ks = self.source.ngens
-        kt = self.target.ngens
-        if ks == 0:
-            return Subgroup.trivial(self.source)
-        if kt == 0:
-            return Subgroup.full(self.source)
-        block = [list(self.matrix[i]) +
-                 [self.target.invariant_factors[i] if j == i else 0
-                  for j in range(kt)]
-                 for i in range(kt)]
-        gens = [vec[:ks] for vec in right_kernel(block)]
-        return Subgroup.from_generators(self.source, gens)
+        """The x with M x in diag(d) Z^kt: tails of the rows (M e_j, e_j)
+        and (d_i e_i, 0) whose target part is zero."""
+        ks, dt = self.source.ngens, self.target.invariant_factors
+        rows = [[row[j] for row in self.matrix] + [int(i == j) for i in range(ks)]
+                for j in range(ks)]
+        rows += [[d if i == j else 0 for i in range(len(dt))] + [0] * ks
+                 for j, d in enumerate(dt)]
+        return Subgroup._zero_head_tails(self.source, rows)
 
     # Equal maps share one entry: classify_growth builds the same norm and
     # power maps afresh for every datum.
@@ -399,6 +375,16 @@ class Subgroup:
         return cls.from_generators(ambient, [])
 
     @classmethod
+    def _zero_head_tails(cls, ambient, rows):
+        """Subgroup of the tails t, the last ambient.ngens entries, of the
+        vectors (0, t) in the span of rows.  In echelon order these are the
+        last HNF rows, so the tails are already the canonical basis."""
+        k = ambient.ngens
+        n = len(rows[0]) if rows else k
+        return cls(ambient, tuple(r[n - k:] for r in hnf_rows(rows, n)
+                                  if not any(r[:n - k])))
+
+    @classmethod
     def full(cls, ambient):
         k = ambient.ngens
         return cls(ambient, tuple(tuple(int(i == j) for j in range(k))
@@ -446,14 +432,11 @@ class Subgroup:
     def intersection(self, other):
         if other.ambient != self.ambient:
             raise AbgroupError("ambient mismatch")
+        # Zassenhaus: (b + c, b) with zero head has b = -c in both lattices
         k = self.ambient.ngens
-        stacked = [list(r) for r in self.basis] + \
-                  [[-x for x in r] for r in other.basis]
-        # left kernel of `stacked`: rows (y, z) with y*B1 = z*B2
-        gens = [[sum(y[i] * self.basis[i][c] for i in range(len(self.basis)))
-                 for c in range(k)]
-                for y in right_kernel(transpose(stacked))]
-        return Subgroup.from_generators(self.ambient, gens)
+        rows = [list(b) * 2 for b in self.basis] + \
+               [list(c) + [0] * k for c in other.basis]
+        return Subgroup._zero_head_tails(self.ambient, rows)
 
     def _relation_rows(self):
         """Rows of diag(d) expressed in the basis of the lattice."""

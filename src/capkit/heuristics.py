@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .abgroup import is_prime
 
@@ -51,6 +52,10 @@ class RankDistribution:
 MAX_P = 10 ** 12
 
 
+# The builders check p before they divide by it, and the RankDistribution
+# they return checks it again.  A rejected p raises on every call; typed, so
+# that an accepted 3 does not let 3.0 through.
+@lru_cache(maxsize=None, typed=True)
 def _check_prime(p):
     if not (p <= MAX_P and is_prime(p)):
         raise HeuristicsError("p must be a prime <= %d, got %d" % (MAX_P, p))

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
                       is_prime)
@@ -350,10 +350,12 @@ class PcGroup:
 
     def derived_of(self, gens):
         """Derived subgroup of the subgroup H generated by gens: the normal
-        closure in H of the commutators [a, b], a, b in gens."""
+        closure in H of the commutators [a, b], a before b in gens: [a, a]
+        is 1 and [b, a] is the inverse of [a, b]."""
         gens = list(gens)
         normal_gens, closed = [], frozenset({self.identity})
-        pending = [self.commutator(a, b) for a in gens for b in gens]
+        pending = [self.commutator(a, b)
+                   for a, b in itertools.combinations(gens, 2)]
         while pending:
             x = pending.pop()
             if x not in closed:
@@ -384,10 +386,10 @@ class PcGroup:
             return rep[self.mult(a, b)]
 
         res = abelian_structure(reps, qop, rep[self.identity])
-        coords = {r: res.coords(r) for r in reps}  # proj is called per element
+        coords = cache(res.coords)  # proj meets only a few cosets
 
         def proj(x):
-            return coords[rep[x]]
+            return coords(rep[x])
 
         return res.group, proj, res.generators
 

@@ -1,14 +1,17 @@
 """Exact integer linear algebra and finite abelian group structure.
 
-The Smith normal form is checked against first principles (D = U M V with
-unimodular U, V and a divisibility chain, and U^-1 against an elimination
+The Smith normal form is checked against first principles (U M and D span
+the same column lattice with U unimodular, D's diagonal is the quotient of
+successive determinantal divisors, and U^-1 is checked against an elimination
 over the rationals) rather than against any fixed output, so the oracle is
-independent of the implementation's pivoting.
+independent of the implementation's pivoting.  Kernels and intersections are
+checked against their element sets, found by enumeration.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,8 @@ from hypothesis import strategies as st
 
 from capkit.abgroup import (AbelianGroup, AbgroupError, Homomorphism,
                             Subgroup, abelian_structure, hnf_rows, hom_power,
-                            identity_hom, power_hom,
-                            quotient_coords, right_kernel, smith_normal_form,
-                            zero_hom)
+                            identity_hom, power_hom, quotient_coords,
+                            smith_normal_form, transpose, zero_hom)
 
 
 def invert_unimodular(U):
@@ -79,16 +81,32 @@ matrices = st.integers(1, 4).flatmap(
             min_size=n, max_size=n)))
 
 
+def determinantal_divisors(M):
+    """gcd of the k x k minors of M for k = 1 .. min(rows, cols)."""
+    n, m = len(M), len(M[0])
+    out = []
+    for k in range(1, min(n, m) + 1):
+        g = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(m), k):
+                minor = det_fraction([[M[i][j] for j in cols] for i in rows])
+                g = gcd(g, int(minor))
+        out.append(g)
+    return out
+
+
 class TestSmithNormalForm:
     @given(matrices)
     @settings(max_examples=150, deadline=None)
     def test_factorization_and_chain(self, M):
         n, m = len(M), len(M[0])
-        D, U, V, Uinv = smith_normal_form(M)
-        assert mat_mul(mat_mul(U, M), V) == D
+        D, U, Uinv = smith_normal_form(M)
+        # D = U M V for a unimodular V exactly when U M and D span the same
+        # lattice of columns
+        assert hnf_rows(transpose(mat_mul(U, M)), n) == \
+            hnf_rows(transpose(D), n)
         assert Uinv == invert_unimodular(U)
         assert abs(det_fraction(U)) == 1
-        assert abs(det_fraction(V)) == 1
         diag = [D[i][i] for i in range(min(n, m))]
         for i in range(n):
             for j in range(m):
@@ -100,26 +118,24 @@ class TestSmithNormalForm:
                 assert b % a == 0
             else:
                 assert b == 0
+        # d_k = Delta_k / Delta_(k-1), and 0 once the minors vanish
+        prev = 1
+        for d, delta in zip(diag, determinantal_divisors(M)):
+            assert d == (delta // prev if prev else 0)
+            prev = delta
 
     def test_known_diagonal(self):
-        D, _, _, _ = smith_normal_form([[2, 0], [0, 4]])
+        D, _, _ = smith_normal_form([[2, 0], [0, 4]])
         assert [D[0][0], D[1][1]] == [2, 4]
-        D, _, _, _ = smith_normal_form([[2, 0], [0, 3]])
+        D, _, _ = smith_normal_form([[2, 0], [0, 3]])
         assert [D[0][0], D[1][1]] == [1, 6]
 
     def test_zero_matrix(self):
-        D, U, V, _ = smith_normal_form([[0, 0], [0, 0]])
+        D, _, _ = smith_normal_form([[0, 0], [0, 0]])
         assert D == [[0, 0], [0, 0]]
 
 
 class TestLinearSolvers:
-    @given(matrices)
-    @settings(max_examples=80, deadline=None)
-    def test_right_kernel_annihilates(self, A):
-        for k in right_kernel(A):
-            assert any(k)
-            assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in A)
-
     def test_invert_unimodular(self):
         U = [[2, 1], [1, 1]]
         Ui = invert_unimodular(U)
@@ -312,6 +328,52 @@ class TestSubgroup:
             assert rebuilt == e
             seen.add(c)
         assert len(seen) == H.order()
+
+
+oracle_groups = st.sampled_from([(), (2,), (2, 4), (3, 9), (2, 2, 4), (3, 3, 3)])
+
+
+def span_by_closure(A, gens):
+    """Element set of the subgroup of A generated by gens, closed under
+    addition by breadth-first search."""
+    seen = {A.zero()}
+    frontier = [A.zero()]
+    while frontier:
+        frontier = [y for y in {A.add(x, A.reduce(g))
+                                for x in frontier for g in gens}
+                    if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+class TestLatticeOracles:
+    """Kernels and intersections, which the Hermite form computes, against
+    element sets found by enumeration."""
+
+    @given(oracle_groups, oracle_groups, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_is_the_zero_set(self, src, tgt, data):
+        A, B = AbelianGroup(src), AbelianGroup(tgt)
+        # entry (i, j) is a multiple of d_i / gcd(d_i, d_j), so that the
+        # order of source generator j kills its image
+        mat = [[di // gcd(di, dj) * data.draw(st.integers(0, di - 1))
+                for dj in src] for di in tgt]
+        h = Homomorphism(A, B, mat)
+        ker = h.kernel()
+        assert set(ker.elements()) == \
+            {x for x in A.elements() if h(x) == B.zero()}
+
+    @given(oracle_groups, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_intersection_is_the_common_set(self, invs, data):
+        A = AbelianGroup(invs)
+        gen_lists = st.lists(st.sampled_from(list(A.elements())), max_size=3)
+        g1, g2 = data.draw(gen_lists), data.draw(gen_lists)
+        H = Subgroup.from_generators(A, g1)
+        K = Subgroup.from_generators(A, g2)
+        common = span_by_closure(A, g1) & span_by_closure(A, g2)
+        assert set(H.intersection(K).elements()) == common
+        assert H.intersection(K) == K.intersection(H)
 
 
 def element_order(x, op, identity):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capkit import heuristics
+from capkit.abgroup import is_prime
 from capkit.heuristics import (MAX_P, HeuristicsError, RankDistribution,
                                compare_distributions,
                                monte_carlo_rank_distribution,
@@ -54,6 +56,24 @@ def test_non_prime_p_is_rejected(p):
         monte_carlo_rank_distribution(p, 10, seed=1)
     with pytest.raises(HeuristicsError):
         RankDistribution(p, 1, ((2, Fraction(1)),))
+
+
+@pytest.mark.parametrize("build", [
+    predicted_rank_distribution,
+    lambda p: monte_carlo_rank_distribution(p, 10, seed=1)])
+def test_each_build_tests_p_at_most_once(build, monkeypatch):
+    # the builders and the RankDistribution they return both check p
+    heuristics._check_prime.cache_clear()
+    calls = []
+    monkeypatch.setattr(heuristics, "is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    for p in (1000003, 1000003, 7):
+        before = len(calls)
+        build(p)
+        assert len(calls) - before <= 1
+    assert calls.count(1000003) == 1
+    with pytest.raises(HeuristicsError):
+        RankDistribution(7.0, 1, ((2, Fraction(1)),))  # 7 was accepted
 
 
 class TestMonteCarlo:
