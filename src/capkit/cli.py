@@ -77,6 +77,16 @@ def _scan_chunk(args):
             for s in class_group_structures(discs)]
 
 
+def _scan_parts(work, jobs):
+    """The records of each chunk of work, in order, as they are computed."""
+    if jobs > 1 and work:
+        import multiprocessing  # only --jobs > 1 pays for the import
+        with multiprocessing.Pool(jobs) as pool:
+            yield from pool.imap(_scan_chunk, work)
+    else:
+        yield from map(_scan_chunk, work)
+
+
 # Every class number in range is below this, so a larger p gives rank 0;
 # the bound also keeps the trial-division primality test short.
 MAX_PRIME = 10 ** 8
@@ -157,18 +167,17 @@ def cmd_scan(ns, out):
         except OSError as exc:
             return _write_error(ns.store, exc)
 
-    if ns.jobs > 1 and work:
-        import multiprocessing  # only --jobs > 1 pays for the import
-        with multiprocessing.Pool(ns.jobs) as pool:
-            parts = pool.map(_scan_chunk, work)
-    else:
-        parts = [_scan_chunk(w) for w in work]
-    fresh = [rec for part in parts for rec in part]
-    if fresh:
+    # each chunk is stored as it arrives, so a killed scan keeps the chunks
+    # before it and a resume computes only the rest
+    fresh = []
+    parts = _scan_parts(work, ns.jobs)
+    for part in parts:
         try:
-            append_records(ns.store, fresh)
+            append_records(ns.store, part)
         except OSError as exc:
+            parts.close()
             return _write_error(ns.store, exc)
+        fresh += part
 
     relevant += fresh
     hist = Counter(r.rank for r in relevant)

@@ -454,7 +454,7 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
         raise GModuleError("subgroup must contain the derived subgroup")
 
     A_K, proj_G, _ = G.abelianization()
-    lift = transfer(G, H).hom
+    lift = transfer(G, H)
     A_L, proj_H, gens_H = H.abelianization
 
     norm = Homomorphism(A_L, A_K, [[proj_G(g)[i] for g in gens_H]

@@ -1,28 +1,29 @@
 """Finite p-groups from consistent polycyclic presentations.
 
 Every generator has relative order p, so the group has order p^n and each
-element a unique normal word g1^e1 ... gn^en with 0 <= ei < p, stored as the
-exponent tuple (e1, ..., en).  Stored relations:
+element a unique normal word g1^e1 ... gn^en with 0 <= ei < p.  Stored
+relations:
 
     power:      gi^p   = tail word in g_{i+1} .. g_n
     commutator: [gj,gi] = tail word in g_{j+1} .. g_n   (i < j)
 
 with [x, y] = x^-1 y^-1 x y, so gj gi = gi gj^gi with gj^gi = gj [gj,gi].
 
-Numbering.  The N = p^n normal words are numbered in exponent-vector order:
-u is number sum_m e_m w_m with w_m = p^(n-1-m), so g_m adds w_m.  PcGroup
-keeps one integer column per generator, _cols[k][i] = the number of u_i g_k,
-and _index maps each exponent tuple to its number.  mult applies the letters
-of v to the number of u, one lookup each; a set of words is a list of
-numbers mapped one letter, one column, at a time.  The columns are
-PcGroup's only multiplication data.
+Numbering.  An element is the number of its normal word in exponent-vector
+order: u = sum_m e_m w_m with w_m = p^(n-1-m), so the exponents of u are its
+base-p digits, g_m is w_m, the identity is 0 and numbers sort as exponent
+vectors do.  PcGroup.exponents(u) gives the exponent tuple, for display.
+PcGroup keeps one integer column per generator, _cols[k][u] = u g_k.  mult
+applies the letters of v, its digits, to u, one lookup each; a set of
+elements is a list of numbers mapped one letter, one column, at a time.
+The columns are PcGroup's only multiplication data.
 
 Inverses.  Multiplying by g_k changes no exponent before position k (see
 below), so inv clears u's exponents from the left by right collection: at
 step k the running number i has i // w_k = e_k, and column k is applied
-v_k = (p - e_k) mod p times.  Then u g_0^v_0 ... g_{n-1}^v_{n-1} = 1, so v
-is the exponent tuple of u^-1 (Sims, Computation with Finitely Presented
-Groups, ch. 9).
+v_k = (p - e_k) mod p times.  Then u g_0^v_0 ... g_{n-1}^v_{n-1} = 1, so
+u^-1 = sum_k v_k w_k (Sims, Computation with Finitely Presented Groups,
+ch. 9).
 
 Filling a column.  u g_k is what collection from the left on the exponent
 vector of u gives:
@@ -136,8 +137,7 @@ class PcGroup:
                               % (key[0] + 1, key[1] + 1))
             if tail:
                 self.conj_tails[key] = tail
-        self._gens = tuple(tuple(int(j == i) for j in range(ngens))
-                           for i in range(ngens))
+        self._gens = tuple(p ** (ngens - 1 - m) for m in range(ngens))  # w_m
         self._index_p_subgroups = None
         self._build()
 
@@ -159,22 +159,11 @@ class PcGroup:
                                         % (what, g + 1, e))
         return pairs
 
-    # the normal words by number and the numbers by word, built on first use:
-    # loading the catalog needs neither
-    @cached_property
-    def _elements(self):
-        return list(itertools.product(range(self.p), repeat=self.n))
-
-    @cached_property
-    def _index(self):
-        return dict(zip(self._elements, range(self.order)))
-
     def _build(self):
         # the slice fill of the module docstring, from g_n down to g_1; each
         # letter of a power tail or conjugate lies above k, so its column is
         # finished
-        p, n, size = self.p, self.n, self.order
-        weight = [p ** (n - 1 - m) for m in range(n)]  # the number of g_m
+        p, n, size, weight = self.p, self.n, self.order, self._gens
         cols = [None] * n
         for k in reversed(range(n)):
             col = [0] * size
@@ -237,45 +226,56 @@ class PcGroup:
 
     # -- group operations -------------------------------------------------
 
-    @property
-    def identity(self):
-        return (0,) * self.n
+    identity = 0
 
     @property
     def order(self):
         return self.p ** self.n
 
     def elements(self):
-        return list(self._elements)
+        return range(self.order)
 
     def generators(self):
         return list(self._gens)
 
+    def exponents(self, u):
+        """The exponent tuple (e1, ..., en) of u: its base-p digits."""
+        e = []
+        for w in self._gens:
+            d, u = divmod(u, w)
+            e.append(d)
+        return tuple(e)
+
     def mult(self, u, v):
-        """u v: the letters of v applied to the number of u, at most n(p-1)
-        lookups."""
-        i = self._index[u]
-        for col, e in zip(self._cols, v):
-            for _ in range(e):
-                i = col[i]
-        return self._elements[i]
+        """u v: the letters of v applied to u, at most n(p-1) lookups.  v
+        holds e_k letters g_k, its base-p digits, so column k is applied
+        while w_k still fits in what is left of v."""
+        for col, w in zip(self._cols, self._gens):
+            while v >= w:
+                v -= w
+                u = col[u]
+        return u
 
     def inv(self, u):
         """u^-1 by right collection (module docstring), at most n(p-1)
         lookups."""
-        p, i, w = self.p, self._index[u], self.order
-        v = []
+        p, v, w = self.p, 0, self.order
         for col in self._cols:
             w //= p
-            e = -(i // w) % p
+            e = -(u // w) % p
             for _ in range(e):
-                i = col[i]
-            v.append(e)
-        return tuple(v)
+                u = col[u]
+            v += e * w
+        return v
 
     def _letter_cols(self, u):
-        """The column of each letter of u, in order."""
-        return [col for col, e in zip(self._cols, u) for _ in range(e)]
+        """The column of each letter of u, in order, read as in mult."""
+        out = []
+        for col, w in zip(self._cols, self._gens):
+            while u >= w:
+                u -= w
+                out.append(col)
+        return out
 
     def power(self, u, k):
         """u^k for any integer k; u^|G| = 1, so k is taken mod |G|, then
@@ -305,8 +305,8 @@ class PcGroup:
         return self.mult(self.mult(self.inv(t), x), t)
 
     def collect(self, word):
-        """Normal form of a word given as ((gen_index, exponent), ...);
-        exponents may be any integers."""
+        """The element that a word given as ((gen_index, exponent), ...)
+        collects to; exponents may be any integers."""
         w = self.identity
         for g, e in word:
             if not 0 <= g < self.n:
@@ -325,7 +325,7 @@ class PcGroup:
         """Subgroup generated by gens, given the subgroup sub generated by
         the gens not in new: walks only sub*new outside sub and its reach,
         each step a list of numbers mapped through a generator's letters."""
-        seen = set(map(self._index.__getitem__, sub))
+        seen = set(sub)
         frontier = list(seen)
         step = [self._letter_cols(g) for g in new]
         gen_cols = [self._letter_cols(g) for g in gens]
@@ -336,14 +336,14 @@ class PcGroup:
             reached -= seen
             seen |= reached
             frontier, step = list(reached), gen_cols
-        return frozenset(map(self._elements.__getitem__, seen))
+        return frozenset(seen)
 
     @cached_property
     def as_subgroup(self):
         """G as a SubgroupDescriptor of itself: G' and G/G' are its cached
         derived and abelianization, computed as for any subgroup."""
         return SubgroupDescriptor(self, self._gens,
-                                  frozenset(self._elements), 1)
+                                  frozenset(self.elements()), 1)
 
     def derived_subgroup(self):
         return self.as_subgroup.derived
@@ -363,16 +363,6 @@ class PcGroup:
                 closed = self._grow(closed, normal_gens, [x])
                 pending.extend(self.conjugate(x, a) for a in gens)
         return closed
-
-    def is_metabelian(self):
-        der = SubgroupDescriptor.from_elements(self, self.derived_subgroup())
-        return all(self.mult(x, y) == self.mult(y, x)
-                   for x in der.generators for y in der.generators)
-
-    def center_size(self):
-        gens = self.generators()
-        return sum(1 for z in self._elements
-                   if all(self.mult(z, g) == self.mult(g, z) for g in gens))
 
     def quotient_structure(self, subset_elements, normal_subgroup):
         """Abelian structure of subset/normal_subgroup (the quotient must be
@@ -399,14 +389,13 @@ class PcGroup:
         ascending order, the first unlabelled x of a coset is its least
         element; it labels the whole coset, the numbers of subgroup mapped
         through the letters of x."""
-        index, words = self._index, self._elements
-        hs = list(map(index.__getitem__, subgroup))
+        hs = list(subgroup)
         label = {}
-        for x in sorted(map(index.__getitem__, elements)):
+        for x in sorted(elements):
             if x not in label:
                 label.update(dict.fromkeys(
-                    _mapped(hs, self._letter_cols(words[x])), x))
-        return {words[y]: words[x] for y, x in label.items()}
+                    _mapped(hs, self._letter_cols(x)), x))
+        return label
 
     def abelianization(self):
         """(G/G' as AbelianGroup, projection element->coords, generator lifts)."""
@@ -466,11 +455,6 @@ class SubgroupDescriptor:
         so every caller shares it."""
         return _transfer_product(self.ambient, self, self.transversal)
 
-    def is_normal(self):
-        G = self.ambient
-        return all(G.conjugate(x, t) in self.elements
-                   for x in self.generators for t in G.generators())
-
 
 def normalized_lines(p, r):
     """Directions in F_p^r with first nonzero coordinate 1, lexicographic."""
@@ -528,23 +512,10 @@ def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
     return [trans[k] for k in sorted(trans)]
 
 
-@dataclass(frozen=True)
-class TransferMap:
-    """The transfer (Verlagerung) G/G' -> H/H' as an explicit Homomorphism.
-    The projection H -> H/H' and the lifts of its generators are
-    subgroup.abelianization."""
-    group: PcGroup = field(compare=False)
-    subgroup: SubgroupDescriptor = field(compare=False)
-    source: AbelianGroup
-    target: AbelianGroup
-    hom: Homomorphism
-
-    def kernel(self):
-        return self.hom.kernel()
-
-
-def transfer(G: PcGroup, H: SubgroupDescriptor, transversal=None) -> TransferMap:
-    """Transfer map computed by the transversal product formula
+def transfer(G: PcGroup, H: SubgroupDescriptor,
+             transversal=None) -> Homomorphism:
+    """The transfer (Verlagerung) G/G' -> H/H' as a Homomorphism, computed
+    by the transversal product formula
     Ver(g G') = prod_i t_i g t_{sigma_g(i)}^-1 mod H', where t_{sigma_g(i)}
     represents the right coset H t_i g.  The transversal defaults to
     H.transversal, the Schreier transversal; an explicit one must hold one
@@ -576,7 +547,7 @@ def _transfer_product(G, H, transversal):
             total = tuple(a + b for a, b in zip(total, c))
         cols.append(A_H.reduce(total))
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(A_H.ngens)]
-    return TransferMap(G, H, A_G, A_H, Homomorphism(A_G, A_H, matrix))
+    return Homomorphism(A_G, A_H, matrix)
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,11 @@ def test_criterion_5_transfer_suite():
             hlist = sorted(H.elements)
             for _ in range(10):
                 T = [G.mult(rng.choice(hlist), t) for t in T0]
-                assert transfer(G, H, transversal=T).hom == tm.hom, name
+                assert transfer(G, H, transversal=T) == tm, name
         # (c) transfer into the derived subgroup is trivial
         der = SubgroupDescriptor.from_elements(G, G.derived_subgroup())
         tm = transfer(G, der)
-        assert tm.hom.is_zero(), name
+        assert tm.is_zero(), name
     report(5, 30, t0,
            "divisibility, power law, principal ideal theorem, transversal "
            "independence over the catalog")

@@ -432,6 +432,34 @@ class TestCli:
             assert (h, invs, rank) == \
                 (s.order, s.invariant_factors, s.group.rank(5))
 
+    def test_killed_scan_keeps_its_finished_chunks(self, tmp_path,
+                                                   monkeypatch):
+        # twelve sieve chunks; the third raises as a Ctrl-C would
+        whole, store = str(tmp_path / "whole.tsv"), str(tmp_path / "scan.tsv")
+        assert run_cli(["scan", "--store", whole, "--", "-3000", "-3"])[0] == 0
+        expected = [r.payload() for r in read_store(whole)[0]]
+        work = cli._pending_chunks(-3000, -3, 5, set())
+        assert len(work) == 12
+        real, calls = cli._scan_chunk, []
+
+        def killed_at_the_third(args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(args)
+
+        monkeypatch.setattr(cli, "_scan_chunk", killed_at_the_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["scan", "--store", store, "--", "-3000", "-3"])
+        kept = [r.payload() for r in read_store(store)[0]]
+        assert [pl[0] for pl in kept] == work[0][0] + work[1][0]
+        assert kept == expected[:len(kept)]
+        monkeypatch.setattr(cli, "_scan_chunk", real)
+        code, text = run_cli(["scan", "--store", store, "--", "-3000", "-3"])
+        assert code == 0
+        assert "(%d new)" % (len(expected) - len(kept)) in text
+        assert [r.payload() for r in read_store(store)[0]] == expected
+
     @pytest.mark.parametrize("args", [
         ["scan", "--prime", "0", "--", "-100", "-3"],
         ["scan", "--prime", "4", "--", "-100", "-3"],

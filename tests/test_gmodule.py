@@ -387,7 +387,7 @@ class TestRelativeDatum:
         G = get_group("H27")
         from capkit.pcgroup import SubgroupDescriptor
         small = SubgroupDescriptor.from_elements(
-            G, sorted(G.closure([(0, 0, 1)])))
+            G, sorted(G.closure([G.collect(((2, 1),))])))
         with pytest.raises(GModuleError):
             make_relative_datum(G, small)
 

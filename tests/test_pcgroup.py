@@ -52,7 +52,7 @@ def check_against_model(G, images, model_mult, model_one):
     g1^e1...gn^en -> prod images[i]^ei to be an injective homomorphism."""
     def phi(u):
         out = model_one
-        for i, e in enumerate(u):
+        for i, e in enumerate(G.exponents(u)):
             for _ in range(e):
                 out = model_mult(out, images[i])
         return out
@@ -129,9 +129,9 @@ class TestCollectionAgainstModels:
 
     def test_collect_rewrites_heisenberg_words(self):
         G = get_group("H27")
-        assert G.collect(((1, 1), (0, 1))) == (1, 1, 1)
-        assert G.collect(((1, 1), (0, 2))) == (2, 1, 2)
-        assert G.collect(((0, -1),)) == (2, 0, 0)
+        assert G.exponents(G.collect(((1, 1), (0, 1)))) == (1, 1, 1)
+        assert G.exponents(G.collect(((1, 1), (0, 2)))) == (2, 1, 2)
+        assert G.exponents(G.collect(((0, -1),))) == (2, 0, 0)
         assert G.collect(()) == G.identity
 
 
@@ -192,9 +192,14 @@ class TestPresentationValidation:
     def test_group_invariants(self):
         G = get_group("H27")
         assert G.order == 27
-        assert G.center_size() == 3
-        assert G.derived_subgroup() == frozenset({(0, 0, 0), (0, 0, 1), (0, 0, 2)})
-        assert G.is_metabelian()
+        # oracles: the elements commuting with all of G, and every two
+        # elements of G' commuting
+        assert sum(all(G.mult(z, x) == G.mult(x, z) for x in G.elements())
+                   for z in G.elements()) == 3
+        der = G.derived_subgroup()
+        assert {G.exponents(x) for x in der} == {(0, 0, 0), (0, 0, 1),
+                                                 (0, 0, 2)}
+        assert all(G.mult(x, y) == G.mult(y, x) for x in der for y in der)
         assert sorted(G.element_order(x) for x in G.elements()).count(3) == 26
 
     def test_power_reduces_exponent_mod_order(self):
@@ -204,7 +209,8 @@ class TestPresentationValidation:
                 G.power(u, 10 ** 12 % G.order + 1)
             assert G.power(u, -1) == G.inv(u)
             assert G.mult(G.power(u, -5), G.power(u, 5)) == G.identity
-        assert G.collect(((0, 10 ** 12),)) == G.power((1, 0, 0, 0), 10 ** 12)
+        assert G.collect(((0, 10 ** 12),)) == \
+            G.power(G.collect(((0, 1),)), 10 ** 12)
 
     def test_abelianization_structures(self):
         for name, invs in [("C27", (27,)), ("H27", (3, 3)), ("M27", (3, 3)),
@@ -231,10 +237,10 @@ class _Unproven(PcGroup):
 
 
 def gen_table(G):
-    """{u: [u g_0, ..., u g_{n-1}]} over all normal words u, read off G's
-    numbered columns."""
-    words = G.elements()
-    return {u: [words[col[i]] for col in G._cols] for i, u in enumerate(words)}
+    """{u: [u g_0, ..., u g_{n-1}]} over all normal words u as exponent
+    tuples, read off G's numbered columns."""
+    return {G.exponents(u): [G.exponents(col[u]) for col in G._cols]
+            for u in G.elements()}
 
 
 def exhaustive_group_law(p, n, power_tails, conj_tails):
@@ -243,7 +249,8 @@ def exhaustive_group_law(p, n, power_tails, conj_tails):
     multiplication by each generator is bijective, and the product is
     associative."""
     G = _Unproven(p, n, power_tails, conj_tails)
-    right, elements = gen_table(G), G.elements()
+    right = gen_table(G)
+    elements, one = list(right), G.exponents(G.identity)
     table = {}
     for u in elements:
         for v in elements:
@@ -252,7 +259,7 @@ def exhaustive_group_law(p, n, power_tails, conj_tails):
                 for _ in range(e):
                     w = right[w][i]
             table[(u, v)] = w
-    if any(all(table[(u, v)] != G.identity for v in elements)
+    if any(all(table[(u, v)] != one for v in elements)
            for u in elements):
         return False
     if any(len({right[u][g] for u in elements}) != len(elements)
@@ -270,6 +277,16 @@ def random_presentation(rng, p, n):
             {(j, i): word(j + 1) for i in range(n) for j in range(i + 1, n)})
 
 
+def small_random_presentations():
+    """The 200 seeded presentations (p, n, power, conj) of
+    TestConsistencyProof, p in {2, 3}."""
+    rng = random.Random(2012)
+    for _ in range(200):
+        p = rng.choice((2, 3))
+        n = rng.randint(3, 5 if p == 2 else 4)
+        yield (p, n) + random_presentation(rng, p, n)
+
+
 class TestConsistencyProof:
     def test_catalog_agrees_with_exhaustive_oracle(self):
         for name, G in load_catalog().items():
@@ -278,12 +295,8 @@ class TestConsistencyProof:
                                         G.conj_tails), name
 
     def test_random_presentations_agree_with_exhaustive_oracle(self):
-        rng = random.Random(2012)
         verdicts = Counter()
-        for _ in range(200):
-            p = rng.choice((2, 3))
-            n = rng.randint(3, 5 if p == 2 else 4)
-            power, conj = random_presentation(rng, p, n)
+        for p, n, power, conj in small_random_presentations():
             try:
                 PcGroup(p, n, power, conj)
                 proven = True
@@ -424,7 +437,7 @@ def relator_check(G):
             relations.append(("commutator relation [g%d,g%d]" % (j + 1, i + 1),
                               [j, i], [i, j] + tail))
     for what, lhs, rhs in relations:
-        for u in G.elements():
+        for u in table:
             if apply(u, lhs) != apply(u, rhs):
                 return what
     return None
@@ -459,7 +472,7 @@ def assert_names_first_failing_overlap(G, message):
     table = gen_table(G)
 
     def collected(letters):
-        u = G.identity
+        u = G.exponents(G.identity)
         for g in letters:
             u = table[u][g]
         return u
@@ -489,6 +502,52 @@ class TestProofAgainstRelatorCheck:
                 assert_names_first_failing_overlap(unproven, str(G))
             verdicts[proven] += 1
         assert verdicts[True] >= 80 and verdicts[False] >= 80, verdicts
+
+
+class TestNumbering:
+    """An element is the number of its normal word in exponent-vector
+    order."""
+
+    def test_elements_are_the_normal_words_in_order(self):
+        proven = 0
+        groups = list(load_catalog().values())
+        for presentation in small_random_presentations():
+            try:
+                groups.append(PcGroup(*presentation))
+            except PresentationError:
+                groups.append(_Unproven(*presentation))
+        for G in groups:
+            words = list(itertools.product(range(G.p), repeat=G.n))
+            assert [G.exponents(u) for u in G.elements()] == words
+            if isinstance(G, _Unproven):
+                continue  # collection is a group law only when proven
+            proven += 1
+            assert G.identity == 0
+            for u, e in zip(G.elements(), words):
+                assert G.collect(tuple(enumerate(e))) == u, (G.name, e)
+        assert proven >= 36 + 50, proven
+
+    def test_only_the_columns_grow_with_the_group(self):
+        # after a full analysis, no attribute of G other than _cols holds a
+        # container of |G| or more entries
+        checked = 0
+        containers = (list, tuple, dict, set, frozenset, range)
+        for name, G in load_catalog().items():
+            if G.abelianization()[0].rank(G.p) < 1:
+                continue
+            capitulation_type(G)
+            catalog_relative_data(G)
+            for attr, value in vars(G).items():
+                held = [value]
+                if isinstance(value, (list, tuple)):
+                    held += value
+                elif isinstance(value, dict):
+                    held += list(value) + list(value.values())
+                big = [x for x in held if isinstance(x, containers)
+                       and len(x) >= G.order]
+                assert attr == "_cols" or not big, (name, attr)
+            checked += 1
+        assert checked == 35
 
 
 class TestInverse:
@@ -558,6 +617,13 @@ class TestScale:
         assert relator_check(_Unproven(5, 7, power, conj)) is not None
 
 
+def is_normal(G, H):
+    """Whether every conjugate of a generator of H by a generator of G lies
+    in H."""
+    return all(G.conjugate(x, t) in H.elements
+               for x in H.generators for t in G.generators())
+
+
 class TestSubgroups:
     def test_normalized_lines(self):
         assert normalized_lines(3, 2) == [(0, 1), (1, 0), (1, 1), (1, 2)]
@@ -573,17 +639,18 @@ class TestSubgroups:
         der = G.derived_subgroup()
         for H in subs:
             assert H.index == 3
-            assert H.is_normal()
+            assert is_normal(G, H)
             assert der <= H.elements
         assert len({H.elements for H in subs}) == 4
 
     def test_subgroup_descriptor_roundtrip(self):
         G = get_group("C3xC3")
-        H = SubgroupDescriptor.from_elements(G, [(0, 0), (1, 0), (2, 0)])
+        g1_powers = [G.collect(((0, e),)) for e in range(3)]
+        H = SubgroupDescriptor.from_elements(G, g1_powers)
         assert H.index == 3
-        assert H.is_normal()
+        assert is_normal(G, H)
         with pytest.raises(PresentationError):
-            SubgroupDescriptor.from_elements(G, [(0, 0), (1, 0)])
+            SubgroupDescriptor.from_elements(G, g1_powers[:2])
 
     def test_grown_closures_match_closures_from_the_identity(self):
         # oracle: the greedy generators and the derived subgroup computed
@@ -689,7 +756,7 @@ class TestTransfer:
             derived = G.derived_of(H.elements)  # all pairs of H
             A_H, proj_H, gens_H = G.quotient_structure(H.elements, derived)
             for g in G.elements():
-                coords = tm.hom(tm.source.reduce(
+                coords = tm(tm.source.reduce(
                     G.abelianization()[1](g)))
                 built = G.identity
                 for c, lift in zip(coords, gens_H):
@@ -720,7 +787,7 @@ class TestTransfer:
             T0 = schreier_transversal(G, H)
             for _ in range(5):
                 T = [G.mult(rng.choice(sorted(H.elements)), t) for t in T0]
-                assert transfer(G, H, transversal=T).hom == base.hom
+                assert transfer(G, H, transversal=T) == base
 
 
 class TestSharedLattice:
@@ -740,7 +807,7 @@ class TestSharedLattice:
                 cached = {"coset_label", "transversal", "abelianization"}
                 assert fresh is not H and not cached & set(vars(fresh))
                 assert fresh == H
-                assert transfer(G, fresh).hom.matrix == transfer(G, H).hom.matrix
+                assert transfer(G, fresh).matrix == transfer(G, H).matrix
                 assert fresh.abelianization[0] == H.abelianization[0]
                 e = make_relative_datum(G, fresh)
                 assert (e.lift.matrix, e.norm.matrix, e.sigma.matrix) == \
@@ -785,7 +852,7 @@ class TestSharedLattice:
             # an explicit transversal is computed anew, to the same matrix
             explicit = transfer(G, H, transversal=list(H.transversal)[::-1])
             assert explicit is not transfer(G, H)
-            assert explicit.hom.matrix == transfer(G, H).hom.matrix
+            assert explicit.matrix == transfer(G, H).matrix
         assert seen == Counter(H.elements for H in subs * 2)
 
     def test_returned_list_is_a_copy(self):
@@ -864,10 +931,14 @@ class TestCapitulationType:
 def catalog_dump():
     """Canonical JSON of every catalog group's derived subgroup and, when
     rank(G/G') >= 1, its TKT, index-p lattice, transversals, transfers
-    (default and reversed explicit transversal), H/H' and relative data."""
+    (default and reversed explicit transversal), H/H' and relative data.
+    Elements are written as exponent tuples."""
+    def words(G, elements):
+        return [G.exponents(x) for x in elements]
+
     out = {}
     for name, G in sorted(load_catalog().items()):
-        entry = {"derived": sorted(G.derived_subgroup())}
+        entry = {"derived": words(G, sorted(G.derived_subgroup()))}
         if G.abelianization()[0].rank(G.p) >= 1:
             entry["tkt"] = [[e.code, e.kernel.basis]
                             for e in capitulation_type(G)]
@@ -877,13 +948,13 @@ def catalog_dump():
                 T = schreier_transversal(G, H)
                 tm = transfer(G, H)
                 entry["subgroups"].append({
-                    "generators": H.generators,
-                    "transversal": T,
-                    "transfer": tm.hom.matrix,
+                    "generators": words(G, H.generators),
+                    "transversal": words(G, T),
+                    "transfer": tm.matrix,
                     "transfer_reversed":
-                        transfer(G, H, transversal=T[::-1]).hom.matrix,
+                        transfer(G, H, transversal=T[::-1]).matrix,
                     "abelianization": tm.target.invariant_factors,
-                    "derived": sorted(G.derived_of(H.generators)),
+                    "derived": words(G, sorted(G.derived_of(H.generators))),
                     "datum": [d.lift.matrix, d.norm.matrix, d.sigma.matrix],
                     "growth": classify_growth(d).value,
                     "problems": d.check_invariants(),
