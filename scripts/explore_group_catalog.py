@@ -15,7 +15,7 @@ from capkit.catalog import load_catalog
 def fingerprint(G):
     orders = Counter(G.element_order(x) for x in G.elements())
     ab = G.abelianization()[0].invariant_factors
-    der = len(G.derived_subgroup())
+    der = G.order // G.derived_subgroup().index
     center = [z for z in G.elements()
               if all(G.mult(z, x) == G.mult(x, z) for x in G.elements())]
     zstruct = abelian_structure(center, G.mult, G.identity).group.invariant_factors

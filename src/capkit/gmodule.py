@@ -442,16 +442,11 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
     conjugation by a transversal generator.  H/H' and the transversal are
     H's own, shared with every other transfer to H.
 
-    No normality test: G' <= H makes H normal, as g^-1 h g = h [h, g].
-    The G' <= H test, a frozenset inclusion that every index-p subgroup of
-    a p-group passes, stays as the only G.derived_subgroup() call of a
-    catalog analysis, a span perfbench's traced catalog-tkt run requires."""
+    No test of G' <= H or of normality: a subgroup of index p in a p-group
+    is maximal, hence normal, and G/H of order p is abelian."""
     p = G.p
     if H.index != p:
         raise GModuleError("subgroup must have index p")
-    der = G.derived_subgroup()
-    if not der <= H.elements:
-        raise GModuleError("subgroup must contain the derived subgroup")
 
     A_K, proj_G, _ = G.abelianization()
     lift = transfer(G, H)

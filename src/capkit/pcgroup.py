@@ -64,13 +64,39 @@ descendant of u g_k, so collecting a word letter by letter from the identity
 gives a normal descendant of it; PcGroup._prove_consistency compares the two
 reducts of each overlap that way, O(n^3) lookups, and raises
 PresentationError naming the first overlap whose two sides differ.
+
+Subgroups.  The depth of u != 1 is the position d of its first nonzero
+exponent, and G_d = <g_d, ..., g_n> holds the elements of depth >= d.  A
+subgroup H is a SubgroupDescriptor of its canonical induced pcgs (Sims,
+ch. 9; Holt-Eick-O'Brien, Handbook of Computational Group Theory, ch. 8):
+one element per depth of H, each with exponent 1 at its own depth and 0 at
+H's other depths, so equal subgroups are equal descriptors and
+|G : H| = p^(n - len(pcgs)).  The tails of [g_j, g_i] lie above j, so each
+G_d is normal in G and G_d/G_{d+1} is central in G/G_{d+1}: multiplying x
+from the left by an element of depth d keeps x's exponents before d and
+adds at d.  H.label(x) is x multiplied from the left by powers of the pcgs,
+in depth order, until its exponent is 0 at every depth of H.  It is the
+least element of H x: any other element h c of that coset, with c the label
+and 1 != h in H, agrees with c before the depth of h and is nonzero there,
+where c is 0.  PcGroup.subgroup labels each pending element against a table
+of one element per depth; a label c != 1 of leading exponent e enters the
+table as c^m with m e = 1 mod |G|, whose e-th power is c, so everything
+pending labels to 1 against the final table.  Each entry adds its p-th
+power, its commutators with the other entries and any requested conjugates
+to the pending list.  Once all label to 1, the entries' normal words
+h_1^a_1 ... h_k^a_k are closed under products, by collection with those
+powers and commutators (which terminates as G's own does), so they are the
+subgroup generated; the pcgs is each entry labelled against the deeper
+ones.  Cosets are named by their least elements, as a walk over all of G
+would name them, so coset representatives, transversals, H/H' coordinates
+and the pinned catalog outputs built from them do not depend on the pcgs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property, reduce
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
                       is_prime)
@@ -249,7 +275,10 @@ class PcGroup:
     def mult(self, u, v):
         """u v: the letters of v applied to u, at most n(p-1) lookups.  v
         holds e_k letters g_k, its base-p digits, so column k is applied
-        while w_k still fits in what is left of v."""
+        while w_k still fits in what is left of v.  u and v must be element
+        numbers 0 <= u, v < |G|; this hot path does not check them, while
+        subgroup, derived_of and transfer check the elements they are
+        given."""
         for col, w in zip(self._cols, self._gens):
             while v >= w:
                 v -= w
@@ -258,7 +287,8 @@ class PcGroup:
 
     def inv(self, u):
         """u^-1 by right collection (module docstring), at most n(p-1)
-        lookups."""
+        lookups; u must be an element number 0 <= u < |G|, unchecked as in
+        mult."""
         p, v, w = self.p, 0, self.order
         for col in self._cols:
             w //= p
@@ -267,15 +297,6 @@ class PcGroup:
                 u = col[u]
             v += e * w
         return v
-
-    def _letter_cols(self, u):
-        """The column of each letter of u, in order, read as in mult."""
-        out = []
-        for col, w in zip(self._cols, self._gens):
-            while u >= w:
-                u -= w
-                out.append(col)
-        return out
 
     def power(self, u, k):
         """u^k for any integer k; u^|G| = 1, so k is taken mod |G|, then
@@ -314,88 +335,109 @@ class PcGroup:
             w = self.mult(w, self.power(self._gens[g], e))
         return w
 
-    # -- subgroup machinery ------------------------------------------------
+    # -- subgroups ----------------------------------------------------------
 
-    def closure(self, gens):
-        """Subgroup generated by the given elements, as a frozenset."""
-        gens = list(gens)
-        return self._grow(frozenset({self.identity}), gens, gens)
+    def _element(self, u):
+        """u, checked to be an element number 0 <= u < |G|."""
+        if not (isinstance(u, int) and 0 <= u < self.order):
+            raise PresentationError("%r is not an element of this group of "
+                                    "order %d" % (u, self.order))
+        return u
 
-    def _grow(self, sub, gens, new):
-        """Subgroup generated by gens, given the subgroup sub generated by
-        the gens not in new: walks only sub*new outside sub and its reach,
-        each step a list of numbers mapped through a generator's letters."""
-        seen = set(sub)
-        frontier = list(seen)
-        step = [self._letter_cols(g) for g in new]
-        gen_cols = [self._letter_cols(g) for g in gens]
-        while frontier:
-            reached = set()
-            for cols in step:
-                reached.update(_mapped(frontier, cols))
-            reached -= seen
-            seen |= reached
-            frontier, step = list(reached), gen_cols
-        return frozenset(seen)
+    def _depth(self, u):
+        """The position of the first nonzero exponent of u != 1."""
+        return next(d for d, w in enumerate(self._gens) if u >= w)
+
+    def _powers(self, u, v):
+        """The products v, v u, ..., v u^(p-1), as an iterator."""
+        return itertools.accumulate(itertools.repeat(u, self.p - 1),
+                                    self.mult, initial=v)
+
+    def _sifter(self, h):
+        """(w_d, [1, h^-1, ..., h^-(p-1)]) for h of depth d with leading
+        exponent 1: h^-e times x has exponent e_d(x) - e at d."""
+        return (self._gens[self._depth(h)],
+                list(self._powers(self.inv(h), self.identity)))
+
+    def _sift(self, x, sifters):
+        """x multiplied from the left by the sifters' powers, in depth
+        order, until its exponent is 0 at each of their depths."""
+        p, mult = self.p, self.mult
+        for w, inverse_powers in sifters:
+            e = x // w % p
+            if e:
+                x = mult(inverse_powers[e], x)
+        return x
+
+    def subgroup(self, gens, conjugators=()):
+        """The subgroup generated by gens as a SubgroupDescriptor; with
+        conjugators, the least subgroup that holds gens and is normalised by
+        every conjugator (module docstring)."""
+        pending = [self._element(x) for x in gens]
+        conjugators = [self._element(a) for a in conjugators]
+        table = {}  # depth -> (element, its sifter)
+        while pending:
+            x = self._sift(pending.pop(),
+                           [table[d][1] for d in sorted(table)])
+            if x == self.identity:
+                continue
+            d = self._depth(x)
+            # x^m with m e_d(x) = 1 mod |G| has leading exponent 1, and x is
+            # its e_d(x)-th power, so x itself now sifts to 1
+            x = self.power(x, pow(x // self._gens[d], -1, self.order))
+            pending.append(self.power(x, self.p))
+            pending += [self.commutator(x, t) if d > e else
+                        self.commutator(t, x) for e, (t, _) in table.items()]
+            pending += [self.conjugate(x, a) for a in conjugators]
+            table[d] = x, self._sifter(x)
+        depths = sorted(table)
+        return SubgroupDescriptor(self, tuple(
+            self._sift(table[d][0], [table[e][1] for e in depths[i + 1:]])
+            for i, d in enumerate(depths)))
 
     @cached_property
     def as_subgroup(self):
         """G as a SubgroupDescriptor of itself: G' and G/G' are its cached
         derived and abelianization, computed as for any subgroup."""
-        return SubgroupDescriptor(self, self._gens,
-                                  frozenset(self.elements()), 1)
+        return SubgroupDescriptor(self, self._gens)
 
     def derived_subgroup(self):
         return self.as_subgroup.derived
 
     def derived_of(self, gens):
-        """Derived subgroup of the subgroup H generated by gens: the normal
-        closure in H of the commutators [a, b], a before b in gens: [a, a]
-        is 1 and [b, a] is the inverse of [a, b]."""
-        gens = list(gens)
-        normal_gens, closed = [], frozenset({self.identity})
-        pending = [self.commutator(a, b)
-                   for a, b in itertools.combinations(gens, 2)]
-        while pending:
-            x = pending.pop()
-            if x not in closed:
-                normal_gens.append(x)
-                closed = self._grow(closed, normal_gens, [x])
-                pending.extend(self.conjugate(x, a) for a in gens)
-        return closed
+        """Derived subgroup of the subgroup H generated by gens, as a
+        SubgroupDescriptor: the least normal subgroup of H holding the
+        commutators [a, b], a before b in gens ([a, a] is 1 and [b, a] is
+        the inverse of [a, b])."""
+        gens = [self._element(a) for a in gens]
+        return self.subgroup([self.commutator(a, b)
+                              for a, b in itertools.combinations(gens, 2)],
+                             gens)
 
-    def quotient_structure(self, subset_elements, normal_subgroup):
-        """Abelian structure of subset/normal_subgroup (the quotient must be
-        abelian).  Returns (AbelianGroup, proj element->coords, lift of each
-        invariant-factor generator back to a subset element)."""
-        # xN = Nx, so the right-coset labels name the cosets of the quotient
-        rep = self.coset_labels(subset_elements, normal_subgroup)
-        reps = sorted(set(rep.values()))
+    def quotient_structure(self, H, N):
+        """Abelian structure of H/N, for subgroups N <= H with N normal in H
+        and H/N abelian.  Returns (AbelianGroup, projection element of H ->
+        coords, lift of each invariant-factor generator to an element of H).
+        A coset xN = Nx is named by N.label(x); the products of H's pcgs
+        elements at the depths that N lacks meet each coset once."""
+        depths_N = {self._depth(h) for h in N.pcgs}
+        reps = [self.identity]
+        for h in H.pcgs:
+            if self._depth(h) not in depths_N:
+                reps = [y for r in reps for y in self._powers(h, r)]
+        label = N.label
+        reps = sorted(map(label, reps))
 
         def qop(a, b):
-            return rep[self.mult(a, b)]
+            return label(self.mult(a, b))
 
-        res = abelian_structure(reps, qop, rep[self.identity])
+        res = abelian_structure(reps, qop, self.identity)
         coords = cache(res.coords)  # proj meets only a few cosets
 
         def proj(x):
-            return coords(rep[x])
+            return coords(label(x))
 
         return res.group, proj, res.generators
-
-    def coset_labels(self, elements, subgroup):
-        """{x: least element of the right coset subgroup x} for every x in
-        elements, a union of right cosets of subgroup.  Walking elements in
-        ascending order, the first unlabelled x of a coset is its least
-        element; it labels the whole coset, the numbers of subgroup mapped
-        through the letters of x."""
-        hs = list(subgroup)
-        label = {}
-        for x in sorted(elements):
-            if x not in label:
-                label.update(dict.fromkeys(
-                    _mapped(hs, self._letter_cols(x)), x))
-        return label
 
     def abelianization(self):
         """(G/G' as AbelianGroup, projection element->coords, generator lifts)."""
@@ -404,35 +446,35 @@ class PcGroup:
 
 @dataclass(frozen=True)
 class SubgroupDescriptor:
-    ambient: PcGroup = field(compare=False)
-    generators: tuple
-    elements: frozenset
-    index: int
+    """A subgroup of ambient by its canonical induced pcgs, in depth order
+    (module docstring): equal subgroups are equal descriptors, and
+    subgroups of two PcGroup objects never are."""
 
-    @classmethod
-    def from_elements(cls, G, elements):
-        elements = frozenset(elements)
-        if not elements:
-            raise PresentationError("a subgroup cannot be empty")
-        if G.order % len(elements):
-            raise PresentationError("subgroup order does not divide group order")
-        # greedy small generating set, each closure grown from the last
-        gens = []
-        current = frozenset({G.identity})
-        for x in sorted(elements):
-            if x not in current:
-                gens.append(x)
-                current = G._grow(current, gens, [x])
-        if current != elements:
-            raise PresentationError("generated set not closed")
-        return cls(G, tuple(gens), elements, G.order // len(elements))
+    ambient: PcGroup
+    pcgs: tuple
+
+    @property
+    def index(self):
+        return self.ambient.p ** (self.ambient.n - len(self.pcgs))
 
     # cached: neither the descriptor nor its ambient group ever changes
     @cached_property
-    def coset_label(self):
-        """{x: least element of the right coset H x} over the ambient group."""
+    def _sifters(self):
+        """The sifters of the pcgs above the deepest depth that H lacks,
+        and the weight of that depth (|G| when H = G)."""
         G = self.ambient
-        return G.coset_labels(G.elements(), self.elements)
+        depths = [G._depth(h) for h in self.pcgs]
+        gap = max(set(range(G.n)) - set(depths), default=-1)
+        return ([G._sifter(h) for h, d in zip(self.pcgs, depths) if d < gap],
+                G._gens[gap] if gap >= 0 else G.order)
+
+    def label(self, x):
+        """The least element of the right coset H x: x sifted from the left
+        until its exponent is 0 at every depth of H.  Every depth below the
+        deepest one H lacks is H's, so those exponents end as 0 unsifted."""
+        sifters, w = self._sifters
+        x = self.ambient._sift(x, sifters)
+        return x - x % w
 
     @cached_property
     def transversal(self):
@@ -441,13 +483,13 @@ class SubgroupDescriptor:
 
     @cached_property
     def derived(self):
-        """H', as a frozenset."""
-        return self.ambient.derived_of(self.generators)
+        """H', as a SubgroupDescriptor."""
+        return self.ambient.derived_of(self.pcgs)
 
     @cached_property
     def abelianization(self):
         """(H/H', projection, generator lifts), as G.abelianization()."""
-        return self.ambient.quotient_structure(self.elements, self.derived)
+        return self.ambient.quotient_structure(self, self.derived)
 
     @cached_property
     def default_transfer(self):
@@ -466,22 +508,24 @@ def subgroups_index_p_above_derived(G: PcGroup):
     """The (p^r - 1)/(p - 1) subgroups of index p containing G', where r is
     the rank of G/G'.  For r = 2 they are ordered as lines of
     G/(G' G^p) = F_p^2 by normalized direction vector; otherwise as
-    hyperplane functionals by normalized coefficient vector.  The lattice
-    is computed once per group; each call returns a fresh list."""
+    hyperplane functionals by normalized coefficient vector.  Each is G'
+    with lifts of the generators of a functional's kernel on G/G'.  The
+    lattice is computed once per group; each call returns a fresh list."""
     if G._index_p_subgroups is None:
         p = G.p
-        A, proj, _ = G.abelianization()
+        A, _, lifts = G.abelianization()
         r = A.rank(p)
         if r < 1:
             raise PresentationError("G/G' must have rank >= 1")
-        images = [(x, tuple(c % p for c in proj(x))) for x in G.elements()]
+        derived = list(G.derived_subgroup().pcgs)
         subs = []
         for v in normalized_lines(p, r):  # r = A.ngens for a p-group
             # the line through v is the kernel of the functional (v2, -v1)
             phi = (v[1], -v[0]) if r == 2 else v
-            elems = [x for x, im in images
-                     if sum(a * b for a, b in zip(phi, im)) % p == 0]
-            subs.append(SubgroupDescriptor.from_elements(G, elems))
+            kernel = Homomorphism(A, AbelianGroup((p,)), [phi]).kernel()
+            subs.append(G.subgroup(derived + [
+                reduce(G.mult, map(G.power, lifts, c), G.identity)
+                for c in kernel.generators()]))
         G._index_p_subgroups = tuple(subs)
     return list(G._index_p_subgroups)
 
@@ -489,20 +533,19 @@ def subgroups_index_p_above_derived(G: PcGroup):
 def schreier_transversal(G: PcGroup, H: SubgroupDescriptor):
     """Canonical right-coset representatives of H in G by breadth-first
     search over H t g, starting at the identity coset, generators in order;
-    a coset H x is named by H.coset_label[x], its least element.  Returns
-    the transversal as a list, sorted by coset label; the identity is
-    first."""
-    label = H.coset_label
+    a coset H x is named by H.label(x), its least element.  Returns the
+    transversal as a list, sorted by coset label; the identity is first."""
+    label = H.label
     ident = G.identity
     gens = G.generators()
-    trans = {label[ident]: ident}
+    trans = {label(ident): ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for t in frontier:
             for g in gens:
                 u = G.mult(t, g)
-                key = label[u]
+                key = label(u)
                 if key not in trans:
                     trans[key] = u
                     nxt.append(u)
@@ -526,24 +569,24 @@ def transfer(G: PcGroup, H: SubgroupDescriptor,
         raise PresentationError("subgroup belongs to a different group")
     if transversal is None:
         return H.default_transfer
-    keys = {H.coset_label.get(t) for t in transversal}
-    if len(transversal) != H.index or len(keys) != H.index or None in keys:
+    keys = {H.label(G._element(t)) for t in transversal}
+    if len(transversal) != H.index or len(keys) != H.index:
         raise PresentationError("not a transversal")
     return _transfer_product(G, H, transversal)
 
 
 def _transfer_product(G, H, transversal):
-    label = H.coset_label
+    label = H.label
     A_G, _, gens_G = G.abelianization()
     A_H, proj_H, _ = H.abelianization
-    rep_inv = {label[t]: G.inv(t) for t in transversal}
+    rep_inv = {label(t): G.inv(t) for t in transversal}
     cols = []
     for g in gens_G:
         total = A_H.zero()
         for t in transversal:
             u = G.mult(t, g)
             # t g = h t2 with t2 the representative of the coset H t g
-            c = proj_H(G.mult(u, rep_inv[label[u]]))
+            c = proj_H(G.mult(u, rep_inv[label(u)]))
             total = tuple(a + b for a, b in zip(total, c))
         cols.append(A_H.reduce(total))
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(A_H.ngens)]

@@ -15,7 +15,7 @@ from capkit.gmodule import (catalog_relative_data, cycle_decomposition,
 from capkit.heuristics import (compare_distributions,
                                monte_carlo_rank_distribution,
                                predicted_rank_distribution)
-from capkit.pcgroup import (SubgroupDescriptor, schreier_transversal,
+from capkit.pcgroup import (schreier_transversal,
                             subgroups_index_p_above_derived, transfer)
 from capkit.quadform import (Discriminant, QuadForm, QuadFormError,
                              class_group_structure, class_number,
@@ -24,6 +24,7 @@ from capkit.quadform import (Discriminant, QuadForm, QuadFormError,
                              compose, inverse)
 
 import conftest
+from pgroup_oracles import members
 from test_gmodule import random_c2_module, random_c3_module
 
 _passed = {}
@@ -129,13 +130,12 @@ def test_criterion_5_transfer_suite():
             assert d.norm.compose(d.lift) == power_hom(d.A_K, G.p), name
             # (d) transversal independence
             T0 = schreier_transversal(G, H)
-            hlist = sorted(H.elements)
+            hlist = members(H)
             for _ in range(10):
                 T = [G.mult(rng.choice(hlist), t) for t in T0]
                 assert transfer(G, H, transversal=T) == tm, name
         # (c) transfer into the derived subgroup is trivial
-        der = SubgroupDescriptor.from_elements(G, G.derived_subgroup())
-        tm = transfer(G, der)
+        tm = transfer(G, G.derived_subgroup())
         assert tm.is_zero(), name
     report(5, 30, t0,
            "divisibility, power law, principal ideal theorem, transversal "

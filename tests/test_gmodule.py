@@ -30,6 +30,7 @@ from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             make_relative_datum, primitive_idempotents,
                             trivial_action_module)
 from capkit.pcgroup import PresentationError, subgroups_index_p_above_derived
+from pgroup_oracles import closure, derived_closure
 
 
 def cyclotomic_coset_count(d, p):
@@ -385,23 +386,21 @@ class TestRelativeDatum:
 
     def test_requires_normal_index_p(self):
         G = get_group("H27")
-        from capkit.pcgroup import SubgroupDescriptor
-        small = SubgroupDescriptor.from_elements(
-            G, sorted(G.closure([G.collect(((2, 1),))])))
+        small = G.subgroup([G.collect(((2, 1),))])
         with pytest.raises(GModuleError):
             make_relative_datum(G, small)
 
     def test_index_p_subgroups_are_normal_and_contain_the_derived(self):
-        # why make_relative_datum tests G' <= H and no normality: in a
+        # why make_relative_datum tests neither G' <= H nor normality: in a
         # p-group every subgroup of index p contains G', hence is normal.
         # Oracle: random closures, each conjugate h^g (h in H, g a
         # generator of G) looked up in H
         rng = random.Random(1)
         found = 0
         for name, G in sorted(load_catalog().items()):
-            der, elements = G.derived_subgroup(), G.elements()
+            der, elements = derived_closure(G, G.generators()), G.elements()
             for _ in range(30):
-                H = G.closure(rng.choices(elements, k=rng.randint(1, 3)))
+                H = closure(G, rng.choices(elements, k=rng.randint(1, 3)))
                 if len(H) * G.p == G.order:
                     found += 1
                     assert der <= H, name

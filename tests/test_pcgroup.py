@@ -15,7 +15,11 @@ Oracles:
     compared against a word-rewriting collector that rescans the whole
     letter list from the left after every rewrite;
   - inv, read off the columns by right collection, is compared with
-    power(u, -1) = u^(|G| - 1), a product of forward multiplications.
+    power(u, -1) = u^(|G| - 1), a product of forward multiplications;
+  - a subgroup, held as its induced pcgs, is compared with the element-set
+    oracles of pgroup_oracles.py: its closure by breadth-first search, the
+    least element of each coset found by multiplying out H, and H' as the
+    closure of commutators.
 """
 
 import hashlib
@@ -32,10 +36,11 @@ from capkit import pcgroup
 from capkit.catalog import get_group, load_catalog
 from capkit.gmodule import (catalog_relative_data, classify_growth,
                             make_relative_datum)
-from capkit.pcgroup import (PcGroup, PresentationError,
-                            SubgroupDescriptor, capitulation_type,
+from capkit.pcgroup import (PcGroup, PresentationError, capitulation_type,
                             normalized_lines, schreier_transversal,
                             subgroups_index_p_above_derived, transfer)
+from pgroup_oracles import (closure, coset_minima, derived_closure,
+                            greedy_generators, members)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ class TestPresentationValidation:
         # elements of G' commuting
         assert sum(all(G.mult(z, x) == G.mult(x, z) for x in G.elements())
                    for z in G.elements()) == 3
-        der = G.derived_subgroup()
+        der = members(G.derived_subgroup())
         assert {G.exponents(x) for x in der} == {(0, 0, 0), (0, 0, 1),
                                                  (0, 0, 2)}
         assert all(G.mult(x, y) == G.mult(y, x) for x in der for y in der)
@@ -528,26 +533,44 @@ class TestNumbering:
         assert proven >= 36 + 50, proven
 
     def test_only_the_columns_grow_with_the_group(self):
-        # after a full analysis, no attribute of G other than _cols holds a
-        # container of |G| or more entries
         checked = 0
-        containers = (list, tuple, dict, set, frozenset, range)
         for name, G in load_catalog().items():
             if G.abelianization()[0].rank(G.p) < 1:
                 continue
-            capitulation_type(G)
-            catalog_relative_data(G)
-            for attr, value in vars(G).items():
-                held = [value]
-                if isinstance(value, (list, tuple)):
-                    held += value
-                elif isinstance(value, dict):
-                    held += list(value) + list(value.values())
-                big = [x for x in held if isinstance(x, containers)
-                       and len(x) >= G.order]
-                assert attr == "_cols" or not big, (name, attr)
+            assert_only_the_columns_grow(G)
             checked += 1
         assert checked == 35
+
+
+def big_attributes(obj, size):
+    """The attributes of obj holding a container of size or more entries,
+    directly or as an item of a list, tuple or dict."""
+    containers = (list, tuple, dict, set, frozenset, range)
+    out = []
+    for attr, value in vars(obj).items():
+        held = [value]
+        if isinstance(value, (list, tuple)):
+            held += value
+        elif isinstance(value, dict):
+            held += list(value) + list(value.values())
+        if any(isinstance(x, containers) and len(x) >= size for x in held):
+            out.append(attr)
+    return out
+
+
+def assert_only_the_columns_grow(G):
+    """After a full analysis, no attribute of G other than _cols, and no
+    attribute of G.as_subgroup or of a descriptor of the index-p lattice
+    or of its derived subgroup, holds a container of |G| or more
+    entries.  The descriptors are checked for n >= 2: in a group of order
+    p, the 3-tuple (A, proj, lifts) of an abelianization already has |G|
+    entries when p = 3."""
+    capitulation_type(G)
+    catalog_relative_data(G)
+    assert big_attributes(G, G.order) == ["_cols"], G.name
+    subs = subgroups_index_p_above_derived(G)
+    for H in [G.as_subgroup] + subs + [H.derived for H in subs]:
+        assert G.n < 2 or big_attributes(H, G.order) == [], (G.name, H.pcgs)
 
 
 class TestInverse:
@@ -616,12 +639,31 @@ class TestScale:
             PcGroup(5, 7, power, conj)
         assert relator_check(_Unproven(5, 7, power, conj)) is not None
 
+    def test_order_5_to_the_8_two_generator_class_4(self):
+        # [g2,g1] = g3, [g3,g1] = g4, [g3,g2] = g5, [g4,g1] = g6,
+        # [g4,g2] = [g5,g1] = g7, [g5,g2] = g8, powers trivial: exponent 5
+        # and class 4 < 5, so by the regularity argument of
+        # test_order_5_to_the_5_maximal_class every transfer kernel is the
+        # whole of G/G' = C5 x C5
+        conj = {(1, 0): ((2, 1),), (2, 0): ((3, 1),), (2, 1): ((4, 1),),
+                (3, 0): ((5, 1),), (3, 1): ((6, 1),), (4, 0): ((6, 1),),
+                (4, 1): ((7, 1),)}
+        G = PcGroup(5, 8, {}, conj)
+        assert G.abelianization()[0].invariant_factors == (5, 5)
+        assert G.derived_subgroup().index == 5 ** 2
+        entries = capitulation_type(G)
+        assert [e.code for e in entries] == [0] * 6
+        assert all(e.kernel.order() == 25 for e in entries)
+        assert all(d.check_invariants() == []
+                   for d in catalog_relative_data(G))
+        assert_only_the_columns_grow(G)
+
 
 def is_normal(G, H):
-    """Whether every conjugate of a generator of H by a generator of G lies
+    """Whether every conjugate of an element of H by a generator of G lies
     in H."""
-    return all(G.conjugate(x, t) in H.elements
-               for x in H.generators for t in G.generators())
+    hs = set(members(H))
+    return all(G.conjugate(x, t) in hs for x in hs for t in G.generators())
 
 
 class TestSubgroups:
@@ -636,54 +678,58 @@ class TestSubgroups:
         G = get_group("H27")
         subs = subgroups_index_p_above_derived(G)
         assert len(subs) == 4
-        der = G.derived_subgroup()
+        der = set(members(G.derived_subgroup()))
         for H in subs:
             assert H.index == 3
             assert is_normal(G, H)
-            assert der <= H.elements
-        assert len({H.elements for H in subs}) == 4
+            assert der <= set(members(H))
+        assert len({frozenset(members(H)) for H in subs}) == 4
 
     def test_subgroup_descriptor_roundtrip(self):
         G = get_group("C3xC3")
         g1_powers = [G.collect(((0, e),)) for e in range(3)]
-        H = SubgroupDescriptor.from_elements(G, g1_powers)
+        H = G.subgroup(g1_powers)
         assert H.index == 3
         assert is_normal(G, H)
-        with pytest.raises(PresentationError):
-            SubgroupDescriptor.from_elements(G, g1_powers[:2])
+        assert members(H) == g1_powers
+        assert G.subgroup(g1_powers[1:2]) == H
+        assert G.subgroup(members(H)) == H
+        assert H.pcgs == (g1_powers[1],)
 
-    def test_grown_closures_match_closures_from_the_identity(self):
-        # oracle: the greedy generators and the derived subgroup computed
-        # with a full closure from the identity after every step
-        def greedy(G, elements):
-            gens, current = [], {G.identity}
-            for x in sorted(elements):
-                if x not in current:
-                    gens.append(x)
-                    current = G.closure(gens)
-            return tuple(gens)
-
-        def derived(G, gens):
-            normal_gens, closed = [], {G.identity}
-            pending = [G.commutator(a, b) for a in gens for b in gens]
-            while pending:
-                x = pending.pop()
-                if x not in closed:
-                    normal_gens.append(x)
-                    closed = G.closure(normal_gens)
-                    pending.extend(G.conjugate(x, a) for a in gens)
-            return closed
+    def test_pcgs_match_the_element_set_oracles(self):
+        # oracles: closures by breadth-first search, the least element of
+        # each coset by multiplying out H, and H' from the commutators
+        # [a, y], a in H and y a generator
+        def check(H, hs):
+            assert members(H) == sorted(hs), (G.name, H.pcgs)
+            assert H.index * len(hs) == G.order, (G.name, H.pcgs)
+            minima = coset_minima(G, hs)
+            assert all(H.label(x) == minima[x] for x in G.elements()), \
+                (G.name, H.pcgs)
 
         rng = random.Random(11)
-        for name in ("D4", "Q8", "H27", "C3wrC3", "MC81a", "MC81c"):
-            G = get_group(name)
+        checked = 0
+        for name, G in sorted(load_catalog().items()):
+            assert G.order <= 3 ** 5, name
+            if G.abelianization()[0].rank(G.p) >= 1:
+                # the shared lattice and G', each set spanned by its pcgs
+                for H in subgroups_index_p_above_derived(G) + \
+                        [G.derived_subgroup()]:
+                    check(H, closure(G, H.pcgs))
+            seen = []
             for _ in range(30):
-                xs = rng.sample(G.elements(), rng.randint(1, 3))
-                H = SubgroupDescriptor.from_elements(G, G.closure(xs))
-                assert H.generators == greedy(G, H.elements)
-                assert G.derived_of(xs) == derived(G, xs)
-                ys = rng.sample(G.elements(), 2)
-                assert G._grow(G.closure(xs), xs + ys, ys) == G.closure(xs + ys)
+                xs = rng.choices(G.elements(), k=rng.randint(1, 3))
+                H, hs = G.subgroup(xs), closure(G, xs)
+                check(H, hs)
+                assert members(G.derived_of(xs)) == \
+                    sorted(derived_closure(G, xs)), (name, xs)
+                for K, ks in seen:
+                    assert (H == K) == (hs == ks), (name, xs)
+                    if hs == ks:
+                        assert hash(H) == hash(K), (name, xs)
+                seen.append((H, hs))
+                checked += 1
+        assert checked == 36 * 30
 
     def test_schreier_transversal(self):
         G = get_group("M27")
@@ -692,22 +738,8 @@ class TestSubgroups:
             assert len(T) == H.index
             assert T[0] == G.identity
             # exactly one representative per right coset
-            covered = {G.mult(h, t) for h in H.elements for t in T}
+            covered = {G.mult(h, t) for h in members(H) for t in T}
             assert covered == set(G.elements())
-
-    def test_coset_labels_match_min_over_subgroup(self):
-        # oracle: the least element of H x, found by multiplying out all of H
-        checked = 0
-        for G in load_catalog().values():
-            if G.abelianization()[0].rank(G.p) < 1:
-                continue
-            derived = SubgroupDescriptor.from_elements(G, G.derived_subgroup())
-            for H in subgroups_index_p_above_derived(G) + [derived]:
-                assert H.coset_label == {
-                    x: min(G.mult(h, x) for h in H.elements)
-                    for x in G.elements()}
-                checked += 1
-        assert checked > 100
 
     def test_quotient_reps_are_left_cosets_of_h_prime(self):
         # quotient_structure(H, H') names the coset x H' by its least element
@@ -715,11 +747,11 @@ class TestSubgroups:
             if G.abelianization()[0].rank(G.p) < 1:
                 continue
             for H in subgroups_index_p_above_derived(G):
-                derived = G.derived_of(H.generators)
-                left = {x: min(G.mult(x, d) for d in derived)
-                        for x in H.elements}
-                assert G.coset_labels(H.elements, derived) == left
-                A, proj, _ = G.quotient_structure(H.elements, derived)
+                derived = H.derived
+                ds = members(derived)
+                left = {x: min(G.mult(x, d) for d in ds) for x in members(H)}
+                assert {x: derived.label(x) for x in left} == left
+                A, proj, _ = G.quotient_structure(H, derived)
                 assert all(proj(x) == proj(r) for x, r in left.items())
                 reps = set(left.values())
                 assert len({proj(r) for r in reps}) == len(reps) == A.order()
@@ -733,7 +765,7 @@ def raw_transfer_class(G, H, derived, g):
     """Transfer image of g computed from the definition with a transversal
     picked as the minimum of each right coset; returned as the full H'-coset
     of the product so it can be compared without coordinates."""
-    hset = H.elements
+    hset = members(H)
     cosets = {}
     for x in G.elements():
         key = min(G.mult(h, x) for h in hset)
@@ -753,15 +785,15 @@ class TestTransfer:
         G = get_group(name)
         for H in subgroups_index_p_above_derived(G):
             tm = transfer(G, H)
-            derived = G.derived_of(H.elements)  # all pairs of H
-            A_H, proj_H, gens_H = G.quotient_structure(H.elements, derived)
+            derived = G.derived_of(members(H))  # all pairs of H
+            A_H, proj_H, gens_H = G.quotient_structure(H, derived)
             for g in G.elements():
                 coords = tm(tm.source.reduce(
                     G.abelianization()[1](g)))
                 built = G.identity
                 for c, lift in zip(coords, gens_H):
                     built = G.mult(built, G.power(lift, c))
-                assert built in raw_transfer_class(G, H, derived, g)
+                assert built in raw_transfer_class(G, H, members(derived), g)
 
     def test_cyclic_transfer_is_multiplication_by_index(self):
         # C9 -> its subgroup of order 3: the transfer cubes
@@ -779,6 +811,22 @@ class TestTransfer:
         with pytest.raises(PresentationError):
             transfer(G, H, transversal=T[:2] + [(5, 5, 5)])
 
+    @pytest.mark.parametrize("bad", [-1, 27, (5, 5, 5), 1.5])
+    def test_elements_from_outside_are_checked(self, bad):
+        # mult and inv take element numbers unchecked; subgroup, derived_of
+        # and an explicit transversal check what they are given
+        G = get_group("H27")
+        H = subgroups_index_p_above_derived(G)[0]
+        T = schreier_transversal(G, H)
+        for call in (lambda: G.subgroup([G.identity, bad]),
+                     lambda: G.subgroup([T[1]], [bad]),
+                     lambda: G.derived_of([T[1], bad]),
+                     lambda: transfer(G, H, transversal=T[:2] + [bad])):
+            with pytest.raises(PresentationError,
+                               match="is not an element of this group of "
+                                     "order 27"):
+                call()
+
     def test_transversal_independence(self):
         rng = random.Random(5)
         G = get_group("MC81b")
@@ -786,7 +834,7 @@ class TestTransfer:
             base = transfer(G, H)
             T0 = schreier_transversal(G, H)
             for _ in range(5):
-                T = [G.mult(rng.choice(sorted(H.elements)), t) for t in T0]
+                T = [G.mult(rng.choice(members(H)), t) for t in T0]
                 assert transfer(G, H, transversal=T) == base
 
 
@@ -803,8 +851,8 @@ class TestSharedLattice:
             capitulation_type(G)
             data = catalog_relative_data(G)
             for H, d in zip(subgroups_index_p_above_derived(G), data):
-                fresh = SubgroupDescriptor.from_elements(G, H.elements)
-                cached = {"coset_label", "transversal", "abelianization"}
+                fresh = G.subgroup(members(H))
+                cached = {"_sifters", "transversal", "abelianization"}
                 assert fresh is not H and not cached & set(vars(fresh))
                 assert fresh == H
                 assert transfer(G, fresh).matrix == transfer(G, H).matrix
@@ -822,7 +870,7 @@ class TestSharedLattice:
         real = pcgroup.schreier_transversal
 
         def counting(G, H):
-            seen[H.elements] += 1
+            seen[H] += 1
             return real(G, H)
 
         monkeypatch.setattr(pcgroup, "schreier_transversal", counting)
@@ -830,7 +878,7 @@ class TestSharedLattice:
         catalog_relative_data(G)
         subs = subgroups_index_p_above_derived(G)
         assert len(subs) == 4
-        assert seen == Counter(H.elements for H in subs)
+        assert seen == Counter(subs)
 
     def test_one_default_transfer_per_subgroup(self, monkeypatch):
         base = get_group("MC81a")
@@ -839,21 +887,21 @@ class TestSharedLattice:
         real = pcgroup._transfer_product
 
         def counting(G, H, transversal):
-            seen[H.elements] += 1
+            seen[H] += 1
             return real(G, H, transversal)
 
         monkeypatch.setattr(pcgroup, "_transfer_product", counting)
         capitulation_type(G)
         catalog_relative_data(G)
         subs = subgroups_index_p_above_derived(G)
-        assert seen == Counter(H.elements for H in subs)
+        assert seen == Counter(subs)
         for H in subs:
             assert transfer(G, H) is transfer(G, H)
             # an explicit transversal is computed anew, to the same matrix
             explicit = transfer(G, H, transversal=list(H.transversal)[::-1])
             assert explicit is not transfer(G, H)
             assert explicit.matrix == transfer(G, H).matrix
-        assert seen == Counter(H.elements for H in subs * 2)
+        assert seen == Counter(subs * 2)
 
     def test_returned_list_is_a_copy(self):
         G = get_group("H27")
@@ -869,10 +917,9 @@ class TestSharedLattice:
         H = subgroups_index_p_above_derived(get_group("M27"))[0]
         with pytest.raises(PresentationError):
             transfer(get_group("H27"), H)
-
-    def test_empty_set_is_not_a_subgroup(self):
-        with pytest.raises(PresentationError):
-            SubgroupDescriptor.from_elements(get_group("H27"), [])
+        # the same pcgs numbers in another group name another subgroup
+        K = subgroups_index_p_above_derived(get_group("H27"))[0]
+        assert K.pcgs == H.pcgs and K != H
 
 
 class TestCapitulationType:
@@ -916,7 +963,7 @@ class TestCapitulationType:
         entries = capitulation_type(G)
         assert time.perf_counter() - start < 5.0
         assert G.order == 5 ** 5
-        assert len(G.derived_subgroup()) == 5 ** 3
+        assert len(members(G.derived_subgroup())) == 5 ** 3
         # g1, g2 generate G: the commutator [g2,g1] = g3 alone spans only
         # <g3>, the normal closure adds g4 and g5
         assert G.derived_of(G.generators()[:2]) == G.derived_subgroup()
@@ -932,13 +979,15 @@ def catalog_dump():
     """Canonical JSON of every catalog group's derived subgroup and, when
     rank(G/G') >= 1, its TKT, index-p lattice, transversals, transfers
     (default and reversed explicit transversal), H/H' and relative data.
-    Elements are written as exponent tuples."""
+    Elements are written as exponent tuples; a subgroup of the lattice by
+    its ascending greedy generators, its derived subgroup by its elements,
+    both read off the element set by the test oracles."""
     def words(G, elements):
         return [G.exponents(x) for x in elements]
 
     out = {}
     for name, G in sorted(load_catalog().items()):
-        entry = {"derived": words(G, sorted(G.derived_subgroup()))}
+        entry = {"derived": words(G, members(G.derived_subgroup()))}
         if G.abelianization()[0].rank(G.p) >= 1:
             entry["tkt"] = [[e.code, e.kernel.basis]
                             for e in capitulation_type(G)]
@@ -948,13 +997,13 @@ def catalog_dump():
                 T = schreier_transversal(G, H)
                 tm = transfer(G, H)
                 entry["subgroups"].append({
-                    "generators": words(G, H.generators),
+                    "generators": words(G, greedy_generators(G, members(H))),
                     "transversal": words(G, T),
                     "transfer": tm.matrix,
                     "transfer_reversed":
                         transfer(G, H, transversal=T[::-1]).matrix,
                     "abelianization": tm.target.invariant_factors,
-                    "derived": words(G, sorted(G.derived_of(H.generators))),
+                    "derived": words(G, members(H.derived)),
                     "datum": [d.lift.matrix, d.norm.matrix, d.sigma.matrix],
                     "growth": classify_growth(d).value,
                     "problems": d.check_invariants(),
