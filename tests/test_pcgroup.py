@@ -696,31 +696,19 @@ class TestSubgroups:
         assert G.subgroup(members(H)) == H
         assert H.pcgs == (g1_powers[1],)
 
-    def test_pcgs_match_the_element_set_oracles(self):
-        # oracles: closures by breadth-first search, the least element of
-        # each coset by multiplying out H, and H' from the commutators
-        # [a, y], a in H and y a generator
-        def check(H, hs):
-            assert members(H) == sorted(hs), (G.name, H.pcgs)
-            assert H.index * len(hs) == G.order, (G.name, H.pcgs)
-            minima = coset_minima(G, hs)
-            assert all(H.label(x) == minima[x] for x in G.elements()), \
-                (G.name, H.pcgs)
-
+    def test_grown_closures_match_closures_from_the_identity(self):
+        # oracles: closures by breadth-first search from the identity, and
+        # H' from the commutators [a, y], a in H and y a generator
         rng = random.Random(11)
         checked = 0
         for name, G in sorted(load_catalog().items()):
             assert G.order <= 3 ** 5, name
-            if G.abelianization()[0].rank(G.p) >= 1:
-                # the shared lattice and G', each set spanned by its pcgs
-                for H in subgroups_index_p_above_derived(G) + \
-                        [G.derived_subgroup()]:
-                    check(H, closure(G, H.pcgs))
             seen = []
             for _ in range(30):
                 xs = rng.choices(G.elements(), k=rng.randint(1, 3))
                 H, hs = G.subgroup(xs), closure(G, xs)
-                check(H, hs)
+                assert members(H) == sorted(hs), (name, xs)
+                assert H.index * len(hs) == G.order, (name, xs)
                 assert members(G.derived_of(xs)) == \
                     sorted(derived_closure(G, xs)), (name, xs)
                 for K, ks in seen:
@@ -730,6 +718,29 @@ class TestSubgroups:
                 seen.append((H, hs))
                 checked += 1
         assert checked == 36 * 30
+
+    def test_coset_labels_match_min_over_subgroup(self):
+        # oracle: the least element of H x, found by multiplying out all of H
+        def check(H, hs):
+            assert members(H) == sorted(hs), (G.name, H.pcgs)
+            minima = coset_minima(G, hs)
+            assert all(H.label(x) == minima[x] for x in G.elements()), \
+                (G.name, H.pcgs)
+
+        rng = random.Random(12)
+        checked = 0
+        for name, G in sorted(load_catalog().items()):
+            if G.abelianization()[0].rank(G.p) >= 1:
+                # the shared lattice and G', each set spanned by its pcgs
+                for H in subgroups_index_p_above_derived(G) + \
+                        [G.derived_subgroup()]:
+                    check(H, closure(G, H.pcgs))
+                    checked += 1
+            for _ in range(10):
+                xs = rng.choices(G.elements(), k=rng.randint(1, 3))
+                check(G.subgroup(xs), closure(G, xs))
+                checked += 1
+        assert checked > 100
 
     def test_schreier_transversal(self):
         G = get_group("M27")
