@@ -520,6 +520,20 @@ class StructureResult:
         return self._coord_fn(self._span[elem])
 
 
+def op_power(g, k, op, identity):
+    """g^k for k >= 0 in the group with law `op`, by square-and-multiply:
+    at most 2 log2(k) products, and the first factor is not composed with
+    the identity."""
+    y = None
+    while k:
+        if k & 1:
+            y = g if y is None else op(y, g)
+        k >>= 1
+        if k:
+            g = op(g, g)
+    return identity if y is None else y
+
+
 def abelian_structure(elements, op, identity, cofactor=1):
     """Greedy generator selection with a relation lattice, invariant factors
     by Smith normal form, of the subgroup spanned by {x^cofactor : x in
@@ -537,18 +551,6 @@ def abelian_structure(elements, op, identity, cofactor=1):
         raise AbgroupError("cofactor %d does not divide the number of "
                            "elements %d" % (cofactor, len(elements)))
 
-    def pow_op(g, k):
-        # square-and-multiply for k >= 0; the first factor is not composed
-        # with the identity
-        y = None
-        while k:
-            if k & 1:
-                y = g if y is None else op(y, g)
-            k >>= 1
-            if k:
-                g = op(g, g)
-        return identity if y is None else y
-
     span = {identity: ()}
     gens = []
     rels = []
@@ -556,7 +558,7 @@ def abelian_structure(elements, op, identity, cofactor=1):
         if cofactor != 1:
             if len(span) == m:
                 break
-            x = pow_op(x, cofactor)
+            x = op_power(x, cofactor, op, identity)
         if x in span:
             continue
         # minimal e >= 1 with x^e inside the current span; the powers
@@ -597,7 +599,7 @@ def abelian_structure(elements, op, identity, cofactor=1):
             elem = identity
             for g, c in zip(gens, gv):
                 # g^m = identity for the span's order m
-                elem = op(elem, pow_op(g, c % m))
+                elem = op(elem, op_power(g, c % m, op, identity))
             out.append(elem)
         return out
 

@@ -329,7 +329,15 @@ class PcGroup:
         """The element that a word given as ((gen_index, exponent), ...)
         collects to; exponents may be any integers."""
         w = self.identity
-        for g, e in word:
+        for letter in word:
+            try:
+                g, e = letter
+            except (TypeError, ValueError):
+                raise PresentationError("letter %r is not a (generator, "
+                                        "exponent) pair" % (letter,)) from None
+            if not (isinstance(g, int) and isinstance(e, int)):
+                raise PresentationError("letter %r is not a pair of integers"
+                                        % (letter,))
             if not 0 <= g < self.n:
                 raise PresentationError("letter g%d out of range" % (g + 1))
             w = self.mult(w, self.power(self._gens[g], e))

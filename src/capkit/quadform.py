@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt
 
-from .abgroup import AbelianGroup, abelian_structure
+from .abgroup import AbelianGroup, abelian_structure, op_power
 
 
 class QuadFormError(ValueError):
@@ -267,6 +267,60 @@ class ClassGroupStructure:
         return tuple(QuadForm(*g) for g in res.generators)
 
 
+def _four_rank(Dv, forms):
+    """The 4-rank of the class group of a fundamental Dv, from the reduced
+    forms `forms`, or None if Dv is not fundamental.
+
+    It counts the ambiguous forms (a, b, c) on which every assigned
+    character is +1; the count is 2^r4.  Each odd p | Dv gives (m/p), with
+    m the one of a and c that is prime to p (they are not both divisible,
+    as p | b^2 - 4ac and the form is primitive).  The product of all the
+    assigned characters is trivial on the class group (Cox, 3.15), so the
+    2-adic one that 4 | Dv adds (chi_-4, chi_-8 or chi_8) is +1 wherever
+    the odd ones are, and is not evaluated."""
+    n = -Dv
+    if n % 4 == 0:
+        n //= 4
+        if n % 4 not in (1, 2):
+            return None
+    primes = prime_factors(n)
+    if any(n % (p * p) == 0 for p in primes):
+        return None
+    odd = [p for p in primes if p != 2]
+    count = 0
+    for a, b, c in forms:
+        if (b == 0 or a == b or a == c) and \
+                all(pow(a if a % p else c, (p - 1) // 2, p) == 1 for p in odd):
+            count += 1
+    return count.bit_length() - 1
+
+
+def _two_part(r, v, r4):
+    """The 2-part of order 2^v, rank r and 4-rank r4 (ascending), where
+    these force it, else None."""
+    if r4 is None:
+        return None
+    rest = v - (r - r4)
+    if r4 == 1:
+        return (2,) * (r - 1) + (1 << rest,)
+    if rest == 2 * r4:
+        return (2,) * (r - r4) + (4,) * r4
+    if rest == 2 * r4 + 1:
+        return (2,) * (r - r4) + (4,) * (r4 - 1) + (8,)
+    return None
+
+
+def _cyclic_part(forms, op, one, cofactor, q, qv):
+    """(qv,) for the q-part of order qv if the first form whose cofactor-th
+    power y is not 1 has y^(qv / q) != 1, that is, y has order qv; else
+    None."""
+    for f in forms:
+        y = op_power(f, cofactor, op, one)
+        if y != one:
+            return (qv,) if op_power(y, qv // q, op, one) != one else None
+    return None
+
+
 MAX_ABS_DISC = 10 ** 8
 
 
@@ -278,12 +332,27 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
     rank r in {1, v - 1, v} is forced, at no composition: C_q^(r-1) x
     C_{q^(v-r+1)}.  r is known for q = 2, as each class of order <= 2 holds
     one ambiguous reduced form (b = 0, a = b or a = c; Buell, Binary
-    Quadratic Forms, ch. 4), and for v = 1.  Any other q-part is spanned by
-    the forms raised to the power h / q^v in sieve order, at about
-    1.5 log2(h / q^v) compositions per form and q^v to 2 q^v for the span,
-    and its relation lattice is resolved by Smith normal form.  The q-parts
-    combine by the Chinese remainder theorem: the i-th invariant factor
-    from the top is the product of the i-th q-factors from the top.
+    Quadratic Forms, ch. 4), and for v = 1.
+
+    Two more rules decide most of the other parts without a span:
+
+    - A 2-part of fundamental D, by its 4-rank r4.  The ambiguous classes
+      are Cl[2] and the principal genus is Cl^2 (Gauss), so 2^r4 ambiguous
+      forms lie in the principal genus, where every assigned character is
+      +1 (Cox, Primes of the Form x^2 + ny^2, 3.15; Redei-Reichardt 1934):
+      see `_four_rank`.  With rest = v - (r - r4), the part is
+      C_2^(r-1) x C_{2^rest} if r4 = 1, C_2^(r-r4) x C_4^r4 if rest = 2 r4,
+      and C_2^(r-r4) x C_4^(r4-1) x C_8 if rest = 2 r4 + 1.
+    - An odd q-part of order q^v >= q^2: if the first form in sieve order
+      whose (h / q^v)-th power y is not 1 has y^(q^(v-1)) != 1, then y has
+      order q^v and the part is C_{q^v}.
+
+    Any other q-part is spanned by the forms raised to the power h / q^v in
+    sieve order, at about 1.5 log2(h / q^v) compositions per form and q^v
+    to 2 q^v for the span, and its relation lattice is resolved by Smith
+    normal form.  The q-parts combine by the Chinese remainder theorem: the
+    i-th invariant factor from the top is the product of the i-th
+    q-factors from the top.
 
     `generators` is computed only when read, by the greedy selection over
     all h forms.  Non-fundamental discriminants are computed on (class
@@ -303,6 +372,7 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
             (ambiguous > 1) != (h % 2 == 0):
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
                             "%d classes (D = %d)" % (ambiguous, h, Dv))
+    op, one = _form_op(Dv), _principal_raw(Dv)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
         v, qv = 1, q
@@ -311,9 +381,13 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
         r = two_rank if q == 2 else 1 if v == 1 else None
         if r in (1, v - 1, v):
             part = (q,) * (r - 1) + (qv // q ** (r - 1),)
+        elif q == 2:
+            part = _two_part(r, v, _four_rank(Dv, forms))
         else:
-            part = abelian_structure(forms, _form_op(Dv), _principal_raw(Dv),
-                                     cofactor=h // qv).group.invariant_factors
+            part = _cyclic_part(forms, op, one, h // qv, q, qv)
+        if part is None:
+            part = abelian_structure(forms, op, one, cofactor=h // qv
+                                     ).group.invariant_factors
         for i, d in enumerate(reversed(part)):
             if i == len(top):
                 top.append(1)

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from capkit.abgroup import (AbelianGroup, AbgroupError, Homomorphism,
                             Subgroup, abelian_structure, hnf_rows, hom_power,
-                            identity_hom, power_hom, quotient_coords,
-                            smith_normal_form, transpose, zero_hom)
+                            identity_hom, op_power, power_hom,
+                            quotient_coords, smith_normal_form, transpose,
+                            zero_hom)
 
 
 def invert_unimodular(U):
@@ -386,6 +387,19 @@ def element_order(x, op, identity):
 
 
 class TestAbelianStructure:
+    def test_op_power_is_repeated_addition(self):
+        # in Z/97 under addition, g^k is k g; the identity is never a factor
+        for k in range(70):
+            calls = []
+
+            def op(a, b):
+                assert 0 not in (a, b)
+                calls.append(1)
+                return (a + b) % 97
+
+            assert op_power(5, k, op, 0) == 5 * k % 97
+            assert len(calls) <= 2 * max(k.bit_length() - 1, 0)
+
     def test_cyclic_from_modular_addition(self):
         for n in (1, 2, 6, 12):
             res = abelian_structure(list(range(n)), lambda a, b: (a + b) % n, 0)

@@ -1,7 +1,8 @@
 """The benchmark's hold on the package: every name its tracer wraps
-resolves, and a traced catalog-tkt session fires the spans that
-perfbench/run.py expects of that workload.  A rename or a deleted call in
-capkit then fails here, not only in a traced benchmark run."""
+resolves, and a traced catalog-tkt session and a traced scan fire the
+spans that perfbench/run.py expects of those workloads.  A rename or a
+deleted call in capkit then fails here, not only in a traced benchmark
+run."""
 
 import importlib
 import json
@@ -38,13 +39,17 @@ def test_tracer_names_resolve(bench):
         assert hasattr(importlib.import_module(modname), attr), (modname, attr)
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def test_traced_catalog_session_fires_the_expected_spans(bench, tmp_path):
     run, _ = bench
     products, result, spans = (tmp_path / "products.txt",
                                tmp_path / "result.json", tmp_path / "spans.json")
     products.write_text("", encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = _env()
     subprocess.run([sys.executable, str(PERFBENCH / "catalog_session.py"),
                     str(products), str(result), str(spans)],
                    env=env, check=True, timeout=120)
@@ -55,3 +60,23 @@ def test_traced_catalog_session_fires_the_expected_spans(bench, tmp_path):
     assert [n for n in expected if n not in fired] == []
     groups = json.loads(result.read_text("utf-8"))["groups"]
     assert groups and all(not any(g["problems"]) for g in groups.values())
+
+
+def test_traced_scan_fires_the_expected_spans(bench, tmp_path):
+    # the seed-0 window of the scan workload: its Sylow parts that no rule
+    # decides without a span keep abelian_structure and SNF firing
+    run, _ = bench
+    lo, hi, window = importlib.import_module("inputs").scan_window(0)
+    spans = tmp_path / "spans.json"
+    subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"),
+                    str(spans), "--", "scan", "--prime", "5",
+                    "--store", str(tmp_path / "scan.tsv"), "--",
+                    str(lo), str(hi)],
+                   env=_env(), check=True, timeout=120,
+                   stdout=subprocess.DEVNULL)
+    fired = {s[2] for s in json.loads(spans.read_text("utf-8"))["spans"]}
+    assert [n for n in run.EXPECTED_SPANS["scan"] if n not in fired] == []
+    records = [line for line in
+               (tmp_path / "scan.tsv").read_text("utf-8").splitlines()
+               if not line.startswith("#")]
+    assert len(records) == len(window)

@@ -139,6 +139,17 @@ class TestCollectionAgainstModels:
         assert G.exponents(G.collect(((0, -1),))) == (2, 0, 0)
         assert G.collect(()) == G.identity
 
+    @pytest.mark.parametrize("letter, part", [
+        ((0, 1.5), "not a pair of integers"),
+        ((0, "2"), "not a pair of integers"),
+        ((0,), r"not a \(generator, exponent\) pair"),
+        ((3, 1), "out of range"),
+    ])
+    def test_collect_checks_its_letters(self, letter, part):
+        # the first three raised a bare TypeError or ValueError
+        with pytest.raises(PresentationError, match=part):
+            get_group("H27").collect(((1, 1), letter))
+
 
 class TestPresentationValidation:
     def test_rejects_out_of_range_tails(self):

@@ -397,6 +397,14 @@ def _greedy_invariants(dv, forms):
     return abelian_structure(forms, op, _principal_raw(dv)).group.invariant_factors
 
 
+def _naive_power(f, k, dv):
+    """Oracle: f^k by k compositions with the principal form first."""
+    y = _principal_raw(dv)
+    for _ in range(k):
+        y = _reduce_raw(*_compose_raw(y, f, dv))
+    return y
+
+
 class TestSylowStructure:
     def test_every_small_discriminant_matches_greedy(self):
         discs = _discs_in(-3000, -3)
@@ -450,16 +458,29 @@ class TestSylowStructure:
 
         def forced(s, q):
             # a q-part of order q^v and rank 1, v - 1 or v, where the rank is
-            # known for v = 1 and, by genus theory, for q = 2
+            # known for v = 1 and, by genus theory, for q = 2; a 2-part
+            # whose 4-rank r4 (read off the greedy structure) gives r4 = 1
+            # or rest = v - (r - r4) in {2 r4, 2 r4 + 1}; or an odd q-part
+            # whose first nontrivial (h / q^v)-th power has order q^v
+            dv, h = s.discriminant.value, s.order
             v = 1
-            while s.order % q ** (v + 1) == 0:
+            while h % q ** (v + 1) == 0:
                 v += 1
             r = genus_two_rank(s.discriminant) if q == 2 else \
                 1 if v == 1 else None
-            return r in (1, v - 1, v)
+            if r in (1, v - 1, v):
+                return True
+            if q == 2:
+                r4 = sum(1 for d in _greedy_invariants(dv, s.forms)
+                         if d % 4 == 0)
+                rest = v - (r - r4)
+                return r4 == 1 or rest in (2 * r4, 2 * r4 + 1)
+            one = _principal_raw(dv)
+            y = next(y for y in (_naive_power(f, h // q ** v, dv)
+                                 for f in s.forms) if y != one)
+            return _naive_power(y, q ** (v - 1), dv) != one
 
-        # one span per Sylow subgroup that its order and rank do not force,
-        # and no more
+        # one span per Sylow subgroup that no rule decides, and no more
         assert len(results) == sum(1 for s in structures
                                    for q in prime_factors(s.order)
                                    if not forced(s, q)) > 0
@@ -470,8 +491,8 @@ class TestSylowStructure:
         assert "generators" in vars(s) and "generators" in vars(results[-1])
 
     # Discriminants whose Sylow parts all have rank r in {1, v - 1, v} for
-    # their order q^v, and one whose 2-part does not, found by search over
-    # [-6000, -3] and the table range
+    # their order q^v or a 2-part forced by its 4-rank r4, and ones whose
+    # 2-part is not, found by search over [-12000, -3] and the table range
     @pytest.mark.parametrize("dv, invs, forced", [
         (-95, (8,), True),               # r = 1, v >= 2
         (-1751, (48,), True),
@@ -482,7 +503,12 @@ class TestSylowStructure:
         (-999, (24,), True),             # not fundamental
         (-1760, (2, 2, 6), True),
         (-5775, (2, 2, 12), True),
-        (-3615, (2, 24), False),         # 2-part of order 2^4 and rank 2
+        (-3615, (2, 24), True),          # 2-part C2 x C8: r = 2, r4 = 1
+        (-2379, (4, 4), True),           # C4 x C4: r4 = 2, rest = 4
+        (-6052, (4, 4), True),
+        (-5795, (4, 8), True),           # C4 x C8: r4 = 2, rest = 5
+        (-4895, (4, 16), False),         # C4 x C16: r4 = 2, rest = 6
+        (-1088, (2, 8), False),          # not fundamental, r = 2, v = 4
     ])
     def test_forced_parts_make_no_composition(self, monkeypatch, dv, invs,
                                               forced):
@@ -496,6 +522,42 @@ class TestSylowStructure:
         monkeypatch.setattr(quadform, "_compose_raw", counting)
         s = class_group_structure(Discriminant(dv))
         assert (calls == []) == forced
+        assert s.invariant_factors == invs == \
+            _greedy_invariants(dv, _reduced_forms_in([dv])[dv])
+
+    def test_character_four_rank_matches_greedy(self):
+        chunks = [fundamental_discriminants(-3000, -3)]
+        rng = random.Random(4)
+        for _ in range(2):
+            lo = rng.randrange(-10 ** 6 - 5000, -10 ** 6 + 5000)
+            chunks.append(fundamental_discriminants(lo, lo + 255))
+        for discs in chunks:
+            buckets = _reduced_forms_in(discs)
+            for dv in discs:
+                invs = _greedy_invariants(dv, buckets[dv])
+                assert quadform._four_rank(dv, buckets[dv]) == \
+                    sum(1 for d in invs if d % 4 == 0), dv
+        # the characters are those of the maximal order only
+        discs = [d for d in _discs_in(-3000, -3) if not is_fundamental(d)]
+        buckets = _reduced_forms_in(discs)
+        assert all(quadform._four_rank(d, buckets[d]) is None for d in discs)
+
+    @pytest.mark.parametrize("dv, invs, spans", [
+        (-4027, (3, 3), 1),              # C3 x C3
+        (-10627, (9,), 1),               # C9, first form of order > 1 has 3
+        (-199, (9,), 0),                 # C9, first form of order > 1 has 9
+    ])
+    def test_odd_parts_of_order_q_squared(self, monkeypatch, dv, invs, spans):
+        calls = []
+        real = quadform.abelian_structure
+
+        def recording(elements, op, identity, cofactor=1):
+            calls.append(cofactor)
+            return real(elements, op, identity, cofactor)
+
+        monkeypatch.setattr(quadform, "abelian_structure", recording)
+        s = class_group_structure(Discriminant(dv))
+        assert len(calls) == spans
         assert s.invariant_factors == invs == \
             _greedy_invariants(dv, _reduced_forms_in([dv])[dv])
 
