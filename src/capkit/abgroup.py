@@ -8,9 +8,10 @@ form d1 | d2 | ... | dk; elements are exponent tuples reduced mod di.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
+
+from .value import value_type
 
 
 class AbgroupError(ValueError):
@@ -202,20 +203,18 @@ def quotient_coords(relation_rows, ngens):
 # finite abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type("invariant_factors")
 class AbelianGroup:
     """Finite abelian group in invariant-factor form d1 | d2 | ... | dk."""
 
-    invariant_factors: tuple
-
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __init__(self, invariant_factors):
+        facs = tuple(int(d) for d in invariant_factors)
         if any(d < 2 for d in facs):
             raise AbgroupError("invariant factors must be >= 2")
         for a, b in zip(facs, facs[1:]):
             if b % a:
                 raise AbgroupError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "invariant_factors", facs)
 
     @property
     def ngens(self):
@@ -253,28 +252,27 @@ class AbelianGroup:
         return itertools.product(*(range(d) for d in self.invariant_factors))
 
 
-@dataclass(frozen=True)
+@value_type("source", "target", "matrix")
 class Homomorphism:
     """Map between finite abelian groups; column j of `matrix` is the image
     of the j-th source generator, and row i is reduced mod the target's
     i-th invariant factor, so each map has exactly one matrix."""
 
-    source: AbelianGroup
-    target: AbelianGroup
-    matrix: tuple  # target.ngens rows x source.ngens cols
-
-    def __post_init__(self):
-        kt, ks = self.target.ngens, self.source.ngens
-        if len(self.matrix) != kt or any(len(row) != ks for row in self.matrix):
+    def __init__(self, source, target, matrix):
+        # matrix: target.ngens rows x source.ngens cols
+        kt, ks = target.ngens, source.ngens
+        if len(matrix) != kt or any(len(row) != ks for row in matrix):
             raise AbgroupError("homomorphism matrix has wrong shape")
         mat = tuple(tuple(int(x) % di for x in row) for row, di
-                    in zip(self.matrix, self.target.invariant_factors))
-        object.__setattr__(self, "matrix", mat)
-        for j, dj in enumerate(self.source.invariant_factors):
-            for i, di in enumerate(self.target.invariant_factors):
+                    in zip(matrix, target.invariant_factors))
+        for j, dj in enumerate(source.invariant_factors):
+            for i, di in enumerate(target.invariant_factors):
                 if (dj * mat[i][j]) % di:
                     raise AbgroupError(
                         "matrix column %d does not respect source order %d" % (j, dj))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", mat)
 
     def __call__(self, vec):
         return self.target.reduce(mat_vec(self.matrix, vec))
@@ -340,27 +338,27 @@ def power_hom(A, n):
 
 
 def hom_power(h, n):
-    """n-fold composition of an endomorphism."""
+    """n-fold composition of an endomorphism, n >= 0, by square-and-multiply."""
     if h.source != h.target:
         raise AbgroupError("iterate needs an endomorphism")
-    out = identity_hom(h.source)
-    for _ in range(n):
-        out = h.compose(out)
-    return out
+    if n < 0:
+        raise AbgroupError("iterate needs n >= 0")
+    return op_power(h, n, Homomorphism.compose, identity_hom(h.source))
 
 
 # ---------------------------------------------------------------------------
 # subgroups via canonical HNF lattices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type("ambient", "basis")
 class Subgroup:
     """Subgroup of an AbelianGroup, stored as the HNF basis of the full-rank
     lattice L with diag(d) <= L <= Z^k.  Equality of subgroups is equality
     of the canonical basis."""
 
-    ambient: AbelianGroup
-    basis: tuple  # k x k HNF rows
+    def __init__(self, ambient, basis):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)  # k x k HNF rows
 
     @classmethod
     def from_generators(cls, ambient, gens):

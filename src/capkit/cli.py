@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import groupby
 from operator import attrgetter
 
-# fixtures and heuristics (hashlib, fractions, decimal, random) are imported
+# fixtures (hashlib) and heuristics (fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
 # the benchmark's tracer finds their names when it wraps them
 from .abgroup import is_prime
@@ -247,8 +247,8 @@ def cmd_tkt(ns, out):
 
 
 def cmd_heuristic(ns, out):
-    from .fixtures import PUBLISHED_EMPIRICAL_P3, PUBLISHED_HEURISTIC_P3
-    from .heuristics import HeuristicsError, predicted_rank_distribution
+    from .heuristics import (PUBLISHED_EMPIRICAL_P3, PUBLISHED_HEURISTIC_P3,
+                             HeuristicsError, predicted_rank_distribution)
     try:
         dist = predicted_rank_distribution(ns.p)
     except HeuristicsError as exc:

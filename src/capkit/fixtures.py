@@ -1,6 +1,7 @@
 """Frozen reference data: the table of 28 imaginary quadratic discriminants
 with 5-rank two class group together with their published capitulation
-patterns, and the published numbers for the rank heuristic at p = 3.
+patterns.  The published numbers for the rank heuristic at p = 3 are in
+`heuristics`, beside the closed form they are compared with.
 
 The table is integrity-checked by checksum at import of `reference_table()`;
 edits to the rows must be deliberate.
@@ -9,8 +10,8 @@ edits to the rows must be deliberate.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from fractions import Fraction
+
+from .value import value_type
 
 _TABLE_ROWS = (
     (1, -12451, (3, 6, 4, 1, 5, 2)),
@@ -47,11 +48,13 @@ _TABLE_SHA256 = \
     "b179897362e473650dab515c89445c573afddd3019c22238061ad4862ed2eed8"
 
 
-@dataclass(frozen=True)
+@value_type("number", "discriminant", "pattern")
 class TableRow:
-    number: int
-    discriminant: int
-    pattern: tuple  # image subgroup index per index-5 subgroup, in line order
+    def __init__(self, number, discriminant, pattern):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "discriminant", discriminant)
+        # image subgroup index per index-5 subgroup, in line order
+        object.__setattr__(self, "pattern", pattern)
 
 
 def _table_digest():
@@ -70,12 +73,3 @@ def reference_table():
 
 def reference_discriminants():
     return [row.discriminant for row in reference_table()]
-
-
-# published columns of the rank heuristic at p = 3, ranks 2 / 4 / 6:
-# the closed-form prediction as printed (four decimals) and the observed
-# frequencies it was compared against.
-PUBLISHED_HEURISTIC_P3 = (
-    Fraction(8889, 10**4), Fraction(989, 10**4), Fraction(110, 10**4))
-PUBLISHED_EMPIRICAL_P3 = (
-    Fraction(8992, 10**4), Fraction(950, 10**4), Fraction(71, 10**4))

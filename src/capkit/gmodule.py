@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -16,6 +15,7 @@ from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
                       identity_hom, power_hom, zero_hom)
 from .pcgroup import (PcGroup, SubgroupDescriptor,
                       subgroups_index_p_above_derived, transfer)
+from .value import value_type
 
 
 class GModuleError(ValueError):
@@ -26,15 +26,17 @@ class GModuleError(ValueError):
 # group algebra elements and idempotents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type("group", "prime", "precision", "coeffs")
 class GroupAlgebraElement:
     """Element of (Z/p^m)[G] for a finite abelian G with p coprime to |G|.
     Coefficients are stored per group element tuple, reduced mod p^m."""
 
-    group: AbelianGroup
-    prime: int
-    precision: int
-    coeffs: tuple  # ((element, coefficient), ...) sorted, zero entries dropped
+    def __init__(self, group, prime, precision, coeffs):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "precision", precision)
+        # ((element, coefficient), ...) sorted, zero entries dropped
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, group, prime, precision, mapping):
@@ -239,29 +241,28 @@ def primitive_idempotents(G: AbelianGroup, p: int, m: int):
 # modules with abelian group action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type("module", "acting_group", "action")
 class GModule:
     """Finite abelian p-group with an action of a finite abelian group given
     by one commuting invertible endomorphism per generator."""
 
-    module: AbelianGroup
-    acting_group: AbelianGroup
-    action: tuple  # one Homomorphism per acting-group generator
-
-    def __post_init__(self):
-        object.__setattr__(self, "action", tuple(self.action))
-        if len(self.action) != self.acting_group.ngens:
+    def __init__(self, module, acting_group, action):
+        action = tuple(action)  # one Homomorphism per acting-group generator
+        if len(action) != acting_group.ngens:
             raise GModuleError("need one action map per acting-group generator")
-        for h in self.action:
-            if h.source != self.module or h.target != self.module:
+        for h in action:
+            if h.source != module or h.target != module:
                 raise GModuleError("action maps must be endomorphisms of the module")
-        for a, b in itertools.combinations(self.action, 2):
+        for a, b in itertools.combinations(action, 2):
             if a.compose(b) != b.compose(a):
                 raise GModuleError("action maps must commute")
-        ident = identity_hom(self.module)
-        for h, d in zip(self.action, self.acting_group.invariant_factors):
+        ident = identity_hom(module)
+        for h, d in zip(action, acting_group.invariant_factors):
             if hom_power(h, d) != ident:
                 raise GModuleError("action does not respect acting-group orders")
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "acting_group", acting_group)
+        object.__setattr__(self, "action", action)
 
     def act_element(self, g):
         """Endomorphism attached to acting-group element g."""
@@ -373,7 +374,7 @@ class GrowthClass(Enum):
     WILD = "wild"
 
 
-@dataclass(frozen=True)
+@value_type("p", "A_K", "A_L", "lift", "norm", "sigma")
 class RelativeExtensionDatum:
     """Group-side package of a degree-p extension: class groups upstairs and
     downstairs, lift and norm between them and the Galois action upstairs.
@@ -383,26 +384,29 @@ class RelativeExtensionDatum:
       norm o lift = p-th power map on A_K
       lift o norm = action of 1 + sigma + ... + sigma^(p-1) on A_L
       norm o sigma = norm, sigma o lift = lift
+
+    `synthetic` is left out of equality and hash.
     """
 
-    p: int
-    A_K: AbelianGroup
-    A_L: AbelianGroup
-    lift: Homomorphism     # A_K -> A_L
-    norm: Homomorphism     # A_L -> A_K
-    sigma: Homomorphism    # automorphism of A_L of order dividing p
-    synthetic: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if self.lift.source != self.A_K or self.lift.target != self.A_L:
+    def __init__(self, p, A_K, A_L, lift, norm, sigma, synthetic=False):
+        # lift: A_K -> A_L, norm: A_L -> A_K, sigma: automorphism of A_L of
+        # order dividing p
+        if lift.source != A_K or lift.target != A_L:
             raise GModuleError("lift has wrong signature")
-        if self.norm.source != self.A_L or self.norm.target != self.A_K:
+        if norm.source != A_L or norm.target != A_K:
             raise GModuleError("norm has wrong signature")
-        if self.sigma.source != self.A_L or self.sigma.target != self.A_L:
+        if sigma.source != A_L or sigma.target != A_L:
             raise GModuleError("sigma must be an endomorphism of A_L")
-        if hom_power(self.sigma, self.p) != identity_hom(self.A_L):
+        if hom_power(sigma, p) != identity_hom(A_L):
             raise GModuleError("sigma order does not divide p")
-        if not self.synthetic:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "A_K", A_K)
+        object.__setattr__(self, "A_L", A_L)
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "synthetic", synthetic)
+        if not synthetic:
             bad = self.check_invariants()
             if bad:
                 raise GModuleError("datum invariants violated: " + "; ".join(bad))

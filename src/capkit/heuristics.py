@@ -1,6 +1,6 @@
 """Predicted distribution of even p-ranks for class groups in the relevant
-family, with a seeded Monte Carlo realization and a total-variation
-comparison utility.
+family, with a seeded Monte Carlo realization, a total-variation
+comparison utility and the published numbers at p = 3.
 
 The closed form puts mass (1 - p^-2) * p^(-2(k-1)) on rank 2k for k >= 1.
 Probabilities are kept as exact fractions; only presentation rounds.
@@ -9,32 +9,41 @@ Probabilities are kept as exact fractions; only presentation rounds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .abgroup import is_prime
+from .value import value_type
 
 
 class HeuristicsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+# published columns of the rank heuristic at p = 3, ranks 2 / 4 / 6:
+# the closed-form prediction as printed (four decimals) and the observed
+# frequencies it was compared against.
+PUBLISHED_HEURISTIC_P3 = (
+    Fraction(8889, 10**4), Fraction(989, 10**4), Fraction(110, 10**4))
+PUBLISHED_EMPIRICAL_P3 = (
+    Fraction(8992, 10**4), Fraction(950, 10**4), Fraction(71, 10**4))
+
+
+@value_type("p", "kmax", "probs")
 class RankDistribution:
     """Probability mass on even ranks 2, 4, ..., 2*kmax (exact fractions).
     The tail mass beyond 2*kmax is implicit: residual() returns it."""
 
-    p: int
-    kmax: int
-    probs: tuple  # ((2k, Fraction), ...) ascending
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.kmax < 1:
+    def __init__(self, p, kmax, probs):
+        # probs: ((2k, Fraction), ...) ascending
+        _check_prime(p)
+        if kmax < 1:
             raise HeuristicsError("need kmax >= 1")
-        if len(self.probs) != self.kmax:
+        if len(probs) != kmax:
             raise HeuristicsError("need one mass per rank 2..2*kmax")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "kmax", kmax)
+        object.__setattr__(self, "probs", probs)
 
     def mass(self, rank):
         for r, q in self.probs:

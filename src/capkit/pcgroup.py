@@ -95,11 +95,11 @@ and the pinned catalog outputs built from them do not depend on the pcgs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
                       is_prime)
+from .value import value_type
 
 
 class PresentationError(ValueError):
@@ -452,14 +452,15 @@ class PcGroup:
         return self.as_subgroup.abelianization
 
 
-@dataclass(frozen=True)
+@value_type("ambient", "pcgs")
 class SubgroupDescriptor:
     """A subgroup of ambient by its canonical induced pcgs, in depth order
     (module docstring): equal subgroups are equal descriptors, and
     subgroups of two PcGroup objects never are."""
 
-    ambient: PcGroup
-    pcgs: tuple
+    def __init__(self, ambient, pcgs):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "pcgs", pcgs)
 
     @property
     def index(self):
@@ -601,11 +602,14 @@ def _transfer_product(G, H, transversal):
     return Homomorphism(A_G, A_H, matrix)
 
 
-@dataclass(frozen=True)
+@value_type("subgroup_no", "kernel", "code")
 class CapitulationEntry:
-    subgroup_no: int          # 1-based, canonical line order
-    kernel: Subgroup
-    code: int | None          # 0 full kernel, 1..p+1 line index, None = flagged
+    def __init__(self, subgroup_no, kernel, code):
+        # subgroup_no is 1-based, in canonical line order; code is 0 for the
+        # full kernel, 1..p+1 for a line index and None when flagged
+        object.__setattr__(self, "subgroup_no", subgroup_no)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "code", code)
 
     @property
     def flagged(self):

@@ -8,12 +8,12 @@ validated wrapper around them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt
 
 from .abgroup import AbelianGroup, abelian_structure, op_power
+from .value import value_type
 
 
 class QuadFormError(ValueError):
@@ -65,27 +65,25 @@ def _squarefree(n):
     return True
 
 
-@dataclass(frozen=True)
+@value_type("value")
 class Discriminant:
-    value: int
-
-    def __post_init__(self):
-        if not is_discriminant(self.value):
+    def __init__(self, value):
+        if not is_discriminant(value):
             raise QuadFormError("discriminant must be negative and 0 or 1 mod 4")
+        object.__setattr__(self, "value", value)
 
     @property
     def is_fundamental(self):
         return is_fundamental(self.value)
 
 
-@dataclass(frozen=True)
+@value_type("a", "b", "c")
 class QuadForm:
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.disc >= 0:
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        if a <= 0 or self.disc >= 0:
             raise QuadFormError("form must be positive definite")
 
     @property
@@ -238,12 +236,14 @@ def _form_op(Dv):
     return op
 
 
-@dataclass(frozen=True)
+@value_type("discriminant", "order", "group")
 class ClassGroupStructure:
-    discriminant: Discriminant
-    order: int
-    group: AbelianGroup
-    forms: list = field(compare=False, repr=False)  # reduced, in sieve order
+    def __init__(self, discriminant, order, group, forms):
+        object.__setattr__(self, "discriminant", discriminant)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "group", group)
+        # reduced, in sieve order; left out of equality, hash and repr
+        object.__setattr__(self, "forms", forms)
 
     @property
     def invariant_factors(self):

@@ -233,6 +233,29 @@ class TestHomomorphism:
         assert identity_hom(A).compose(d) == d
         assert zero_hom(A, A) + d == d
 
+    def test_hom_power_is_repeated_composition(self):
+        # square-and-multiply against n compositions from the identity
+        rng = random.Random(19)
+        for invs, p in [((3, 9), 3), ((5, 5), 5), ((2, 4, 8), 2),
+                        ((3, 3, 3), 3)]:
+            A = AbelianGroup(invs)
+            endos = []
+            while len(endos) < 4:
+                mat = [[rng.randrange(d) for _ in invs] for d in invs]
+                try:
+                    endos.append(Homomorphism(A, A, mat))
+                except AbgroupError:
+                    continue  # not well defined on A
+            for h in endos:
+                want = identity_hom(A)
+                for n in range(2 * p + 1):
+                    assert hom_power(h, n) == want
+                    want = h.compose(want)
+        with pytest.raises(AbgroupError):
+            hom_power(h, -1)
+        with pytest.raises(AbgroupError):
+            hom_power(zero_hom(A, AbelianGroup((2,))), 2)
+
     def test_rejects_ill_defined_map(self):
         A = AbelianGroup((2,))
         B = AbelianGroup((4,))

@@ -8,11 +8,11 @@ from fractions import Fraction
 from capkit.abgroup import AbelianGroup, power_hom
 from capkit.catalog import load_catalog
 from capkit.cli import PatternClass, classify_capitulation_pattern
-from capkit.fixtures import PUBLISHED_HEURISTIC_P3, reference_table
+from capkit.fixtures import reference_table
 from capkit.gmodule import (catalog_relative_data, cycle_decomposition,
                             decompose_module, make_relative_datum,
                             primitive_idempotents)
-from capkit.heuristics import (compare_distributions,
+from capkit.heuristics import (PUBLISHED_HEURISTIC_P3, compare_distributions,
                                monte_carlo_rank_distribution,
                                predicted_rank_distribution)
 from capkit.pcgroup import (schreier_transversal,

@@ -1,12 +1,25 @@
 """Checks on the source text of the package itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import capkit
 
 SRC = pathlib.Path(capkit.__file__).parent
+
+
+def absolute_imports(path):
+    """(line, module name) of each absolute import in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
 
 
 def test_no_assert_statements():
@@ -22,21 +35,37 @@ def test_no_assert_statements():
 
 def test_imports_are_stdlib_or_capkit():
     # the package runs on the standard library alone; sympy is a test oracle
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += ["%s:%d %s" % (path.name, node.lineno, name)
-                      for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names
-                      and name.split(".")[0] != "capkit"]
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in absolute_imports(path)
+             if name.split(".")[0] not in sys.stdlib_module_names
+             and name.split(".")[0] != "capkit"]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # value types are plain classes (capkit.value): dataclasses would bring
+    # inspect, ast and dis into the start-up of every command
+    found = ["%s:%d" % (path.name, line)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in absolute_imports(path)
+             if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_commands_leave_costly_modules_unimported():
+    # a fresh interpreter, since pytest itself has imported inspect
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import capkit.cli, capkit.catalog, capkit.gmodule, capkit.fixtures\n"
+            "capkit.fixtures.reference_table()\n"
+            "print(*sorted({'dataclasses', 'inspect', 'fractions'}"
+            " & set(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert loaded == []
 
 
 def test_value_types_define_no_equality_or_hash():
