@@ -13,9 +13,10 @@ states each power and each commutator relation at most once.
 
 from __future__ import annotations
 
+import os
 import re
-from importlib import resources
 
+from . import data
 from .pcgroup import PcGroup, PresentationError
 
 _HEADER = re.compile(r"^group\s+(\S+)\s+prime\s+(\d+)\s+ngens\s+(\d+)$")
@@ -108,7 +109,10 @@ def load_catalog():
     """All shipped catalog groups, parsed and consistency-checked."""
     global _cache
     if _cache is None:
-        text = resources.files("capkit.data").joinpath("catalog.txt").read_text("utf-8")
+        # what pkgutil.get_data does, zip imports included, without the
+        # import of importlib.resources (pathlib, zipfile, tempfile)
+        path = os.path.join(os.path.dirname(data.__file__), "catalog.txt")
+        text = data.__loader__.get_data(path).decode("utf-8")
         _cache = parse_catalog(text)
     return _cache
 

@@ -62,7 +62,7 @@ SCAN_CHUNK = 256
 def _pending_chunks(lo, hi, p, done):
     """(discriminants, p) per chunk of SCAN_CHUNK consecutive integers: the
     fundamental discriminants in [lo, hi] that are not in `done`, the
-    discriminants already stored for p."""
+    discriminants in [lo, hi] already stored for p."""
     chunks = {}
     for d in fundamental_discriminants(lo, hi):
         if d not in done:
@@ -92,11 +92,12 @@ def _scan_parts(work, jobs):
 MAX_PRIME = 10 ** 8
 
 
-def _load_store(path):
-    """The records of the store at path, its skipped lines reported on
-    stderr; None, after an error message, when the path cannot be read."""
+def _load_store(path, prime=None):
+    """The records of the store at path, those of `prime` alone when it is
+    given; every skipped line, whatever its prime, is reported on stderr.
+    None, after an error message, when the path cannot be read."""
     try:
-        records, problems = read_store(path)
+        records, problems = read_store(path, prime)
     except OSError as exc:
         print("error: cannot read store %s: %s"
               % (path, exc.strerror or exc), file=sys.stderr)
@@ -151,16 +152,13 @@ def cmd_scan(ns, out):
         print("error: store directory %s does not exist or is not a "
               "directory" % store_dir, file=sys.stderr)
         return 2
-    existing = _load_store(ns.store)
+    existing = _load_store(ns.store, ns.prime)
     if existing is None:
         return 2
-    done, relevant = set(), []
-    for r in existing:
-        if r.prime == ns.prime:
-            done.add(r.discriminant)
-            if lo <= r.discriminant <= hi:
-                relevant.append(r)
-    work = _pending_chunks(lo, hi, ns.prime, done)
+    # the first stored record of each D in range counts, a repeat does not
+    stored = {r.discriminant: r for r in reversed(existing)
+              if lo <= r.discriminant <= hi}
+    work = _pending_chunks(lo, hi, ns.prime, stored.keys())
     if work:
         try:  # fail before computing anything, not after
             open(ns.store, "a", encoding="utf-8").close()
@@ -179,7 +177,7 @@ def cmd_scan(ns, out):
             return _write_error(ns.store, exc)
         fresh += part
 
-    relevant += fresh
+    relevant = [*stored.values(), *fresh]
     hist = Counter(r.rank for r in relevant)
     hits = sorted((r for r in relevant if r.rank >= ns.min_rank),
                   key=lambda r: -r.discriminant)

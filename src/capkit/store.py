@@ -7,8 +7,9 @@ One record per line, UTF-8, tab-separated:
 Lines starting with '#' are comments.  Corrupted lines, undecodable bytes
 included, are reported with their line number and skipped; they never abort
 a read.  A reader checks each record shape (the fields between D and the
-timestamp) once and builds the other records of that shape from a memo
-(see read_store).
+timestamp) once and builds the other records of that shape from a memo; a
+reader asked for one prime still checks every line but builds only that
+prime's records (see read_store).
 """
 
 from __future__ import annotations
@@ -93,8 +94,12 @@ def parse_record(line: str) -> ScanRecord:
     return _new_record(ScanRecord, (d, h, invs, p, rank, ts))
 
 
-def read_store(path):
+def read_store(path, prime=None):
     """(records, problems): problems are (line number, message) pairs.
+
+    With `prime` given, only the records of that p are built and returned;
+    every line is still checked, so the problems are the same as for
+    prime=None, which returns the records of every p.
 
     A line's shape is its text between the first and the last tab: h, the
     invariant factors, p and the rank.  Once parse_record has accepted a
@@ -104,9 +109,11 @@ def read_store(path):
     built from the memoized fields, its own D and its timestamp, without
     splitting the shape or checking it again; every other line (the first
     of each shape, any non-ASCII line, any line whose D int() rejects or
-    reads as >= 0) goes to parse_record, and fails there if it fails.  Records
-    of one shape share one invariant-factor tuple, and records of one
-    timestamp one string (a scan stamps its records to the second).
+    reads as >= 0) goes to parse_record, and fails there if it fails.  The
+    memo of a shape whose p is not `prime` is empty: its lines are checked
+    the same way but build nothing.  Records of one shape share one
+    invariant-factor tuple, and records of one timestamp one string (a scan
+    stamps its records to the second).
 
     A missing file reads as empty; any other OSError from opening the path
     (a directory, no permission) propagates."""
@@ -131,17 +138,21 @@ def read_store(path):
                 except ValueError:
                     d = 0
                 if d < 0:
-                    h, invs, p, rank = fields
-                    records.append(_new_record(ScanRecord, (
-                        d, h, invs, p, rank, stamps.setdefault(ts, ts))))
+                    if fields:
+                        h, invs, p, rank = fields
+                        records.append(_new_record(ScanRecord, (
+                            d, h, invs, p, rank, stamps.setdefault(ts, ts))))
                     continue
             try:
                 rec = parse_record(line)
             except ValueError as exc:
                 problems.append((lineno, str(exc)))
                 continue
-            records.append(rec)
-            shapes[shape] = rec[1:5]
+            if prime is None or rec.prime == prime:
+                records.append(rec)
+                shapes[shape] = rec[1:5]
+            else:
+                shapes[shape] = ()
     return records, problems
 
 

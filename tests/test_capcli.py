@@ -305,6 +305,46 @@ class TestStore:
         assert "ts \u00e9" in {r.timestamp for r in got}
         assert len(got) > 120
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_prime_filter_matches_unfiltered_read(self, tmp_path, seed):
+        # seeds 0-2 hold corrupt lines of every prime, 3-4 the memo cases
+        path = tmp_path / "s.tsv"
+        if seed < 3:
+            path.write_text(synthetic_store_text(seed, 600), encoding="utf-8")
+        else:
+            path.write_bytes(memo_store_bytes(seed, 800))
+        records, problems = read_store(path)
+        for p in (3, 5, 7, 11):
+            want = [r for r in records if r.prime == p]
+            assert read_store(path, p) == (want, problems), p
+        assert {r.prime for r in records} >= {3, 5}
+
+    def test_prime_filter_checks_lines_of_other_primes(self, tmp_path):
+        # the shape of lines 1-4 is first met with p = 3, and h and the
+        # factors recur with p = 5 (lines 5-7, one p field written as 05)
+        path = tmp_path / "s.tsv"
+        path.write_text("-23\t3\t3\t3\t1\tts\n"
+                        "-31\t3\t3\t3\t1\tts\n"
+                        "x-7\t3\t3\t3\t1\tts\n"
+                        "7\t3\t3\t3\t1\tts\n"
+                        "-39\t3\t3\t5\t0\tts\n"
+                        "-43\t3\t3\t5\t0\tts\n"
+                        "-47\t3\t3\t05\t0\tts\n"
+                        "-59\t3\t3\t3\t1\tts\u00e9\n"
+                        "-67\t3\t3\t5\t0\tts\u00e9\n"
+                        "-71\t3\t3\t5\t1\tts\n", encoding="utf-8")
+        problems = [(3, "invalid literal for int() with base 10: 'x-7'"),
+                    (4, "field values out of range"),
+                    (10, "rank 1 differs from the 5-rank 0 of the invariant "
+                         "factors")]
+        got5, problems5 = read_store(path, 5)
+        assert [(r.discriminant, r.prime, r.rank) for r in got5] == \
+            [(-39, 5, 0), (-43, 5, 0), (-47, 5, 0), (-67, 5, 0)]
+        got3, problems3 = read_store(path, 3)
+        assert [(r.discriminant, r.prime, r.rank) for r in got3] == \
+            [(-23, 3, 1), (-31, 3, 1), (-59, 3, 1)]
+        assert problems5 == problems3 == read_store(path)[1] == problems
+
     @pytest.mark.parametrize("line", [
         "-84\t4\t1,4\t2\t1\tts",      # factor 1
         "-84\t15\t3,5\t5\t1\tts",     # 3 does not divide 5
@@ -390,6 +430,43 @@ class TestCli:
         assert sorted(r.key() for r in recs) == \
             sorted((r.discriminant, p) for r in recs if r.prime == 5
                    for p in (3, 5))
+
+    def test_resume_reports_corrupt_lines_of_other_primes(self, tmp_path,
+                                                          capsys):
+        store = tmp_path / "scan.tsv"
+        run_cli(["scan", "--store", str(store), "--prime", "3",
+                 "--", "-100", "-3"])
+        run_cli(["scan", "--store", str(store), "--", "-100", "-3"])
+        lines = store.read_text().splitlines()
+        p3 = lines[0].split("\t")
+        assert p3[3] == "3"
+        bad = ["x" + lines[0], "\t".join(p3[:4] + ["9"] + p3[5:])]
+        store.write_text("\n".join(lines[:5] + bad + lines[5:]) + "\n")
+        capsys.readouterr()
+        code, text = run_cli(["scan", "--store", str(store), "--",
+                              "-100", "-3"])
+        assert code == 0 and "(0 new)" in text
+        err = capsys.readouterr().err.splitlines()
+        assert [e.split(":")[0] for e in err] == \
+            ["store line 6 skipped", "store line 7 skipped"]
+        assert "differs from the 3-rank" in err[1]
+
+    def test_resume_counts_each_discriminant_once(self, tmp_path):
+        store = tmp_path / "scan.tsv"
+        n = sum(1 for d in range(-100, -2) if is_fundamental(d))
+        run_cli(["scan", "--store", str(store), "--", "-100", "-3"])
+        once = run_cli(["scan", "--store", str(store), "--", "-100", "-3"])
+        assert "scanned %d discriminants (0 new)" % n in once[1]
+        text = store.read_text()
+        store.write_text(text + text)
+        assert run_cli(["scan", "--store", str(store), "--",
+                        "-100", "-3"]) == once
+        # repeats that disagree with the first records do not count
+        repeats = "".join("%s\t5\t5\t5\t1\tts\n" % line.split("\t")[0]
+                          for line in text.splitlines())
+        store.write_text(text + repeats)
+        assert run_cli(["scan", "--store", str(store), "--",
+                        "-100", "-3"]) == once
 
     def test_scan_empty_range(self, tmp_path):
         store = str(tmp_path / "scan.tsv")

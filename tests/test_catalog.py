@@ -3,11 +3,15 @@ the shipped presentations, via invariants computed from the raw
 multiplication only (element order statistics, abelianization, derived
 subgroup size, center structure, conjugacy class count)."""
 
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import capkit
 from capkit.abgroup import abelian_structure
 from capkit.catalog import CatalogError, get_group, load_catalog, parse_catalog
 from capkit.pcgroup import PresentationError
@@ -89,6 +93,22 @@ class TestShippedCatalog:
         cat = load_catalog()
         assert load_catalog() is cat
         assert len(cat) == 36
+
+    def test_load_imports_no_resource_machinery(self):
+        # without site (-S) nothing but capkit can have imported them
+        src = os.path.dirname(os.path.dirname(capkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys\n"
+                "import capkit.cli\n"
+                "from capkit.catalog import load_catalog\n"
+                "print(len(load_catalog()))\n"
+                "print(*sorted(m for m in ('importlib.resources', 'pathlib',"
+                " 'zipfile', 'tempfile') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True,
+                             check=True).stdout.split("\n")
+        assert out[0] == "36"
+        assert out[1] == "", out[1]
 
     def test_orders_and_primes(self):
         expectations = {
