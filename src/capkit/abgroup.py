@@ -532,30 +532,33 @@ def op_power(g, k, op, identity):
     return identity if y is None else y
 
 
-def abelian_structure(elements, op, identity, cofactor=1):
+def abelian_structure(elements, op, identity, cofactor=1, order=None):
     """Greedy generator selection with a relation lattice, invariant factors
-    by Smith normal form, of the subgroup spanned by {x^cofactor : x in
-    elements}.  `elements` must list every element of a finite abelian group
-    exactly once (iteration order fixes the generator choice and hence
-    determinism).
+    by Smith normal form, of the subgroup of `order` elements spanned by
+    {x^cofactor : x in elements}.  Iteration order fixes the generator
+    choice and hence determinism; the elements are visited, and powered,
+    only until their powers span `order` elements, so `elements` may be
+    drawn lazily.  AbgroupError says that they span fewer or more.
 
-    With cofactor = 1 the span is the whole group.  With a Hall cofactor of
-    the group order n (gcd(cofactor, n // cofactor) = 1) it is the subgroup
-    of order n // cofactor, the product of the Sylow subgroups for the
-    primes not dividing cofactor; the elements are then powered and visited
-    only until their powers span that subgroup."""
-    m, rest = divmod(len(elements), cofactor)
-    if rest:
-        raise AbgroupError("cofactor %d does not divide the number of "
-                           "elements %d" % (cofactor, len(elements)))
-
+    By default `elements` lists every element of a finite abelian group
+    exactly once and `order` is len(elements) // cofactor.  With cofactor =
+    1 the span is then the whole group.  With a Hall cofactor of the group
+    order n (gcd(cofactor, n // cofactor) = 1) it is the subgroup of order
+    n // cofactor, the product of the Sylow subgroups for the primes not
+    dividing cofactor."""
+    m = order
+    if m is None:
+        m, rest = divmod(len(elements), cofactor)
+        if rest:
+            raise AbgroupError("cofactor %d does not divide the number of "
+                               "elements %d" % (cofactor, len(elements)))
     span = {identity: ()}
     gens = []
     rels = []
     for x in elements:
+        if len(span) == m:
+            break
         if cofactor != 1:
-            if len(span) == m:
-                break
             x = op_power(x, cofactor, op, identity)
         if x in span:
             continue
@@ -583,7 +586,8 @@ def abelian_structure(elements, op, identity, cofactor=1):
         span = new_span
         gens.append(x)
     if len(span) != m:
-        raise AbgroupError("span does not exhaust the element list")
+        raise AbgroupError("the elements span %d elements, not %d"
+                           % (len(span), m))
     T = len(gens)
     padded = [list(r) + [0] * (T - len(r)) for r in rels]
     invariants, coord_fn, genvecs = quotient_coords(padded, T)

@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from enum import Enum
 from itertools import groupby
-from operator import attrgetter
+from math import isqrt
 
 # fixtures (hashlib) and heuristics (fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
@@ -22,7 +22,8 @@ from .pcgroup import PresentationError, capitulation_type
 from .quadform import (MAX_ABS_DISC, Discriminant, QuadFormError,
                        class_group_structure, class_group_structures,
                        fundamental_discriminants)
-from .store import ScanRecord, append_records, now_timestamp, read_store
+from .store import (ScanRecord, append_records, count_store, now_timestamp,
+                    read_store)
 
 DEFAULT_STORE = "capkit-scan.tsv"
 
@@ -53,20 +54,26 @@ def classify_capitulation_pattern(pattern, p=5):
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Integers of D per reduced-form sieve pass in `scan`.  Each pass visits
-# about amax^2/8 pairs (a, c), amax = sqrt(|D|/3), however few forms it
-# finds; wider chunks share that fixed cost but hold more forms at once.
-SCAN_CHUNK = 256
+def _chunk_width(lo):
+    """Integers of D per counting-sieve pass in a scan down to lo.  Each
+    pass walks about amax^2/8 pairs (a, c), amax = sqrt(|lo|/3), however
+    few discriminants it counts, plus about 0.13 sqrt(|lo|) slot updates
+    per integer, and holds one counter and one structure per integer or
+    discriminant.  At 8 sqrt(|lo|) integers the pairs are about a fifth of
+    a pass.  Near -10^7, 4 sqrt(|lo|) gave 7-12% fewer D/s, and 16 sqrt(|lo|)
+    10-23% more for twice the memory."""
+    return max(256, 8 * isqrt(-lo))
 
 
 def _pending_chunks(lo, hi, p, done):
-    """(discriminants, p) per chunk of SCAN_CHUNK consecutive integers: the
-    fundamental discriminants in [lo, hi] that are not in `done`, the
-    discriminants in [lo, hi] already stored for p."""
+    """(discriminants, p) per chunk of _chunk_width(lo) consecutive
+    integers: the fundamental discriminants in [lo, hi] that are not in
+    `done`, the discriminants in [lo, hi] already stored for p."""
+    width = _chunk_width(lo)
     chunks = {}
     for d in fundamental_discriminants(lo, hi):
         if d not in done:
-            chunks.setdefault((d - lo) // SCAN_CHUNK, []).append(d)
+            chunks.setdefault((d - lo) // width, []).append(d)
     return [(discs, p) for discs in chunks.values()]
 
 
@@ -92,19 +99,20 @@ def _scan_parts(work, jobs):
 MAX_PRIME = 10 ** 8
 
 
-def _load_store(path, prime=None):
-    """The records of the store at path, those of `prime` alone when it is
-    given; every skipped line, whatever its prime, is reported on stderr.
-    None, after an error message, when the path cannot be read."""
+def _checked(read, path, *args):
+    """read(path, *args), a store reader whose result ends with the skipped
+    lines, without them; each skipped line, whatever its prime, is
+    reported on stderr.  None, after an error message, when the path
+    cannot be read."""
     try:
-        records, problems = read_store(path, prime)
+        *result, problems = read(path, *args)
     except OSError as exc:
         print("error: cannot read store %s: %s"
               % (path, exc.strerror or exc), file=sys.stderr)
         return None
     for lineno, msg in problems:
         print("store line %d skipped: %s" % (lineno, msg), file=sys.stderr)
-    return records
+    return result
 
 
 def _write_error(path, exc):
@@ -152,9 +160,10 @@ def cmd_scan(ns, out):
         print("error: store directory %s does not exist or is not a "
               "directory" % store_dir, file=sys.stderr)
         return 2
-    existing = _load_store(ns.store, ns.prime)
-    if existing is None:
+    loaded = _checked(read_store, ns.store, ns.prime)
+    if loaded is None:
         return 2
+    existing, = loaded
     # the first stored record of each D in range counts, a repeat does not
     stored = {r.discriminant: r for r in reversed(existing)
               if lo <= r.discriminant <= hi}
@@ -267,19 +276,26 @@ def cmd_heuristic(ns, out):
 
 
 def cmd_report(ns, out):
-    records = _load_store(ns.store)
-    if records is None:
+    """The rank histogram of the store, each (D, p) counted once, by its
+    first record; a missing store reads as empty and reports 0 records."""
+    counted = _checked(count_store, ns.store)
+    if counted is None:
         return 2
-    if not records:
+    tally, repeats = counted
+    if repeats:
+        print("%d repeated record%s not counted: the first record of each "
+              "discriminant and prime counts"
+              % (repeats, "s" if repeats > 1 else ""), file=sys.stderr)
+    if not tally:
         print("0 records", file=out)
         return 0
-    hist = sorted(Counter(map(attrgetter("prime", "rank"), records)).items())
+    hist = sorted(tally.items())
     if ns.tsv:
         print("prime\trank\tcount", file=out)
         for (p, rank), n in hist:
             print("%d\t%d\t%d" % (p, rank, n), file=out)
         return 0
-    print("%d records in %s" % (len(records), ns.store), file=out)
+    print("%d records in %s" % (sum(tally.values()), ns.store), file=out)
     for p, cells in groupby(hist, key=lambda cell: cell[0][0]):
         cells = [(rank, n) for (_, rank), n in cells]
         line = " ".join("rank %d: %d" % cell for cell in cells)

@@ -1,6 +1,14 @@
 """Class groups of imaginary quadratic orders via positive definite binary
-quadratic forms: Gauss reduction, composition, a sieve of the reduced forms
+quadratic forms: Gauss reduction, composition, sieves of the reduced forms
 over a range of discriminants, and invariant factors of the form class group.
+
+A scan never lists the reduced forms.  One counting sieve over a range of
+discriminants gives each class number h and the few ambiguous forms; the
+Sylow parts that these do not force take their elements from prime forms
+of norm <= sqrt(|D|/3), computed only as far as a part reads them (see
+`class_group_structure`).  The forms themselves are enumerated by a second
+sieve with the same loops, for `enumerate_reduced`, for the generators a
+structure gives on request and as the element source of non-fundamental D.
 
 Hot paths work on plain (a, b, c) integer tuples; `QuadForm` is a thin
 validated wrapper around them.
@@ -8,11 +16,11 @@ validated wrapper around them.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import gcd, isqrt
 
-from .abgroup import AbelianGroup, abelian_structure, op_power
+from .abgroup import AbelianGroup, AbgroupError, abelian_structure, op_power
 from .value import value_type
 
 
@@ -220,13 +228,83 @@ def _reduced_forms(Dv):
     return _reduced_forms_in([Dv])[Dv]
 
 
+def _ambiguous(forms):
+    """The ambiguous ones among reduced forms: b = 0, a = b or a = c."""
+    return [(a, b, c) for a, b, c in forms if b == 0 or a == b or a == c]
+
+
+def _count_forms(discs):
+    """(counts, ambiguous) for `discs` (ascending, all negative), by one
+    sieve over lo = discs[0]..hi = discs[-1]: counts[D - lo] is h(D), the
+    number of primitive reduced forms, of every D in [lo, hi], and
+    ambiguous[D] lists the ambiguous reduced forms (b = 0, a = b or a = c)
+    of each D in `discs` in (a, b) order.
+
+    The loops are those of `_reduced_forms_in`, but a hit adds 1, or 2 for
+    the pair (a, +-b), to a list slot instead of building form tuples: a
+    window of width W costs its amax^2/8 pairs (a, c) plus one slot update
+    per pair (a, c, b), and W slots of memory.  Only the ambiguous forms,
+    about 2^(t-1) per D with t prime divisors, are listed, and they go to
+    the few (a, c) whose b range reaches b = 0 or b = a, or where a = c.
+    """
+    lo, hi = discs[0], discs[-1]
+    counts = [0] * (hi - lo + 1)
+    ambiguous = {d: [] for d in discs}
+    get = ambiguous.get
+    amax = isqrt(-lo // 3)
+    squares = [b * b for b in range(amax + 1)]
+    for a in range(1, amax + 1):
+        fa = 4 * a
+        for c in range(max(a, -(hi // fa)), (a * a - lo) // fa + 1):
+            fac = fa * c
+            low = lo + fac  # the slot of b^2 - 4ac is b^2 - low
+            b0 = isqrt(low - 1) + 1 if low > 0 else 0
+            b1 = min(a, isqrt(hi + fac))
+            if b0 > b1:
+                continue
+            # imprimitive forms are not classes of the order
+            g = gcd(a, c)
+            if a == c:
+                # (a, -b, a) is not reduced, so each b counts once
+                for b in range(b0, b1 + 1):
+                    if g == 1 or gcd(g, b) == 1:
+                        counts[squares[b] - low] += 1
+                        forms = get(squares[b] - fac)
+                        if forms is not None:
+                            forms.append((a, b, c))
+                continue
+            if b0 == 0:
+                if g == 1:
+                    counts[-low] += 1
+                    forms = get(-fac)
+                    if forms is not None:
+                        forms.append((a, 0, c))
+                b0 = 1
+            if b1 == a:
+                # (a, -a, c) is not reduced
+                if g == 1:
+                    counts[squares[a] - low] += 1
+                    forms = get(squares[a] - fac)
+                    if forms is not None:
+                        forms.append((a, a, c))
+                b1 = a - 1
+            if g == 1:
+                for s in squares[b0:b1 + 1]:
+                    counts[s - low] += 2
+            else:
+                for b in range(b0, b1 + 1):
+                    if gcd(g, b) == 1:
+                        counts[squares[b] - low] += 2
+    return counts, ambiguous
+
+
 def enumerate_reduced(D: Discriminant) -> list:
     """All primitive reduced forms of discriminant D; length is h(D)."""
     return [QuadForm(*t) for t in _reduced_forms(D.value)]
 
 
 def class_number(D: Discriminant) -> int:
-    return len(_reduced_forms(D.value))
+    return _count_forms([D.value])[0][0]
 
 
 def _form_op(Dv):
@@ -236,14 +314,67 @@ def _form_op(Dv):
     return op
 
 
+@lru_cache(maxsize=1)
+def _form_primes():
+    """The primes up to sqrt(MAX_ABS_DISC / 3), the bound of every prime
+    form's norm."""
+    return [2] + _odd_primes_upto(isqrt(MAX_ABS_DISC // 3))
+
+
+def _prime_forms(Dv):
+    """The prime forms (l, b_l, c) of a fundamental Dv, reduced, lazily:
+    l runs upward over the primes l <= sqrt(|Dv|/3) with (Dv/l) != -1, and
+    b_l is the b in [0, l] with b^2 = Dv (mod 4l).
+
+    Their classes generate Cl(Dv), with no hypothesis.  Every class holds a
+    reduced form (a, b, c) with a <= sqrt(|Dv|/3), and its ideal, of norm a
+    and divisible by no rational integer, is a product of prime ideals of
+    norms l | a; the class of a prime ideal of norm l is that of
+    (l, b_l, c) or its inverse.  For a non-fundamental Dv an ideal of norm
+    a need not be invertible, and the argument fails."""
+    bound = isqrt(-Dv // 3)
+    for l in _form_primes():
+        if l > bound:
+            return
+        if l > 2 and pow(Dv % l, (l - 1) // 2, l) == l - 1:
+            continue  # l is inert
+        fl = 4 * l
+        for b in range(Dv & 1, l + 1, 2):
+            if (b * b - Dv) % fl == 0:
+                yield _reduce_raw(l, b, (b * b - Dv) // fl)
+                break
+
+
+class _Drawn:
+    """The items of an iterator, drawn as iteration first reaches them and
+    kept, so that every iteration sees the same items in the same order;
+    len() is the number drawn so far."""
+
+    def __init__(self, items):
+        self._items = []
+        self._source = iter(items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __iter__(self):
+        items, i = self._items, 0
+        while True:
+            if i == len(items):
+                x = next(self._source, None)
+                if x is None:
+                    return
+                items.append(x)
+            yield items[i]
+            i += 1
+
+
 @value_type("discriminant", "order", "group")
 class ClassGroupStructure:
-    def __init__(self, discriminant, order, group, forms):
+    def __init__(self, discriminant, order, group):
         object.__setattr__(self, "discriminant", discriminant)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "group", group)
-        # reduced, in sieve order; left out of equality, hash and repr
-        object.__setattr__(self, "forms", forms)
 
     @property
     def invariant_factors(self):
@@ -252,6 +383,12 @@ class ClassGroupStructure:
     @property
     def is_fundamental(self):
         return self.discriminant.is_fundamental
+
+    @cached_property
+    def forms(self):
+        """The primitive reduced forms, in sieve order, enumerated on first
+        read."""
+        return _reduced_forms(self.discriminant.value)
 
     @cached_property
     def generators(self):
@@ -268,8 +405,9 @@ class ClassGroupStructure:
 
 
 def _four_rank(Dv, forms):
-    """The 4-rank of the class group of a fundamental Dv, from the reduced
-    forms `forms`, or None if Dv is not fundamental.
+    """The 4-rank of the class group of a fundamental Dv, from its reduced
+    forms `forms` (the ambiguous ones suffice), or None if Dv is not
+    fundamental.
 
     It counts the ambiguous forms (a, b, c) on which every assigned
     character is +1; the count is 2^r4.  Each odd p | Dv gives (m/p), with
@@ -287,11 +425,9 @@ def _four_rank(Dv, forms):
     if any(n % (p * p) == 0 for p in primes):
         return None
     odd = [p for p in primes if p != 2]
-    count = 0
-    for a, b, c in forms:
-        if (b == 0 or a == b or a == c) and \
-                all(pow(a if a % p else c, (p - 1) // 2, p) == 1 for p in odd):
-            count += 1
+    count = sum(1 for a, b, c in _ambiguous(forms)
+                if all(pow(a if a % p else c, (p - 1) // 2, p) == 1
+                       for p in odd))
     return count.bit_length() - 1
 
 
@@ -310,29 +446,39 @@ def _two_part(r, v, r4):
     return None
 
 
-def _cyclic_part(forms, op, one, cofactor, q, qv):
-    """(qv,) for the q-part of order qv if the first form whose cofactor-th
-    power y is not 1 has y^(qv / q) != 1, that is, y has order qv; else
-    None."""
-    for f in forms:
-        y = op_power(f, cofactor, op, one)
-        if y != one:
-            return (qv,) if op_power(y, qv // q, op, one) != one else None
-    return None
+def _part_from_forms(forms, op, one, cofactor, q, qv, Dv):
+    """The q-part of order qv, from the cofactor-th powers of `forms`,
+    which generate the class group.  An odd part is C_qv if the first power
+    y that is not 1 has y^(qv / q) != 1, that is, order qv.  Otherwise the
+    powers that are not 1, from y on, are spanned until they hold qv
+    classes, so a failed cyclic test costs no composition twice."""
+    powers = _Drawn(y for y in (op_power(f, cofactor, op, one) for f in forms)
+                    if y != one)
+    if q != 2:
+        y = next(iter(powers), None)
+        if y is not None and op_power(y, qv // q, op, one) != one:
+            return (qv,)
+    try:
+        return abelian_structure(powers, op, one, order=qv
+                                 ).group.invariant_factors
+    except AbgroupError as exc:
+        raise QuadFormError("the forms of D = %d do not span its %d-part "
+                            "of order %d: %s" % (Dv, q, qv, exc)) from None
 
 
 MAX_ABS_DISC = 10 ** 8
 
 
-def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
+def class_group_structure(D: Discriminant,
+                          counted=None) -> ClassGroupStructure:
     """Invariant factors of the form class group, one Sylow subgroup at a
     time (Teske, Math. Comp. 67, 1998; Cohen, GTM 138, 5.4).
 
-    h is the number of primitive reduced forms.  A q-part of order q^v and
-    rank r in {1, v - 1, v} is forced, at no composition: C_q^(r-1) x
-    C_{q^(v-r+1)}.  r is known for q = 2, as each class of order <= 2 holds
-    one ambiguous reduced form (b = 0, a = b or a = c; Buell, Binary
-    Quadratic Forms, ch. 4), and for v = 1.
+    h is the number of primitive reduced forms, counted by `_count_forms`.
+    A q-part of order q^v and rank r in {1, v - 1, v} is forced, at no
+    composition: C_q^(r-1) x C_{q^(v-r+1)}.  r is known for q = 2, as each
+    class of order <= 2 holds one ambiguous reduced form (b = 0, a = b or
+    a = c; Buell, Binary Quadratic Forms, ch. 4), and for v = 1.
 
     Two more rules decide most of the other parts without a span:
 
@@ -343,36 +489,47 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
       see `_four_rank`.  With rest = v - (r - r4), the part is
       C_2^(r-1) x C_{2^rest} if r4 = 1, C_2^(r-r4) x C_4^r4 if rest = 2 r4,
       and C_2^(r-r4) x C_4^(r4-1) x C_8 if rest = 2 r4 + 1.
-    - An odd q-part of order q^v >= q^2: if the first form in sieve order
-      whose (h / q^v)-th power y is not 1 has y^(q^(v-1)) != 1, then y has
-      order q^v and the part is C_{q^v}.
+    - An odd q-part of order q^v >= q^2: if the first generating form whose
+      (h / q^v)-th power y is not 1 has y^(q^(v-1)) != 1, then y has order
+      q^v and the part is C_{q^v}.
 
-    Any other q-part is spanned by the forms raised to the power h / q^v in
-    sieve order, at about 1.5 log2(h / q^v) compositions per form and q^v
-    to 2 q^v for the span, and its relation lattice is resolved by Smith
-    normal form.  The q-parts combine by the Chinese remainder theorem: the
-    i-th invariant factor from the top is the product of the i-th
-    q-factors from the top.
+    Any other q-part is spanned by the (h / q^v)-th powers of generating
+    forms, at about 1.5 log2(h / q^v) compositions per form and q^v to
+    2 q^v for the span, until the span holds q^v classes; its relation
+    lattice is resolved by Smith normal form.  The generating forms are
+    the prime forms of norm <= sqrt(|D|/3) for fundamental D (see
+    `_prime_forms`), computed only as far as a part reads them, and every
+    reduced form otherwise.  The q-parts combine by the Chinese remainder
+    theorem: the i-th invariant factor from the top is the product of the
+    i-th q-factors from the top.
 
-    `generators` is computed only when read, by the greedy selection over
-    all h forms.  Non-fundamental discriminants are computed on (class
-    group of the non-maximal order) but flagged via `is_fundamental`.
-    `forms`, if given, is the sorted list of primitive reduced forms of D
-    from a sieve that has already run.
+    `forms` and `generators` are computed only when read; the generators
+    are chosen greedily over all h forms in sieve order.  Non-fundamental
+    discriminants are computed on (class group of the non-maximal order)
+    but flagged via `is_fundamental`.  `counted`, if given, is (h, the
+    ambiguous reduced forms, None) for fundamental D, from a counting sieve
+    that has already run, or (h, the ambiguous forms, all reduced forms)
+    for other D.  Without it, D alone is counted, or its forms enumerated,
+    at the same cost: one walk of the pairs (a, c).
     """
     if -D.value > MAX_ABS_DISC:
         raise QuadFormError("|D| beyond configured bound %d" % MAX_ABS_DISC)
     Dv = D.value
-    if forms is None:
-        forms = _reduced_forms(Dv)
-    h = len(forms)
-    ambiguous = len([1 for a, b, c in forms if b == 0 or a == b or a == c])
-    two_rank = max(ambiguous.bit_length() - 1, 0)
-    if ambiguous != 1 << two_rank or h % ambiguous or \
-            (ambiguous > 1) != (h % 2 == 0):
+    if counted is None:
+        if D.is_fundamental:
+            counts, ambiguous = _count_forms([Dv])
+            counted = counts[0], ambiguous[Dv], None
+        else:
+            forms = _reduced_forms(Dv)
+            counted = len(forms), _ambiguous(forms), forms
+    h, ambiguous, forms = counted
+    n2 = len(ambiguous)
+    two_rank = max(n2.bit_length() - 1, 0)
+    if n2 != 1 << two_rank or h % n2 or (n2 > 1) != (h % 2 == 0):
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
-                            "%d classes (D = %d)" % (ambiguous, h, Dv))
+                            "%d classes (D = %d)" % (n2, h, Dv))
     op, one = _form_op(Dv), _principal_raw(Dv)
+    forms = _Drawn(_prime_forms(Dv) if forms is None else forms)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
         v, qv = 1, q
@@ -382,29 +539,29 @@ def class_group_structure(D: Discriminant, forms=None) -> ClassGroupStructure:
         if r in (1, v - 1, v):
             part = (q,) * (r - 1) + (qv // q ** (r - 1),)
         elif q == 2:
-            part = _two_part(r, v, _four_rank(Dv, forms))
+            part = _two_part(r, v, _four_rank(Dv, ambiguous))
         else:
-            part = _cyclic_part(forms, op, one, h // qv, q, qv)
+            part = None
         if part is None:
-            part = abelian_structure(forms, op, one, cofactor=h // qv
-                                     ).group.invariant_factors
+            part = _part_from_forms(forms, op, one, h // qv, q, qv, Dv)
         for i, d in enumerate(reversed(part)):
             if i == len(top):
                 top.append(1)
             top[i] *= d
-    return ClassGroupStructure(
-        discriminant=D,
-        order=h,
-        group=AbelianGroup(top[::-1]),
-        forms=forms,
-    )
+    return ClassGroupStructure(discriminant=D, order=h,
+                               group=AbelianGroup(top[::-1]))
 
 
 def class_group_structures(discs):
     """class_group_structure of each discriminant in `discs` (ascending and
-    close together), sharing one reduced-form sieve over their range."""
-    buckets = _reduced_forms_in(discs)
-    return [class_group_structure(Discriminant(d), buckets[d]) for d in discs]
+    close together), sharing one counting sieve over their range."""
+    counts, ambiguous = _count_forms(discs)
+    lo = discs[0]
+    fundamental = set(fundamental_discriminants(lo, discs[-1]))
+    others = [d for d in discs if d not in fundamental]
+    forms = _reduced_forms_in(others) if others else {}
+    return [class_group_structure(Discriminant(d), (
+        counts[d - lo], ambiguous[d], forms.get(d))) for d in discs]
 
 
 def p_rank(D: Discriminant, p: int) -> int:

@@ -9,12 +9,15 @@ included, are reported with their line number and skipped; they never abort
 a read.  A reader checks each record shape (the fields between D and the
 timestamp) once and builds the other records of that shape from a memo; a
 reader asked for one prime still checks every line but builds only that
-prime's records (see read_store).
+prime's records (see read_store).  count_store checks the lines the same way
+and builds no record: it counts each (D, p) once, by its first record, and
+the repeats.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from math import prod
 from typing import NamedTuple
 
@@ -117,12 +120,37 @@ def read_store(path, prime=None):
 
     A missing file reads as empty; any other OSError from opening the path
     (a directory, no permission) propagates."""
+    return _read(path, prime, None)
+
+
+def count_store(path):
+    """(tally, repeats, problems): tally maps (p, rank) to the number of
+    (D, p) with a record of that rank, each counted once, by its first
+    record; repeats is the number of record lines after the first of their
+    (D, p); problems are those of read_store.
+
+    The lines are checked as read_store checks them, but no record is
+    built: the memo of a shape holds its (p, rank) and the first ranks of
+    its p by D, so a later line of that shape costs one dict insert."""
+    firsts = {}
+    lines, problems = _read(path, None, firsts)
+    tally = Counter()
+    for ranks in firsts.values():
+        tally.update(ranks.values())
+    return tally, lines - sum(map(len, firsts.values())), problems
+
+
+def _read(path, prime, firsts):
+    """read_store's (records, problems); with a dict `firsts`, builds no
+    record but sets firsts[p][D] = (p, rank) from the first record of each
+    (D, p), and gives the number of record lines in place of the records."""
     records, problems = [], []
     shapes, stamps = {}, {}
+    lines = 0
     try:
         fh = open(path, encoding="utf-8", errors="surrogateescape")
     except FileNotFoundError:
-        return records, problems
+        return (records if firsts is None else lines), problems
     with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -138,7 +166,11 @@ def read_store(path, prime=None):
                 except ValueError:
                     d = 0
                 if d < 0:
-                    if fields:
+                    if firsts is not None:
+                        key, ranks = fields
+                        ranks.setdefault(d, key)
+                        lines += 1
+                    elif fields:
                         h, invs, p, rank = fields
                         records.append(_new_record(ScanRecord, (
                             d, h, invs, p, rank, stamps.setdefault(ts, ts))))
@@ -148,12 +180,18 @@ def read_store(path, prime=None):
             except ValueError as exc:
                 problems.append((lineno, str(exc)))
                 continue
-            if prime is None or rec.prime == prime:
+            if firsts is not None:
+                key = rec.prime, rec.rank
+                ranks = firsts.setdefault(rec.prime, {})
+                ranks.setdefault(rec.discriminant, key)
+                shapes[shape] = key, ranks
+                lines += 1
+            elif prime is None or rec.prime == prime:
                 records.append(rec)
                 shapes[shape] = rec[1:5]
             else:
                 shapes[shape] = ()
-    return records, problems
+    return (records if firsts is None else lines), problems
 
 
 def append_records(path, records):

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -18,8 +19,9 @@ from capkit.catalog import parse_catalog
 from capkit.cli import (PatternClass, classify_capitulation_pattern, main)
 from capkit.fixtures import reference_discriminants, reference_table
 from capkit.quadform import Discriminant, is_fundamental
-from capkit.store import (ScanRecord, append_records, format_record,
-                          now_timestamp, parse_record, read_store)
+from capkit.store import (ScanRecord, append_records, count_store,
+                          format_record, now_timestamp, parse_record,
+                          read_store)
 
 
 def run_cli(args):
@@ -319,6 +321,28 @@ class TestStore:
             assert read_store(path, p) == (want, problems), p
         assert {r.prime for r in records} >= {3, 5}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_count_store_counts_first_records(self, tmp_path, seed):
+        # oracle: the records read_store builds, the first of each (D, p)
+        path = tmp_path / "s.tsv"
+        if seed < 3:
+            text = synthetic_store_text(seed, 600)
+            path.write_text(text + text[:len(text) // 3].rpartition("\n")[0]
+                            + "\n", encoding="utf-8")
+        else:
+            path.write_bytes(memo_store_bytes(seed, 800))
+        records, problems = read_store(path)
+        first = {}
+        for r in records:
+            first.setdefault(r.key(), r.rank)
+        tally, repeats, count_problems = count_store(path)
+        assert tally == Counter((p, rank) for (_, p), rank in first.items())
+        assert repeats == len(records) - len(first) > 0
+        assert count_problems == problems
+
+    def test_count_store_of_a_missing_file(self, tmp_path):
+        assert count_store(tmp_path / "absent.tsv") == ({}, 0, [])
+
     def test_prime_filter_checks_lines_of_other_primes(self, tmp_path):
         # the shape of lines 1-4 is first met with p = 3, and h and the
         # factors recur with p = 5 (lines 5-7, one p field written as 05)
@@ -511,12 +535,13 @@ class TestCli:
 
     def test_killed_scan_keeps_its_finished_chunks(self, tmp_path,
                                                    monkeypatch):
-        # twelve sieve chunks; the third raises as a Ctrl-C would
+        # the sieve chunks of the range; the third raises as a Ctrl-C would
         whole, store = str(tmp_path / "whole.tsv"), str(tmp_path / "scan.tsv")
         assert run_cli(["scan", "--store", whole, "--", "-3000", "-3"])[0] == 0
         expected = [r.payload() for r in read_store(whole)[0]]
         work = cli._pending_chunks(-3000, -3, 5, set())
-        assert len(work) == 12
+        width = cli._chunk_width(-3000)
+        assert len(work) == -(-2998 // width) > 3
         real, calls = cli._scan_chunk, []
 
         def killed_at_the_third(args):
@@ -661,6 +686,24 @@ class TestCli:
         code, text = run_cli(["report", "--store", str(tmp_path / "no.tsv")])
         assert code == 0
         assert "0 records" in text
+
+    def test_report_counts_each_record_once(self, tmp_path, capsys):
+        store = tmp_path / "scan.tsv"
+        run_cli(["scan", "--store", str(store), "--", "-100", "-3"])
+        capsys.readouterr()
+        once = run_cli(["report", "--store", str(store)])
+        assert once[1].startswith("31 records in ")
+        assert capsys.readouterr().err == ""
+        text = store.read_text()
+        store.write_text(text + text)
+        assert run_cli(["report", "--store", str(store)]) == once
+        assert capsys.readouterr().err == \
+            "31 repeated records not counted: the first record of each " \
+            "discriminant and prime counts\n"
+        # a repeat with another rank does not count either
+        store.write_text(text + "-3\t5\t5\t5\t1\tts\n")
+        assert run_cli(["report", "--store", str(store)]) == once
+        assert capsys.readouterr().err.startswith("1 repeated record")
 
     def test_report_tsv(self, tmp_path):
         store = tmp_path / "s.tsv"

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capkit import quadform
+from capkit import abgroup, quadform
 from capkit.abgroup import abelian_structure
 from capkit.quadform import (ClassGroupStructure, Discriminant, QuadForm,
                              QuadFormError, _compose_raw, _principal_raw,
@@ -314,6 +314,95 @@ class TestRangeSieve:
                 (one.order, one.invariant_factors, one.generators)
 
 
+class TestCountingSieve:
+    @pytest.mark.parametrize("top", [-10 ** 5, -10 ** 6, -10 ** 7])
+    def test_counts_match_the_forms_sieve(self, top):
+        # a seeded 256-wide window below each top: every integer's count,
+        # and the ambiguous forms of each fundamental D, in (a, b) order
+        rng = random.Random(top)
+        lo = top - rng.randrange(4096) - 255
+        discs = fundamental_discriminants(lo, lo + 255)
+        counts, ambiguous = quadform._count_forms(discs)
+        buckets = _reduced_forms_in(_discs_in(discs[0], discs[-1]))
+        assert len(counts) == discs[-1] - discs[0] + 1
+        for i, n in enumerate(counts):
+            assert n == len(buckets.get(discs[0] + i, ())), discs[0] + i
+        for d in discs:
+            assert ambiguous[d] == [(a, b, c) for a, b, c in buckets[d]
+                                    if b == 0 or a == b or a == c], d
+
+    def test_prime_forms_generate_the_class_group(self):
+        for dv in fundamental_discriminants(-3000, -3):
+            forms = list(quadform._prime_forms(dv))
+            assert forms == _prime_forms_by_search(dv), dv
+            # the closure of the prime forms under composition
+            one = _principal_raw(dv)
+            span, new = {one}, [one]
+            while new:
+                new = [z for z in {_reduce_raw(*_compose_raw(x, f, dv))
+                                   for x in new for f in forms}
+                       if z not in span]
+                span.update(new)
+            assert len(span) == class_number(Discriminant(dv)), dv
+
+    def test_deep_chunk_matches_greedy(self):
+        rng = random.Random(6)
+        lo = rng.randrange(-10 ** 6 - 5000, -10 ** 6 + 5000)
+        discs = fundamental_discriminants(lo, lo + 255)
+        buckets = _reduced_forms_in(discs)
+        for s in class_group_structures(discs):
+            dv = s.discriminant.value
+            assert s.order == len(buckets[dv])
+            assert s.invariant_factors == \
+                _greedy_invariants(dv, buckets[dv]), dv
+
+    def test_a_scan_never_enumerates_forms(self, monkeypatch):
+        def no_forms(discs):
+            raise AssertionError("reduced forms enumerated")
+
+        discs = fundamental_discriminants(-82300, -82000)
+        with monkeypatch.context() as m:
+            m.setattr(quadform, "_reduced_forms_in", no_forms)
+            structures = class_group_structures(discs)
+        assert [s.order for s in structures] == \
+            [len(_enumerate_reduced_raw(d)) for d in discs]
+        # the forms, and the generators chosen over them, come on first read
+        s = max(structures, key=lambda s: len(s.invariant_factors))
+        assert "forms" not in vars(s)
+        assert s.invariant_factors == (2, 2, 2, 8)
+        assert len(s.generators) == 4
+        assert s.generators == class_group_structure(s.discriminant).generators
+        assert s.forms == _enumerate_reduced_raw(s.discriminant.value)
+
+    def test_a_failed_cyclic_test_is_not_recomputed(self, monkeypatch):
+        # C3 x C12: the 3-part C3 x C3 fails the cyclic test on the fourth
+        # powers, and the span starts from them, so no form is raised to
+        # the same power twice
+        powers = []
+        real = quadform.op_power
+
+        def recording(g, k, op, identity):
+            powers.append((g, k))
+            return real(g, k, op, identity)
+
+        # the span powers its elements through abgroup's binding
+        monkeypatch.setattr(quadform, "op_power", recording)
+        monkeypatch.setattr(abgroup, "op_power", recording)
+        s = class_group_structure(Discriminant(-3896))
+        assert s.invariant_factors == (3, 12)
+        assert ((2, 0, 487), 4) in powers   # the first prime form
+        assert len(powers) == len(set(powers))
+
+    def test_forms_that_do_not_span_raise(self):
+        # C3 x C3 with a source that holds one prime form only
+        dv = -4027
+        op = quadform._form_op(dv)
+        forms = quadform._Drawn(_prime_forms_by_search(dv)[:1])
+        with pytest.raises(QuadFormError, match="do not span"):
+            quadform._part_from_forms(forms, op, _principal_raw(dv), 1, 3, 9,
+                                      dv)
+
+
 class TestFundamentalSieve:
     def test_matches_definition(self):
         lo, hi = -20000, -3
@@ -397,6 +486,20 @@ def _greedy_invariants(dv, forms):
     return abelian_structure(forms, op, _principal_raw(dv)).group.invariant_factors
 
 
+def _prime_forms_by_search(dv):
+    """Oracle: the reduced prime forms (l, b, c) in increasing l, over the
+    primes l <= sqrt(|dv|/3) for which some b in [0, l] has b^2 = dv
+    (mod 4l), with the least such b."""
+    out = []
+    for l in range(2, isqrt(-dv // 3) + 1):
+        if all(l % p for p in range(2, isqrt(l) + 1)):
+            for b in range(l + 1):
+                if (b * b - dv) % (4 * l) == 0:
+                    out.append(_reduce_raw(l, b, (b * b - dv) // (4 * l)))
+                    break
+    return out
+
+
 def _naive_power(f, k, dv):
     """Oracle: f^k by k compositions with the principal form first."""
     y = _principal_raw(dv)
@@ -448,8 +551,8 @@ class TestSylowStructure:
         results = []
         real = quadform.abelian_structure
 
-        def recording(elements, op, identity, cofactor=1):
-            results.append(real(elements, op, identity, cofactor))
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(quadform, "abelian_structure", recording)
@@ -461,7 +564,8 @@ class TestSylowStructure:
             # known for v = 1 and, by genus theory, for q = 2; a 2-part
             # whose 4-rank r4 (read off the greedy structure) gives r4 = 1
             # or rest = v - (r - r4) in {2 r4, 2 r4 + 1}; or an odd q-part
-            # whose first nontrivial (h / q^v)-th power has order q^v
+            # whose first nontrivial (h / q^v)-th power of a prime form has
+            # order q^v
             dv, h = s.discriminant.value, s.order
             v = 1
             while h % q ** (v + 1) == 0:
@@ -477,7 +581,8 @@ class TestSylowStructure:
                 return r4 == 1 or rest in (2 * r4, 2 * r4 + 1)
             one = _principal_raw(dv)
             y = next(y for y in (_naive_power(f, h // q ** v, dv)
-                                 for f in s.forms) if y != one)
+                                 for f in _prime_forms_by_search(dv))
+                     if y != one)
             return _naive_power(y, q ** (v - 1), dv) != one
 
         # one span per Sylow subgroup that no rule decides, and no more
@@ -544,16 +649,17 @@ class TestSylowStructure:
 
     @pytest.mark.parametrize("dv, invs, spans", [
         (-4027, (3, 3), 1),              # C3 x C3
-        (-10627, (9,), 1),               # C9, first form of order > 1 has 3
-        (-199, (9,), 0),                 # C9, first form of order > 1 has 9
+        # C9, the first prime form whose cube is not 1 has order 3 in it
+        (-10627, (9,), 1),
+        (-199, (9,), 0),                 # C9, ... has order 9
     ])
     def test_odd_parts_of_order_q_squared(self, monkeypatch, dv, invs, spans):
         calls = []
         real = quadform.abelian_structure
 
-        def recording(elements, op, identity, cofactor=1):
-            calls.append(cofactor)
-            return real(elements, op, identity, cofactor)
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(quadform, "abelian_structure", recording)
         s = class_group_structure(Discriminant(dv))
@@ -572,8 +678,12 @@ class TestSylowStructure:
         (-23, [(1, 1, 6), (2, 1, 3)]),
     ])
     def test_inconsistent_form_lists_are_rejected(self, dv, forms):
+        # h and the ambiguous forms, as the counting sieve passes them
+        ambiguous = [(a, b, c) for a, b, c in forms
+                     if b == 0 or a == b or a == c]
         with pytest.raises(QuadFormError, match="ambiguous"):
-            class_group_structure(Discriminant(dv), forms)
+            class_group_structure(Discriminant(dv),
+                                  (len(forms), ambiguous, None))
 
     def test_scan_outputs_are_pinned(self):
         # sha256 of "D h d1,d2,...\n" per fundamental D in the first 5,100

@@ -108,7 +108,7 @@ CASES = [
     (CapitulationEntry, _entry, {}, ()),
     (Discriminant, _discriminant, {}, ()),
     (QuadForm, _quadform, {}, ()),
-    (ClassGroupStructure, _structure, {"forms": []}, ("generators",)),
+    (ClassGroupStructure, _structure, {}, ("forms", "generators")),
     (GroupAlgebraElement, _algebra_element, {}, ()),
     (GModule, _gmodule, {}, ()),
     (RelativeExtensionDatum, _datum, {"synthetic": True}, ("_violations",)),
@@ -189,7 +189,8 @@ class TestValueType:
             calls = []
             func = vars(cls)[name].func
 
-            def counted(self, func=func):
+            # each property's own list: one cached property may read another
+            def counted(self, func=func, calls=calls):
                 calls.append(self)
                 return func(self)
 
