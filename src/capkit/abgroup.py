@@ -532,34 +532,26 @@ def op_power(g, k, op, identity):
     return identity if y is None else y
 
 
-def abelian_structure(elements, op, identity, cofactor=1, order=None):
+def abelian_structure(elements, op, identity, order=None):
     """Greedy generator selection with a relation lattice, invariant factors
     by Smith normal form, of the subgroup of `order` elements spanned by
-    {x^cofactor : x in elements}.  Iteration order fixes the generator
-    choice and hence determinism; the elements are visited, and powered,
-    only until their powers span `order` elements, so `elements` may be
-    drawn lazily.  AbgroupError says that they span fewer or more.
+    `elements`.  Iteration order fixes the generator choice and hence
+    determinism; the elements are visited only until they span `order`
+    elements, so they may be drawn lazily.  AbgroupError says that they
+    span fewer or more.
 
     By default `elements` lists every element of a finite abelian group
-    exactly once and `order` is len(elements) // cofactor.  With cofactor =
-    1 the span is then the whole group.  With a Hall cofactor of the group
-    order n (gcd(cofactor, n // cofactor) = 1) it is the subgroup of order
-    n // cofactor, the product of the Sylow subgroups for the primes not
-    dividing cofactor."""
-    m = order
-    if m is None:
-        m, rest = divmod(len(elements), cofactor)
-        if rest:
-            raise AbgroupError("cofactor %d does not divide the number of "
-                               "elements %d" % (cofactor, len(elements)))
+    exactly once and `order` is len(elements), so the span is the whole
+    group.  A Sylow part is spanned by powers the caller computes: with a
+    Hall cofactor c of the group order n (gcd(c, n // c) = 1), the c-th
+    powers of the elements span the subgroup of order n // c."""
+    m = len(elements) if order is None else order
     span = {identity: ()}
     gens = []
     rels = []
     for x in elements:
         if len(span) == m:
             break
-        if cofactor != 1:
-            x = op_power(x, cofactor, op, identity)
         if x in span:
             continue
         # minimal e >= 1 with x^e inside the current span; the powers

@@ -12,6 +12,7 @@ from collections import Counter
 from enum import Enum
 from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 
 # fixtures (hashlib) and heuristics (fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
@@ -79,8 +80,9 @@ def _pending_chunks(lo, hi, p, done):
 
 def _scan_chunk(args):
     discs, p = args
+    stamp = now_timestamp()
     return [ScanRecord(s.discriminant.value, s.order, s.invariant_factors, p,
-                       s.group.rank(p), now_timestamp())
+                       s.group.rank(p), stamp)
             for s in class_group_structures(discs)]
 
 
@@ -163,20 +165,26 @@ def cmd_scan(ns, out):
     loaded = _checked(read_store, ns.store, ns.prime)
     if loaded is None:
         return 2
-    existing, = loaded
-    # the first stored record of each D in range counts, a repeat does not
-    stored = {r.discriminant: r for r in reversed(existing)
-              if lo <= r.discriminant <= hi}
-    work = _pending_chunks(lo, hi, ns.prime, stored.keys())
+    # {D: (h, invariant factors, p, rank)} of the first stored record of
+    # each D in range: a repeat does not count
+    stored, = loaded
+    for d in [d for d in stored if not lo <= d <= hi]:
+        del stored[d]
+    work = _pending_chunks(lo, hi, ns.prime, stored)
     if work:
         try:  # fail before computing anything, not after
             open(ns.store, "a", encoding="utf-8").close()
         except OSError as exc:
             return _write_error(ns.store, exc)
 
+    min_rank = ns.min_rank
+    hist = Counter(map(itemgetter(3), stored.values()))
+    hits = [(d, h, rank) for d, (h, _, _, rank) in stored.items()
+            if rank >= min_rank]
     # each chunk is stored as it arrives, so a killed scan keeps the chunks
-    # before it and a resume computes only the rest
-    fresh = []
+    # before it and a resume computes only the rest; only the histogram
+    # and the hits stay in memory
+    fresh = 0
     parts = _scan_parts(work, ns.jobs)
     for part in parts:
         try:
@@ -184,29 +192,25 @@ def cmd_scan(ns, out):
         except OSError as exc:
             parts.close()
             return _write_error(ns.store, exc)
-        fresh += part
+        fresh += len(part)
+        hist.update(r.rank for r in part)
+        hits += [(r.discriminant, r.class_number, r.rank) for r in part
+                 if r.rank >= min_rank]
 
-    relevant = [*stored.values(), *fresh]
-    hist = Counter(r.rank for r in relevant)
-    hits = sorted((r for r in relevant if r.rank >= ns.min_rank),
-                  key=lambda r: -r.discriminant)
-    for r in hits:
-        print("%d\th=%d\trank=%d" % (r.discriminant, r.class_number, r.rank),
-              file=out)
+    hits.sort(reverse=True)
+    out.write("".join("%d\th=%d\trank=%d\n" % hit for hit in hits))
     print("scanned %d discriminants (%d new); rank histogram: %s"
-          % (len(relevant), len(fresh),
+          % (len(stored) + fresh, fresh,
              " ".join("%d:%d" % kv for kv in sorted(hist.items()))), file=out)
 
-    if ns.prime == 5 and ns.min_rank <= 2:
+    if ns.prime == 5 and min_rank <= 2:
         from .fixtures import reference_table
         known = {row.discriminant for row in reference_table()}
         table_lo, table_hi = min(known), max(known)
-        extra = [r.discriminant for r in hits
-                 if r.rank == 2 and table_lo <= r.discriminant <= table_hi
-                 and r.discriminant not in known]
-        for d in sorted(extra, reverse=True):
-            print("informational: %d has 5-rank 2 but is not a tabulated "
-                  "discriminant" % d, file=out)
+        for d, _, rank in hits:
+            if rank == 2 and table_lo <= d <= table_hi and d not in known:
+                print("informational: %d has 5-rank 2 but is not a "
+                      "tabulated discriminant" % d, file=out)
     return 0
 
 

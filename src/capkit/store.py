@@ -7,11 +7,13 @@ One record per line, UTF-8, tab-separated:
 Lines starting with '#' are comments.  Corrupted lines, undecodable bytes
 included, are reported with their line number and skipped; they never abort
 a read.  A reader checks each record shape (the fields between D and the
-timestamp) once and builds the other records of that shape from a memo; a
-reader asked for one prime still checks every line but builds only that
-prime's records (see read_store).  count_store checks the lines the same way
-and builds no record: it counts each (D, p) once, by its first record, and
-the repeats.
+timestamp) once and takes the later lines of that shape from a memo.  It
+reads in one of two ways.  read_store(path) builds every record, in file
+order: the view that tests and tools use.  The other way builds no record:
+it keeps the first record of each (D, p) as its shape's shared (h,
+invariant factors, p, rank) tuple.  read_store(path, prime) keeps those of
+one prime for a scan resume, and count_store counts those of every prime,
+and the repeats, for a report.  Both ways check every line alike.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from math import prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .abgroup import AbelianGroup, AbgroupError
@@ -100,27 +103,33 @@ def parse_record(line: str) -> ScanRecord:
 def read_store(path, prime=None):
     """(records, problems): problems are (line number, message) pairs.
 
-    With `prime` given, only the records of that p are built and returned;
-    every line is still checked, so the problems are the same as for
-    prime=None, which returns the records of every p.
+    Without `prime`, records lists every record in file order, repeats
+    included.  With `prime` given, records is {D: (h, invariant factors,
+    p, rank)}, the fields of the first record of each D for that p, which
+    is what a scan resume needs; no record is built, and the lines of other
+    primes are checked but not kept, so the problems are the same either
+    way.
 
     A line's shape is its text between the first and the last tab: h, the
     invariant factors, p and the rank.  Once parse_record has accepted a
     line, its shape holds for every line that carries it, and such a line
     is a record exactly when its D field is a negative integer.  So a later
     ASCII line of a known shape whose D field int() reads as negative is
-    built from the memoized fields, its own D and its timestamp, without
-    splitting the shape or checking it again; every other line (the first
-    of each shape, any non-ASCII line, any line whose D int() rejects or
-    reads as >= 0) goes to parse_record, and fails there if it fails.  The
-    memo of a shape whose p is not `prime` is empty: its lines are checked
-    the same way but build nothing.  Records of one shape share one
-    invariant-factor tuple, and records of one timestamp one string (a scan
-    stamps its records to the second).
+    taken from the memoized fields and its own D (and, for a record, its
+    timestamp), without splitting the shape or checking it again; every
+    other line (the first of each shape, any non-ASCII line, any line whose
+    D int() rejects or reads as >= 0) goes to parse_record, and fails there
+    if it fails.  The lines of one shape share one fields tuple, and the
+    records of one timestamp one string (a scan stamps each chunk's records
+    alike).
 
     A missing file reads as empty; any other OSError from opening the path
     (a directory, no permission) propagates."""
-    return _read(path, prime, None)
+    if prime is None:
+        return _read(path, None)
+    firsts = {}
+    problems = _read(path, firsts, prime)[1]
+    return firsts.get(prime, {}), problems
 
 
 def count_store(path):
@@ -129,21 +138,24 @@ def count_store(path):
     record; repeats is the number of record lines after the first of their
     (D, p); problems are those of read_store.
 
-    The lines are checked as read_store checks them, but no record is
-    built: the memo of a shape holds its (p, rank) and the first ranks of
-    its p by D, so a later line of that shape costs one dict insert."""
+    The lines are read as read_store(path, p) reads them, for every p at
+    once: no record is built, and a later line of a known shape costs one
+    dict insert."""
     firsts = {}
-    lines, problems = _read(path, None, firsts)
+    lines, problems = _read(path, firsts)
     tally = Counter()
-    for ranks in firsts.values():
-        tally.update(ranks.values())
+    for p, by_d in firsts.items():
+        for rank, n in Counter(map(itemgetter(3), by_d.values())).items():
+            tally[p, rank] = n
     return tally, lines - sum(map(len, firsts.values())), problems
 
 
-def _read(path, prime, firsts):
-    """read_store's (records, problems); with a dict `firsts`, builds no
-    record but sets firsts[p][D] = (p, rank) from the first record of each
-    (D, p), and gives the number of record lines in place of the records."""
+def _read(path, firsts, prime=None):
+    """(records, problems) of read_store(path) when `firsts` is None.
+    With a dict `firsts`, builds no record but sets firsts[p][D] to the
+    shared (h, invariant factors, p, rank) of the first record of each
+    (D, p), for every p or only for `prime`, and gives the number of
+    record lines, of every p, in place of the records."""
     records, problems = [], []
     shapes, stamps = {}, {}
     lines = 0
@@ -154,43 +166,42 @@ def _read(path, prime, firsts):
     with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             head, _, ts = line.rpartition("\t")
             d, _, shape = head.partition("\t")
-            # non-ASCII text may hold undecodable bytes: parse_record says so
-            fields = shapes.get(shape) if line.isascii() else None
-            if fields is not None:
+            # non-ASCII text may hold undecodable bytes: parse_record says
+            # so.  No shape of a blank line is known, and no D field of a
+            # comment reads as an int, so both reach the check below.
+            memo = shapes.get(shape) if line.isascii() else None
+            if memo is not None:
                 try:
                     d = int(d)
                 except ValueError:
                     d = 0
                 if d < 0:
-                    if firsts is not None:
-                        key, ranks = fields
-                        ranks.setdefault(d, key)
-                        lines += 1
-                    elif fields:
+                    fields, by_d = memo
+                    if firsts is None:
                         h, invs, p, rank = fields
                         records.append(_new_record(ScanRecord, (
                             d, h, invs, p, rank, stamps.setdefault(ts, ts))))
+                    elif by_d is not None:
+                        by_d.setdefault(d, fields)
+                    lines += 1
                     continue
+            if not line or line.startswith("#"):
+                continue
             try:
                 rec = parse_record(line)
             except ValueError as exc:
                 problems.append((lineno, str(exc)))
                 continue
-            if firsts is not None:
-                key = rec.prime, rec.rank
-                ranks = firsts.setdefault(rec.prime, {})
-                ranks.setdefault(rec.discriminant, key)
-                shapes[shape] = key, ranks
-                lines += 1
-            elif prime is None or rec.prime == prime:
+            fields, by_d = rec[1:5], None
+            if firsts is None:
                 records.append(rec)
-                shapes[shape] = rec[1:5]
-            else:
-                shapes[shape] = ()
+            elif prime is None or rec.prime == prime:
+                by_d = firsts.setdefault(rec.prime, {})
+                by_d.setdefault(rec.discriminant, fields)
+            shapes[shape] = fields, by_d
+            lines += 1
     return (records if firsts is None else lines), problems
 
 

@@ -455,9 +455,12 @@ class TestAbelianStructure:
         ident = (0, 0, 0)
         assert abelian_structure(elems, op, ident).group.invariant_factors \
             == (6, 36)
-        # |G| = 216 = 2^3 * 3^3
-        two = abelian_structure(elems, op, ident, cofactor=27)
-        three = abelian_structure(elems, op, ident, cofactor=8)
+        # |G| = 216 = 2^3 * 3^3: the 27th powers span the 2-part, the 8th
+        # powers the 3-part
+        two = abelian_structure([op_power(x, 27, op, ident) for x in elems],
+                                op, ident, order=8)
+        three = abelian_structure([op_power(x, 8, op, ident) for x in elems],
+                                  op, ident, order=27)
         assert two.group.invariant_factors == (2, 4)
         assert three.group.invariant_factors == (3, 9)
         for res, q in ((two, 2), (three, 3)):
@@ -476,16 +479,21 @@ class TestAbelianStructure:
         def op(a, b):
             return (a + b) % n
 
-        with pytest.raises(AbgroupError):
-            abelian_structure(elems, op, 0, cofactor=5)
+        # 5 does not divide 12: the 5th powers span all of C12, not 12 // 5
+        with pytest.raises(AbgroupError, match="span 12 elements, not 2"):
+            abelian_structure([5 * x % n for x in elems], op, 0, order=2)
         # 2 is no Hall cofactor of |C2 x C2| = 4: the squares span only
         # the identity, not 4 / 2 elements
         klein = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        with pytest.raises(AbgroupError):
-            abelian_structure(klein, lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]),
-                              (0, 0), cofactor=2)
-        assert abelian_structure(elems, op, 0, cofactor=12).group \
-            .invariant_factors == ()
+
+        def xor(x, y):
+            return (x[0] ^ y[0], x[1] ^ y[1])
+
+        with pytest.raises(AbgroupError, match="span 1 elements, not 2"):
+            abelian_structure([op_power(x, 2, xor, (0, 0)) for x in klein],
+                              xor, (0, 0), order=2)
+        assert abelian_structure([12 * x % n for x in elems], op, 0,
+                                 order=1).group.invariant_factors == ()
 
     def test_quotient_coords_chain(self):
         # Z^2 / <(2,0),(0,4)> = C2 x C4

@@ -170,6 +170,50 @@ def memo_store_bytes(seed, n_lines):
     return b"\n".join(lines) + b"\n"
 
 
+def write_seeded_store(path, seed):
+    """Seeds 0-2: a synthetic_store_text store with corrupt lines of every
+    prime, followed by a repeat of its first third; seeds 3-4: a
+    memo_store_bytes store."""
+    if seed < 3:
+        text = synthetic_store_text(seed, 600)
+        path.write_text(text + text[:len(text) // 3].rpartition("\n")[0]
+                        + "\n", encoding="utf-8")
+    else:
+        path.write_bytes(memo_store_bytes(seed, 800))
+
+
+def resume_store_text(seed, lo, hi):
+    """A store that a `scan --prime 5 -- lo hi` resume finds complete: a
+    seeded record of each prime 3, 5 and 7 for every fundamental D in
+    [lo, hi], records of D outside the range, repeats whose fields differ
+    from the first record, and corrupt lines of every prime."""
+    from capkit.quadform import fundamental_discriminants
+    rng = random.Random("resume:%d" % seed)
+    discs = fundamental_discriminants(lo - 400, hi + 400)
+
+    def record(d, p, fmt="{d}\t{h}\t{invs}\t{p}\t{r}\t{ts}"):
+        a = rng.choice((1, 1, 1, 5, 5, 3, 15))
+        invs = [f for f in (a, a * rng.randint(1, 12)) if f > 1]
+        h = 1
+        for f in invs:
+            h *= f
+        r = sum(1 for f in invs if f % p == 0)
+        return fmt.format(d=d, pd=-d, h=h, h1=h + 1, p=p, r=r, r1=r + 1,
+                          invs=",".join(map(str, invs)) or "1",
+                          ts="2026-01-01T00:00:%02d+00:00" % rng.randrange(60))
+
+    lines = [record(d, p) for d in discs for p in (3, 5, 7)]
+    rng.shuffle(lines)
+    repeats = [record(d, p) for d in rng.sample(discs, len(discs) // 4)
+               for p in (3, 5, 7)]
+    corrupt = [record(d, p, fmt) for d in rng.sample(discs, 20)
+               for p in (3, 5, 7)
+               for fmt in rng.sample(_STORE_LINE_KINDS[7:], 2)]
+    tail = repeats + corrupt + ["# comment", ""]
+    rng.shuffle(tail)
+    return "\n".join(lines + tail) + "\n"
+
+
 class TestPatternClassifier:
     def test_permutations_are_one_one(self):
         assert classify_capitulation_pattern((1, 2, 3, 4, 5, 6)) == \
@@ -309,28 +353,26 @@ class TestStore:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_prime_filter_matches_unfiltered_read(self, tmp_path, seed):
-        # seeds 0-2 hold corrupt lines of every prime, 3-4 the memo cases
+        # seeds 0-2 hold corrupt lines of every prime and repeats, 3-4 the
+        # memo cases; the filtered read keeps the first record of each D
         path = tmp_path / "s.tsv"
-        if seed < 3:
-            path.write_text(synthetic_store_text(seed, 600), encoding="utf-8")
-        else:
-            path.write_bytes(memo_store_bytes(seed, 800))
+        write_seeded_store(path, seed)
         records, problems = read_store(path)
         for p in (3, 5, 7, 11):
-            want = [r for r in records if r.prime == p]
+            want = {}
+            for r in records:
+                if r.prime == p:
+                    want.setdefault(r.discriminant, r[1:5])
             assert read_store(path, p) == (want, problems), p
         assert {r.prime for r in records} >= {3, 5}
+        repeated = Counter(r.key() for r in records)
+        assert max(repeated.values()) > 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_count_store_counts_first_records(self, tmp_path, seed):
         # oracle: the records read_store builds, the first of each (D, p)
         path = tmp_path / "s.tsv"
-        if seed < 3:
-            text = synthetic_store_text(seed, 600)
-            path.write_text(text + text[:len(text) // 3].rpartition("\n")[0]
-                            + "\n", encoding="utf-8")
-        else:
-            path.write_bytes(memo_store_bytes(seed, 800))
+        write_seeded_store(path, seed)
         records, problems = read_store(path)
         first = {}
         for r in records:
@@ -345,7 +387,8 @@ class TestStore:
 
     def test_prime_filter_checks_lines_of_other_primes(self, tmp_path):
         # the shape of lines 1-4 is first met with p = 3, and h and the
-        # factors recur with p = 5 (lines 5-7, one p field written as 05)
+        # factors recur with p = 5 (lines 5-7, one p field written as 05);
+        # lines 11-12 repeat a D of each prime with other fields
         path = tmp_path / "s.tsv"
         path.write_text("-23\t3\t3\t3\t1\tts\n"
                         "-31\t3\t3\t3\t1\tts\n"
@@ -356,18 +399,20 @@ class TestStore:
                         "-47\t3\t3\t05\t0\tts\n"
                         "-59\t3\t3\t3\t1\tts\u00e9\n"
                         "-67\t3\t3\t5\t0\tts\u00e9\n"
-                        "-71\t3\t3\t5\t1\tts\n", encoding="utf-8")
+                        "-71\t3\t3\t5\t1\tts\n"
+                        "-39\t25\t5,5\t5\t2\tts\n"
+                        "-31\t9\t3,3\t3\t2\tts\n", encoding="utf-8")
         problems = [(3, "invalid literal for int() with base 10: 'x-7'"),
                     (4, "field values out of range"),
                     (10, "rank 1 differs from the 5-rank 0 of the invariant "
                          "factors")]
-        got5, problems5 = read_store(path, 5)
-        assert [(r.discriminant, r.prime, r.rank) for r in got5] == \
-            [(-39, 5, 0), (-43, 5, 0), (-47, 5, 0), (-67, 5, 0)]
-        got3, problems3 = read_store(path, 3)
-        assert [(r.discriminant, r.prime, r.rank) for r in got3] == \
-            [(-23, 3, 1), (-31, 3, 1), (-59, 3, 1)]
-        assert problems5 == problems3 == read_store(path)[1] == problems
+        c3p5, c3p3 = (3, (3,), 5, 0), (3, (3,), 3, 1)
+        assert read_store(path, 5) == \
+            ({-39: c3p5, -43: c3p5, -47: c3p5, -67: c3p5}, problems)
+        assert read_store(path, 3) == \
+            ({-23: c3p3, -31: c3p3, -59: c3p3}, problems)
+        assert read_store(path, 7) == ({}, problems)
+        assert read_store(path)[1] == problems
 
     @pytest.mark.parametrize("line", [
         "-84\t4\t1,4\t2\t1\tts",      # factor 1
@@ -491,6 +536,87 @@ class TestCli:
         store.write_text(text + repeats)
         assert run_cli(["scan", "--store", str(store), "--",
                         "-100", "-3"]) == once
+
+    @pytest.mark.parametrize("seed,min_rank", [(0, 2), (1, 1), (2, 0)])
+    def test_resume_output_matches_the_records(self, tmp_path, capsys,
+                                               seed, min_rank):
+        # oracle: the resume's output computed from every record in file
+        # order, the first record of each D for p = 5 in range counting
+        lo, hi = -13500, -12000
+        path = tmp_path / "s.tsv"
+        path.write_text(resume_store_text(seed, lo, hi), encoding="utf-8")
+        before = path.read_bytes()
+        records, problems = read_store(path)
+        kept = {}
+        for r in records:
+            if r.prime == 5 and lo <= r.discriminant <= hi:
+                kept.setdefault(r.discriminant, r)
+        kept = sorted(kept.values(), key=lambda r: -r.discriminant)
+        want = ["%d\th=%d\trank=%d" % (r.discriminant, r.class_number, r.rank)
+                for r in kept if r.rank >= min_rank]
+        hist = Counter(r.rank for r in kept)
+        want.append("scanned %d discriminants (0 new); rank histogram: %s"
+                    % (len(kept), " ".join("%d:%d" % kv
+                                           for kv in sorted(hist.items()))))
+        known = reference_discriminants()
+        extra = [r.discriminant for r in kept if r.rank == 2
+                 and min(known) <= r.discriminant <= max(known)
+                 and r.discriminant not in known]
+        if min_rank <= 2:
+            want += ["informational: %d has 5-rank 2 but is not a tabulated "
+                     "discriminant" % d for d in extra]
+        capsys.readouterr()
+        code, text = run_cli(["scan", "--min-rank", str(min_rank), "--store",
+                              str(path), "--", str(lo), str(hi)])
+        assert code == 0
+        assert text == "\n".join(want) + "\n"
+        assert capsys.readouterr().err == "".join(
+            "store line %d skipped: %s\n" % pr for pr in problems)
+        assert path.read_bytes() == before
+        # the store holds what the test means to cover
+        assert {r.prime for r in records} == {3, 5, 7}
+        assert len(kept) < len([r for r in records if r.prime == 5])
+        assert any(r.discriminant < lo for r in records)
+        assert any(r.discriminant > hi for r in records)
+        assert len({msg.split(":")[0] for _, msg in problems}) > 5
+        assert extra and -12451 in [r.discriminant for r in kept]
+
+    @pytest.mark.parametrize("command", ["scan", "report"])
+    def test_a_resume_builds_one_record_per_shape(self, tmp_path, monkeypatch,
+                                                  command):
+        # only the first line of each shape goes through parse_record and
+        # builds a record; every later line of that shape is memo work
+        from capkit import store
+        path = tmp_path / "s.tsv"
+        text = resume_store_text(3, -13500, -12000)
+        path.write_text(text, encoding="utf-8")
+        firsts = {}
+        for line in text.splitlines():
+            try:
+                parse_record(line.strip())
+            except ValueError:
+                continue
+            shape = line.strip().partition("\t")[2].rpartition("\t")[0]
+            firsts.setdefault(shape, line.strip())
+        accepted, built = [], []
+        real_parse, real_new = store.parse_record, store._new_record
+
+        def recording_parse(line):
+            rec = real_parse(line)
+            accepted.append(line)
+            return rec
+
+        def counting_new(cls, fields):
+            built.append(fields)
+            return real_new(cls, fields)
+
+        monkeypatch.setattr(store, "parse_record", recording_parse)
+        monkeypatch.setattr(store, "_new_record", counting_new)
+        args = ["scan", "--store", str(path), "--", "-13500", "-12000"] \
+            if command == "scan" else ["report", "--store", str(path)]
+        assert run_cli(args)[0] == 0
+        assert accepted == list(firsts.values())
+        assert len(built) == len(firsts) < len(text.splitlines()) // 10
 
     def test_scan_empty_range(self, tmp_path):
         store = str(tmp_path / "scan.tsv")
