@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
+from operator import mul
 
 from .value import value_type
 
@@ -256,7 +257,15 @@ class AbelianGroup:
 class Homomorphism:
     """Map between finite abelian groups; column j of `matrix` is the image
     of the j-th source generator, and row i is reduced mod the target's
-    i-th invariant factor, so each map has exactly one matrix."""
+    i-th invariant factor, so each map has exactly one matrix.
+
+    Homomorphism(source, target, matrix) is the one public constructor: it
+    checks the shape and that column j respects the order d_j of the j-th
+    source generator (d_j times the column is 0 in the target).  Every map
+    given from outside this module goes through it.  The maps that compose,
+    + and - build from two maps, and identity_hom, zero_hom and power_hom,
+    are homomorphisms by construction (a product or sum of homomorphisms
+    is one), so Homomorphism._derived only reduces their entries."""
 
     def __init__(self, source, target, matrix):
         # matrix: target.ngens rows x source.ngens cols
@@ -270,31 +279,45 @@ class Homomorphism:
                 if (dj * mat[i][j]) % di:
                     raise AbgroupError(
                         "matrix column %d does not respect source order %d" % (j, dj))
+        self._set(source, target, mat)
+
+    def _set(self, source, target, mat):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _derived(cls, source, target, rows):
+        """The map with integer rows `rows`, known to be a homomorphism:
+        the entries are reduced, nothing is checked."""
+        self = cls.__new__(cls)
+        self._set(source, target,
+                  tuple(tuple(x % di for x in row) for row, di
+                        in zip(rows, target.invariant_factors)))
+        return self
 
     def __call__(self, vec):
         return self.target.reduce(mat_vec(self.matrix, vec))
 
     def compose(self, other):
         """self o other."""
-        # the column count is other.source.ngens, also when there are no
-        # inner rows to read it from
         if other.target != self.source:
             raise AbgroupError("composition mismatch")
-        inner = self.source.ngens
-        mat = [[sum(self.matrix[i][k] * other.matrix[k][j] for k in range(inner))
-                for j in range(other.source.ngens)]
-               for i in range(self.target.ngens)]
-        return Homomorphism(other.source, self.target, mat)
+        # the column count is other.source.ngens, also when there are no
+        # inner rows to read it from
+        cols = (list(zip(*other.matrix)) if other.matrix
+                else [()] * other.source.ngens)
+        return Homomorphism._derived(
+            other.source, self.target,
+            [[sum(map(mul, row, col)) for col in cols] for row in self.matrix])
 
     def _plus(self, other, sign, what):
         if (other.source, other.target) != (self.source, self.target):
             raise AbgroupError("%s mismatch" % what)
-        return Homomorphism(self.source, self.target,
-                            [[a + sign * b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.matrix, other.matrix)])
+        return Homomorphism._derived(
+            self.source, self.target,
+            [[a + sign * b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.matrix, other.matrix)])
 
     def __add__(self, other):
         return self._plus(other, 1, "sum")
@@ -323,18 +346,20 @@ class Homomorphism:
 
 
 def identity_hom(A):
-    return Homomorphism(A, A, _identity(A.ngens))
+    return power_hom(A, 1)
 
 
 def zero_hom(source, target):
-    return Homomorphism(source, target,
-                        [[0] * source.ngens for _ in range(target.ngens)])
+    return Homomorphism._derived(source, target,
+                                 [[0] * source.ngens for _ in range(target.ngens)])
 
 
 def power_hom(A, n):
-    """Multiplication by n (the n-th power map written additively)."""
-    return Homomorphism(A, A, [[n if i == j else 0 for j in range(A.ngens)]
-                               for i in range(A.ngens)])
+    """Multiplication by the integer n (the n-th power map written
+    additively)."""
+    return Homomorphism._derived(A, A, [[n if i == j else 0
+                                         for j in range(A.ngens)]
+                                        for i in range(A.ngens)])
 
 
 def hom_power(h, n):

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
-                      identity_hom, power_hom, zero_hom)
+                      identity_hom, is_prime, power_hom, zero_hom)
 from .pcgroup import (PcGroup, SubgroupDescriptor,
                       subgroups_index_p_above_derived, transfer)
 from .value import value_type
@@ -391,14 +391,14 @@ class RelativeExtensionDatum:
     def __init__(self, p, A_K, A_L, lift, norm, sigma, synthetic=False):
         # lift: A_K -> A_L, norm: A_L -> A_K, sigma: automorphism of A_L of
         # order dividing p
+        if not is_prime(p):
+            raise GModuleError("p = %r is not a prime" % (p,))
         if lift.source != A_K or lift.target != A_L:
             raise GModuleError("lift has wrong signature")
         if norm.source != A_L or norm.target != A_K:
             raise GModuleError("norm has wrong signature")
         if sigma.source != A_L or sigma.target != A_L:
             raise GModuleError("sigma must be an endomorphism of A_L")
-        if hom_power(sigma, p) != identity_hom(A_L):
-            raise GModuleError("sigma order does not divide p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "A_K", A_K)
         object.__setattr__(self, "A_L", A_L)
@@ -406,18 +406,24 @@ class RelativeExtensionDatum:
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "synthetic", synthetic)
+        if self._sigma_powers[p] != self._sigma_powers[0]:
+            raise GModuleError("sigma order does not divide p")
         if not synthetic:
             bad = self.check_invariants()
             if bad:
                 raise GModuleError("datum invariants violated: " + "; ".join(bad))
 
-    def norm_element_action(self):
-        """1 + sigma + ... + sigma^(p-1), by a running power."""
-        power = out = identity_hom(self.A_L)
+    @cached_property
+    def _sigma_powers(self):
+        """(sigma^0, ..., sigma^p), p - 1 compositions."""
+        powers = [identity_hom(self.A_L), self.sigma]
         for _ in range(self.p - 1):
-            power = self.sigma.compose(power)
-            out = out + power
-        return out
+            powers.append(self.sigma.compose(powers[-1]))
+        return tuple(powers)
+
+    def norm_element_action(self):
+        """1 + sigma + ... + sigma^(p-1)."""
+        return sum(self._sigma_powers[1:-1], self._sigma_powers[0])
 
     def s_map(self):
         return self.sigma - identity_hom(self.A_L)

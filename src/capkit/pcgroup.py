@@ -87,15 +87,20 @@ to the pending list.  Once all label to 1, the entries' normal words
 h_1^a_1 ... h_k^a_k are closed under products, by collection with those
 powers and commutators (which terminates as G's own does), so they are the
 subgroup generated; the pcgs is each entry labelled against the deeper
-ones.  Cosets are named by their least elements, as a walk over all of G
-would name them, so coset representatives, transversals, H/H' coordinates
-and the pinned catalog outputs built from them do not depend on the pcgs.
+ones.  A subgroup of index p above G' needs no closure: it is the kernel
+of a homomorphism onto Z/p, linear in the exponents, so its pcgs is written
+down from that map's values on g_1, ..., g_n
+(subgroups_index_p_above_derived).  Cosets are named by their least
+elements, as a walk over all of G would name them, so coset
+representatives, transversals, H/H' coordinates and the pinned catalog
+outputs built from them do not depend on the pcgs.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
+from operator import mul
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
                       is_prime)
@@ -517,24 +522,45 @@ def subgroups_index_p_above_derived(G: PcGroup):
     """The (p^r - 1)/(p - 1) subgroups of index p containing G', where r is
     the rank of G/G'.  For r = 2 they are ordered as lines of
     G/(G' G^p) = F_p^2 by normalized direction vector; otherwise as
-    hyperplane functionals by normalized coefficient vector.  Each is G'
-    with lifts of the generators of a functional's kernel on G/G'.  The
-    lattice is computed once per group; each call returns a fresh list."""
+    hyperplane functionals by normalized coefficient vector.  Each is the
+    kernel H of a functional phi on G/G' (the line through v is the kernel
+    of (v2, -v1) for r = 2; otherwise phi is v), read off without any
+    group product:
+
+      - let c_i = phi(proj(g_i)) mod p for the n pc generators; phi o proj
+        is a homomorphism into Z/p and x is its normal word, so
+        phi(x) = sum_i e_i(x) c_i mod p for every x;
+      - with delta the last i where c_i != 0, an element of depth delta has
+        phi = e_delta c_delta != 0, and g_d with d > delta lies in H, so H
+        lacks exactly depth delta;
+      - its canonical pcgs is w_d + ((-c_d / c_delta) mod p) w_delta for
+        d < delta and w_d for d > delta: each has exponent 1 at its own
+        depth, 0 at H's other depths, and phi = 0.
+
+    PresentationError unless phi, so computed, vanishes on the pcgs of G',
+    as every subgroup above G' must.  The lattice is computed once per
+    group; each call returns a fresh list."""
     if G._index_p_subgroups is None:
         p = G.p
-        A, _, lifts = G.abelianization()
+        A, proj, _ = G.abelianization()
         r = A.rank(p)
         if r < 1:
             raise PresentationError("G/G' must have rank >= 1")
-        derived = list(G.derived_subgroup().pcgs)
+        images = [proj(g) for g in G._gens]
+        derived = [G.exponents(h) for h in G.derived_subgroup().pcgs]
         subs = []
         for v in normalized_lines(p, r):  # r = A.ngens for a p-group
-            # the line through v is the kernel of the functional (v2, -v1)
             phi = (v[1], -v[0]) if r == 2 else v
-            kernel = Homomorphism(A, AbelianGroup((p,)), [phi]).kernel()
-            subs.append(G.subgroup(derived + [
-                reduce(G.mult, map(G.power, lifts, c), G.identity)
-                for c in kernel.generators()]))
+            c = [sum(map(mul, phi, x)) % p for x in images]
+            if any(sum(map(mul, c, e)) % p for e in derived):
+                raise PresentationError("functional %r on G/G' does not "
+                                        "vanish on G'" % (phi,))
+            delta = max(i for i, ci in enumerate(c) if ci)
+            w = G._gens[delta]
+            scale = -pow(c[delta], -1, p)
+            subs.append(SubgroupDescriptor(G, tuple(
+                G._gens[d] + c[d] * scale % p * w if d < delta else G._gens[d]
+                for d in range(G.n) if d != delta)))
         G._index_p_subgroups = tuple(subs)
     return list(G._index_p_subgroups)
 

@@ -1,11 +1,18 @@
-"""Element-set oracles for the subgroups of small PcGroups.
+"""Oracles for the subgroups of PcGroups.
 
-A subgroup is written out as the set of its elements, found without its
-pcgs: closures by breadth-first search from the identity, greedy generating
-sets by closures, and coset minima by multiplying out the subgroup.  Each
-costs |G| products or more, so they serve as oracles on groups of order
-<= 3^5.
+Element-set oracles write a subgroup out as the set of its elements, found
+without its pcgs: closures by breadth-first search from the identity,
+greedy generating sets by closures, and coset minima by multiplying out the
+subgroup.  Each costs |G| products or more, so they serve as oracles on
+groups of order <= 3^5.  closure_lattice builds the index-p subgroups above
+G' by PcGroup.subgroup closures from generators, against the lattice that
+subgroups_index_p_above_derived reads off exponent functionals.
 """
+
+from functools import reduce
+
+from capkit.abgroup import AbelianGroup, Homomorphism
+from capkit.pcgroup import normalized_lines
 
 
 def members(H):
@@ -59,3 +66,23 @@ def derived_closure(G, gens):
     gens = list(gens)
     return closure(G, [G.commutator(a, y)
                        for a in closure(G, gens) for y in gens])
+
+
+def closure_lattice(G):
+    """The index-p subgroups of G above G', in the order of
+    subgroups_index_p_above_derived: for each functional phi on G/G' (the
+    line through v is the kernel of (v2, -v1) when G/G' has rank 2, else
+    phi is v), G.subgroup of the pcgs of G' and the lifts to G of the
+    generators of the kernel of phi."""
+    p = G.p
+    A, _, lifts = G.abelianization()
+    r = A.rank(p)
+    derived = list(G.derived_subgroup().pcgs)
+    out = []
+    for v in normalized_lines(p, r):
+        phi = (v[1], -v[0]) if r == 2 else v
+        kernel = Homomorphism(A, AbelianGroup((p,)), [phi]).kernel()
+        out.append(G.subgroup(derived + [
+            reduce(G.mult, map(G.power, lifts, c), G.identity)
+            for c in kernel.generators()]))
+    return out

@@ -5,7 +5,10 @@ the same column lattice with U unimodular, D's diagonal is the quotient of
 successive determinantal divisors, and U^-1 is checked against an elimination
 over the rationals) rather than against any fixed output, so the oracle is
 independent of the implementation's pivoting.  Kernels and intersections are
-checked against their element sets, found by enumeration.
+checked against their element sets, found by enumeration.  Maps that
+Homomorphism builds unchecked from checked ones (compositions, sums,
+differences, identity, zero and power maps) are compared with the map the
+checking constructor makes of a matrix computed in the test.
 """
 
 import itertools
@@ -255,6 +258,60 @@ class TestHomomorphism:
             hom_power(h, -1)
         with pytest.raises(AbgroupError):
             hom_power(zero_hom(A, AbelianGroup((2,))), 2)
+
+    def test_derived_maps_equal_checked_rebuilds(self):
+        # compose, +, -, identity_hom, zero_hom, power_hom and hom_power
+        # build their maps unchecked; each must equal the map that the
+        # checking constructor makes of the matrix computed here
+        def group(rng, p):
+            return AbelianGroup(sorted(p ** rng.randint(1, 3)
+                                       for _ in range(rng.randint(0, 3))))
+
+        def valid_map(rng, A, B):
+            # d_j m = 0 mod e_i exactly for the multiples m of e_i / (d_j, e_i)
+            return Homomorphism(A, B, [
+                [rng.randrange(-2 * e, 2 * e) * (e // gcd(d, e))
+                 for d in A.invariant_factors] for e in B.invariant_factors])
+
+        def scalar(A, n):
+            return [[n * (i == j) for j in range(A.ngens)]
+                    for i in range(A.ngens)]
+
+        rng = random.Random(23)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5))
+            A, B, C = group(rng, p), group(rng, p), group(rng, p)
+            f, g, h, e = (valid_map(rng, A, B), valid_map(rng, A, B),
+                          valid_map(rng, B, C), valid_map(rng, A, A))
+            n = rng.randrange(-40, 40)
+            composed = [[sum(h.matrix[i][k] * f.matrix[k][j]
+                             for k in range(B.ngens))
+                         for j in range(A.ngens)] for i in range(C.ngens)]
+            pairs = [
+                (h.compose(f), Homomorphism(A, C, composed)),
+                (f + g, Homomorphism(A, B, [list(map(sum, zip(r, s)))
+                                            for r, s in zip(f.matrix,
+                                                            g.matrix)])),
+                (f - g, Homomorphism(A, B, [[a - b for a, b in zip(r, s)]
+                                            for r, s in zip(f.matrix,
+                                                            g.matrix)])),
+                (identity_hom(A), Homomorphism(A, A, scalar(A, 1))),
+                (zero_hom(A, B), Homomorphism(A, B,
+                                              [[0] * A.ngens] * B.ngens)),
+                (power_hom(A, n), Homomorphism(A, A, scalar(A, n))),
+            ]
+            want = Homomorphism(A, A, scalar(A, 1))
+            for k in range(6):
+                pairs.append((hom_power(e, k), want))
+                want = Homomorphism(A, A, mat_mul(e.matrix, want.matrix)
+                                    if A.ngens else [])
+            for derived, rebuilt in pairs:
+                assert derived == rebuilt
+                assert hash(derived) == hash(rebuilt)
+                assert type(derived.matrix) is tuple
+                assert all(type(row) is tuple for row in derived.matrix)
+                assert all(type(x) is int for row in derived.matrix
+                           for x in row)
 
     def test_rejects_ill_defined_map(self):
         A = AbelianGroup((2,))

@@ -384,6 +384,36 @@ class TestRelativeDatum:
                 norm=Homomorphism(B, A, [[1]]),
                 sigma=identity_hom(B))
 
+    @pytest.mark.parametrize("p", [-1, 0, 1, 4, 3.0])
+    def test_p_must_be_a_prime(self, p):
+        A = AbelianGroup((3,))
+        with pytest.raises(GModuleError, match="is not a prime"):
+            RelativeExtensionDatum(p, A, A, lift=identity_hom(A),
+                                   norm=identity_hom(A),
+                                   sigma=identity_hom(A), synthetic=True)
+
+    def test_sigma_powers_are_composed_once(self, monkeypatch):
+        # sigma^0 .. sigma^p take p - 1 compositions; the order check and
+        # the norm element read them
+        A = AbelianGroup((5, 5))
+        sigma = Homomorphism(A, A, [[1, 1], [0, 1]])
+        calls = []
+        real = Homomorphism.compose
+        monkeypatch.setattr(Homomorphism, "compose",
+                            lambda h, k: calls.append(1) or real(h, k))
+        d = RelativeExtensionDatum(5, A, A, lift=identity_hom(A),
+                                   norm=identity_hom(A), sigma=sigma,
+                                   synthetic=True)
+        norms = [d.norm_element_action() for _ in range(2)]
+        assert len(calls) == 4
+        monkeypatch.undo()
+        want = identity_hom(A)
+        for n in range(1, 5):
+            want = want + hom_power(sigma, n)
+        assert norms == [want] * 2
+        assert d._sigma_powers == tuple(hom_power(sigma, n)
+                                        for n in range(6))
+
     def test_requires_normal_index_p(self):
         G = get_group("H27")
         small = G.subgroup([G.collect(((2, 1),))])

@@ -19,7 +19,10 @@ Oracles:
   - a subgroup, held as its induced pcgs, is compared with the element-set
     oracles of pgroup_oracles.py: its closure by breadth-first search, the
     least element of each coset found by multiplying out H, and H' as the
-    closure of commutators.
+    closure of commutators;
+  - the index-p lattice, read off exponent functionals, is compared
+    descriptor for descriptor with closure_lattice of pgroup_oracles.py,
+    which closes G' and lifted kernel generators with PcGroup.subgroup.
 """
 
 import hashlib
@@ -39,8 +42,8 @@ from capkit.gmodule import (catalog_relative_data, classify_growth,
 from capkit.pcgroup import (PcGroup, PresentationError, capitulation_type,
                             normalized_lines, schreier_transversal,
                             subgroups_index_p_above_derived, transfer)
-from pgroup_oracles import (closure, coset_minima, derived_closure,
-                            greedy_generators, members)
+from pgroup_oracles import (closure, closure_lattice, coset_minima,
+                            derived_closure, greedy_generators, members)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +635,14 @@ class TestPower:
         assert 0 < products["mult"] <= 2 * 12 + 1, products
 
 
+# [g2,g1] = g3, [g3,g1] = g4, [g3,g2] = g5, [g4,g1] = g6,
+# [g4,g2] = [g5,g1] = g7, [g5,g2] = g8, powers trivial: the order-5^8
+# two-generator group of class 4 of TestScale
+CLASS_4_5_8_CONJ = {(1, 0): ((2, 1),), (2, 0): ((3, 1),), (2, 1): ((4, 1),),
+                    (3, 0): ((5, 1),), (3, 1): ((6, 1),), (4, 0): ((6, 1),),
+                    (4, 1): ((7, 1),)}
+
+
 class TestScale:
     def test_order_5_to_the_7_builds(self):
         # the order-5^6 group of maximal class ([g_k, g_1] = g_{k+1},
@@ -651,15 +662,10 @@ class TestScale:
         assert relator_check(_Unproven(5, 7, power, conj)) is not None
 
     def test_order_5_to_the_8_two_generator_class_4(self):
-        # [g2,g1] = g3, [g3,g1] = g4, [g3,g2] = g5, [g4,g1] = g6,
-        # [g4,g2] = [g5,g1] = g7, [g5,g2] = g8, powers trivial: exponent 5
-        # and class 4 < 5, so by the regularity argument of
-        # test_order_5_to_the_5_maximal_class every transfer kernel is the
-        # whole of G/G' = C5 x C5
-        conj = {(1, 0): ((2, 1),), (2, 0): ((3, 1),), (2, 1): ((4, 1),),
-                (3, 0): ((5, 1),), (3, 1): ((6, 1),), (4, 0): ((6, 1),),
-                (4, 1): ((7, 1),)}
-        G = PcGroup(5, 8, {}, conj)
+        # CLASS_4_5_8_CONJ: exponent 5 and class 4 < 5, so by the regularity
+        # argument of test_order_5_to_the_5_maximal_class every transfer
+        # kernel is the whole of G/G' = C5 x C5
+        G = PcGroup(5, 8, {}, CLASS_4_5_8_CONJ)
         assert G.abelianization()[0].invariant_factors == (5, 5)
         assert G.derived_subgroup().index == 5 ** 2
         entries = capitulation_type(G)
@@ -942,6 +948,72 @@ class TestSharedLattice:
         # the same pcgs numbers in another group name another subgroup
         K = subgroups_index_p_above_derived(get_group("H27"))[0]
         assert K.pcgs == H.pcgs and K != H
+
+
+# the base groups and cyclic factors C_{p^k} of the seeded products that
+# the catalog-tkt benchmark workload draws (PRODUCT_POOL in
+# perfbench/inputs.py)
+PRODUCT_BASES = (("M81", 1), ("C9sC9", 1), ("G81c2", 1), ("C3wrC3", 1),
+                 ("MC81a", 1), ("MC81b", 1), ("MC81c", 1),
+                 ("H27", 2), ("M27", 2))
+
+
+def times_cyclic(G, k):
+    """G x C_{p^k}: G's presentation followed by k central generators
+    h_1, ..., h_k with h_j^p = h_(j+1) and h_k^p = 1."""
+    n = G.n
+    power = list(G.power_tails) + [((n + j + 1, 1),) if j + 1 < k else ()
+                                   for j in range(k)]
+    return PcGroup(G.p, n + k, power, G.conj_tails)
+
+
+class TestLatticeAgainstClosures:
+    """subgroups_index_p_above_derived reads each subgroup's canonical pcgs
+    off its functional; closure_lattice, the oracle, closes G' and the
+    lifted kernel generators with PcGroup.subgroup.  Both must give the
+    same descriptors in the same order."""
+
+    def check(self, G):
+        assert G.abelianization()[0].rank(G.p) >= 1, G.name
+        assert subgroups_index_p_above_derived(G) == closure_lattice(G), \
+            G.name
+
+    def test_catalog(self):
+        checked = 0
+        for G in load_catalog().values():
+            if G.abelianization()[0].rank(G.p) >= 1:
+                self.check(G)
+                checked += len(subgroups_index_p_above_derived(G))
+        assert checked == 224
+
+    def test_products_with_cyclic_groups(self):
+        for name, k in PRODUCT_BASES:
+            G = times_cyclic(get_group(name), k)
+            assert G.order == 3 ** 5
+            assert G.abelianization()[0].rank(3) == 3
+            self.check(G)
+
+    def test_order_5_to_the_8(self):
+        self.check(PcGroup(5, 8, {}, CLASS_4_5_8_CONJ))
+
+    def test_random_presentations(self):
+        groups = [G for _, G in random_presentations(2023, 120)
+                  if isinstance(G, PcGroup)]
+        assert len(groups) >= 20
+        for G in groups:
+            self.check(G)
+
+    def test_a_wrong_projection_trips_the_derived_guard(self, monkeypatch):
+        # H27: G' = <g3>; a "projection" reading the exponents of g2 and g3
+        # gives functionals that do not vanish on g3
+        base = get_group("H27")
+        G = PcGroup(base.p, base.n, base.power_tails, base.conj_tails)
+        A, _, lifts = G.abelianization()
+        assert A.invariant_factors == (3, 3)
+        monkeypatch.setattr(G, "abelianization",
+                            lambda: (A, lambda x: G.exponents(x)[1:], lifts))
+        with pytest.raises(PresentationError, match="does not vanish on G'"):
+            subgroups_index_p_above_derived(G)
 
 
 class TestCapitulationType:
