@@ -335,8 +335,9 @@ class Homomorphism:
                  for j, d in enumerate(dt)]
         return Subgroup._zero_head_tails(self.source, rows)
 
-    # Equal maps share one entry: classify_growth builds the same norm and
-    # power maps afresh for every datum.
+    # Equal maps share one entry: data are built afresh, yet equal norms
+    # recur across them (the 224 data of the packaged catalog hold 159
+    # distinct norms), and classify_growth reads each norm's image.
     @lru_cache(maxsize=1024)
     def image(self):
         return Subgroup.from_generators(self.target, transpose(self.matrix))
@@ -478,8 +479,9 @@ class Subgroup:
         """Invariant factors of the subgroup itself."""
         return self.structure_with_coords()[0]
 
-    # Equal subgroups share one entry: callers such as classify_growth build
-    # a fresh Subgroup of the same lattice on every call.
+    # Equal subgroups share one entry: unequal maps can have equal images
+    # (the 159 distinct catalog norms have 97 distinct images), and
+    # classify_growth reads the structure of each norm's image.
     @lru_cache(maxsize=1024)
     def structure_with_coords(self):
         """(structure, to_coords, generators): coordinates of subgroup elements

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
-                      identity_hom, is_prime, power_hom, zero_hom)
+                      identity_hom, is_prime, power_hom, transpose, zero_hom)
 from .pcgroup import (PcGroup, SubgroupDescriptor,
                       subgroups_index_p_above_derived, transfer)
 from .value import value_type
@@ -379,16 +379,16 @@ class RelativeExtensionDatum:
     """Group-side package of a degree-p extension: class groups upstairs and
     downstairs, lift and norm between them and the Galois action upstairs.
 
-    Invariants (theorems for catalog-derived data, merely reportable for
-    synthetic data):
+    The constructor raises unless p is a prime, the maps have the right
+    signatures and sigma^p = 1.  It leaves the Artin identities, theorems
+    for data derived from a group, to `check_invariants`, which reports
+    the violated ones; `make_relative_datum` raises on them:
       norm o lift = p-th power map on A_K
       lift o norm = action of 1 + sigma + ... + sigma^(p-1) on A_L
       norm o sigma = norm, sigma o lift = lift
-
-    `synthetic` is left out of equality and hash.
     """
 
-    def __init__(self, p, A_K, A_L, lift, norm, sigma, synthetic=False):
+    def __init__(self, p, A_K, A_L, lift, norm, sigma):
         # lift: A_K -> A_L, norm: A_L -> A_K, sigma: automorphism of A_L of
         # order dividing p
         if not is_prime(p):
@@ -405,13 +405,8 @@ class RelativeExtensionDatum:
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "synthetic", synthetic)
         if self._sigma_powers[p] != self._sigma_powers[0]:
             raise GModuleError("sigma order does not divide p")
-        if not synthetic:
-            bad = self.check_invariants()
-            if bad:
-                raise GModuleError("datum invariants violated: " + "; ".join(bad))
 
     @cached_property
     def _sigma_powers(self):
@@ -450,7 +445,8 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
     """Artin dictionary for an index-p subgroup H >= G': A_K = G/G',
     A_L = H/H', lift = transfer, norm = inclusion-induced map, sigma =
     conjugation by a transversal generator.  H/H' and the transversal are
-    H's own, shared with every other transfer to H.
+    H's own, shared with every other transfer to H.  Raises GModuleError
+    when the datum breaks an Artin identity.
 
     No test of G' <= H or of normality: a subgroup of index p in a p-group
     is maximal, hence normal, and G/H of order p is abelian."""
@@ -462,14 +458,19 @@ def make_relative_datum(G: PcGroup, H: SubgroupDescriptor) -> RelativeExtensionD
     lift = transfer(G, H)
     A_L, proj_H, gens_H = H.abelianization
 
-    norm = Homomorphism(A_L, A_K, [[proj_G(g)[i] for g in gens_H]
-                                   for i in range(A_K.ngens)])
-
     # H t holds the least element outside H; sigma depends only on H t
     t = H.transversal[1]
-    sigma = Homomorphism(A_L, A_L, [[proj_H(G.conjugate(g, t))[i] for g in gens_H]
-                                    for i in range(A_L.ngens)])
-    return RelativeExtensionDatum(p, A_K, A_L, lift, norm, sigma)
+    # one projection per generator of H/H' gives a column of each matrix;
+    # a trivial H/H' leaves the norm A_K.ngens empty rows
+    norm = Homomorphism(A_L, A_K, transpose([proj_G(g) for g in gens_H])
+                        or [()] * A_K.ngens)
+    sigma = Homomorphism(A_L, A_L, transpose(
+        [proj_H(G.conjugate(g, t)) for g in gens_H]))
+    d = RelativeExtensionDatum(p, A_K, A_L, lift, norm, sigma)
+    bad = d.check_invariants()
+    if bad:
+        raise GModuleError("datum invariants violated: " + "; ".join(bad))
+    return d
 
 
 def f_property(d: RelativeExtensionDatum) -> bool:
@@ -487,11 +488,12 @@ def classify_growth(d: RelativeExtensionDatum) -> GrowthClass:
     when s^(p-1) annihilates A_L; wild otherwise (relative to those two
     conditions; the tame case of the taxonomy has no computable definition)."""
     p = d.p
-    AKprime = d.norm.image()
-    if AKprime.structure().rank(p) == d.A_L.rank(p) and \
-            d.A_K.rank(p) == power_hom(d.A_K, p).image().structure().rank(p):
+    # p Z/f is Z/(f/gcd(f, p)), so rk(A_K^p) counts the invariant factors f
+    # of A_K with p^2 | f, and rk(A_K) = rk(A_K^p) when no f has p || f
+    if d.norm.image().structure().rank(p) == d.A_L.rank(p) and \
+            all(f % p or f % (p * p) == 0 for f in d.A_K.invariant_factors):
         return GrowthClass.STABLE
-    if hom_power(d.s_map(), p - 1).image().order() == 1:
+    if hom_power(d.s_map(), p - 1).is_zero():
         return GrowthClass.SEMI_STABLE
     return GrowthClass.WILD
 

@@ -6,9 +6,10 @@ A scan never lists the reduced forms.  One counting sieve over a range of
 discriminants gives each class number h and the few ambiguous forms; the
 Sylow parts that these do not force take their elements from prime forms
 of norm <= sqrt(|D|/3), computed only as far as a part reads them (see
-`class_group_structure`).  The forms themselves are enumerated by a second
-sieve with the same loops, for `enumerate_reduced`, for the generators a
-structure gives on request and as the element source of non-fundamental D.
+`class_group_structure`).  The forms themselves are listed by a second
+sieve, for `enumerate_reduced`, for the generators a structure gives on
+request and as the element source of non-fundamental D; both sieves walk
+the same pairs (a, c), written once in `_pairs`.
 
 Hot paths work on plain (a, b, c) integer tuples; `QuadForm` is a thin
 validated wrapper around them.
@@ -189,36 +190,44 @@ def inverse(f: QuadForm, D: Discriminant) -> QuadForm:
     return QuadForm(*_reduce_raw(f.a, -f.b, f.c))
 
 
-def _reduced_forms_in(discs):
-    """Primitive reduced forms of each discriminant in `discs` (ascending,
-    all negative), by one sieve over the range lo = discs[0]..hi = discs[-1].
-
-    For each a <= sqrt(|lo|/3) and c in [max(a, ceil(-hi/4a)),
-    floor((a^2 - lo)/4a)], b runs over 0 <= b <= a with lo + 4ac <= b^2 <=
-    hi + 4ac, and (a, b, c), plus (a, -b, c) if 0 < b < a != c, go to the
-    bucket of b^2 - 4ac.  A window of width W costs about amax^2/8 +
-    (W/4) ln amax pairs (a, c) plus sum h(D) forms, instead of O(|D|) per
-    discriminant (Cohen, GTM 138, 5.3-5.4).  c is fixed by (a, b, D), so
-    each sorted bucket is in (a, b) order.
-    """
-    lo, hi = discs[0], discs[-1]
-    buckets = {d: [] for d in discs}
-    get = buckets.get
+def _pairs(lo, hi):
+    """The pairs (a, c) of reduced forms (a, b, c) with b^2 - 4ac in lo..hi
+    (lo <= hi < 0), as (a, c, low, b0, b1, g): low = lo + 4ac, so that
+    (a, b, c) has D - lo = b^2 - low; b0..b1, never empty, are the
+    0 <= b <= a with low <= b^2 <= hi + 4ac; g = gcd(a, c).  a runs up to
+    sqrt(|lo|/3) and c over [max(a, ceil(-hi/4a)), floor((a^2 - lo)/4a)]:
+    a window of width W costs about amax^2/8 + (W/4) ln amax pairs,
+    instead of O(|D|) per discriminant (Cohen, GTM 138, 5.3-5.4)."""
     for a in range(1, isqrt(-lo // 3) + 1):
         fa = 4 * a
         for c in range(max(a, -(hi // fa)), (a * a - lo) // fa + 1):
             fac = fa * c
             low = lo + fac
-            g = gcd(a, c)
-            for b in range(isqrt(low - 1) + 1 if low > 0 else 0,
-                           min(a, isqrt(hi + fac)) + 1):
-                forms = get(b * b - fac)
-                # imprimitive forms are not classes of the order
-                if forms is not None and (g == 1 or gcd(g, b) == 1):
-                    forms.append((a, b, c))
-                    # (a, -a, c) and (a, -b, a) are not reduced
-                    if 0 < b < a != c:
-                        forms.append((a, -b, c))
+            b0 = isqrt(low - 1) + 1 if low > 0 else 0
+            b1 = min(a, isqrt(hi + fac))
+            if b0 <= b1:
+                yield a, c, low, b0, b1, gcd(a, c)
+
+
+def _reduced_forms_in(discs):
+    """Primitive reduced forms of each discriminant in `discs` (ascending,
+    all negative), by one sieve over lo = discs[0]..hi = discs[-1]: for each
+    of its `_pairs`, (a, b, c), plus (a, -b, c) if 0 < b < a != c, go to the
+    bucket of b^2 - 4ac.  c is fixed by (a, b, D), so each sorted bucket is
+    in (a, b) order."""
+    lo, hi = discs[0], discs[-1]
+    buckets = {d: [] for d in discs}
+    get = buckets.get
+    for a, c, low, b0, b1, g in _pairs(lo, hi):
+        fac = low - lo
+        for b in range(b0, b1 + 1):
+            forms = get(b * b - fac)
+            # imprimitive forms are not classes of the order
+            if forms is not None and (g == 1 or gcd(g, b) == 1):
+                forms.append((a, b, c))
+                # (a, -a, c) and (a, -b, a) are not reduced
+                if 0 < b < a != c:
+                    forms.append((a, -b, c))
     for forms in buckets.values():
         forms.sort()
     return buckets
@@ -240,61 +249,53 @@ def _count_forms(discs):
     ambiguous[D] lists the ambiguous reduced forms (b = 0, a = b or a = c)
     of each D in `discs` in (a, b) order.
 
-    The loops are those of `_reduced_forms_in`, but a hit adds 1, or 2 for
-    the pair (a, +-b), to a list slot instead of building form tuples: a
-    window of width W costs its amax^2/8 pairs (a, c) plus one slot update
-    per pair (a, c, b), and W slots of memory.  Only the ambiguous forms,
-    about 2^(t-1) per D with t prime divisors, are listed, and they go to
-    the few (a, c) whose b range reaches b = 0 or b = a, or where a = c.
-    """
+    It walks `_pairs` as `_reduced_forms_in` does, but a hit adds 1, or 2
+    for the pair (a, +-b), to a list slot instead of building form tuples:
+    one slot update per (a, c, b), and W slots of memory for a window of
+    width W.  Only the ambiguous forms, about 2^(t-1) per D with t prime
+    divisors, are listed, and they go to the few (a, c) whose b range
+    reaches b = 0 or b = a, or where a = c."""
     lo, hi = discs[0], discs[-1]
     counts = [0] * (hi - lo + 1)
     ambiguous = {d: [] for d in discs}
     get = ambiguous.get
-    amax = isqrt(-lo // 3)
-    squares = [b * b for b in range(amax + 1)]
-    for a in range(1, amax + 1):
-        fa = 4 * a
-        for c in range(max(a, -(hi // fa)), (a * a - lo) // fa + 1):
-            fac = fa * c
-            low = lo + fac  # the slot of b^2 - 4ac is b^2 - low
-            b0 = isqrt(low - 1) + 1 if low > 0 else 0
-            b1 = min(a, isqrt(hi + fac))
-            if b0 > b1:
-                continue
-            # imprimitive forms are not classes of the order
-            g = gcd(a, c)
-            if a == c:
-                # (a, -b, a) is not reduced, so each b counts once
-                for b in range(b0, b1 + 1):
-                    if g == 1 or gcd(g, b) == 1:
-                        counts[squares[b] - low] += 1
-                        forms = get(squares[b] - fac)
-                        if forms is not None:
-                            forms.append((a, b, c))
-                continue
-            if b0 == 0:
-                if g == 1:
-                    counts[-low] += 1
-                    forms = get(-fac)
+    squares = [0]  # b^2 for b <= a; a never decreases and b never exceeds a
+    for a, c, low, b0, b1, g in _pairs(lo, hi):
+        if a >= len(squares):
+            squares += [b * b for b in range(len(squares), a + 1)]
+        # the slot of b^2 - 4ac is b^2 - low; imprimitive forms are not
+        # classes of the order
+        if a == c:
+            # (a, -b, a) is not reduced, so each b counts once
+            for b in range(b0, b1 + 1):
+                if g == 1 or gcd(g, b) == 1:
+                    counts[squares[b] - low] += 1
+                    forms = get(squares[b] - low + lo)
                     if forms is not None:
-                        forms.append((a, 0, c))
-                b0 = 1
-            if b1 == a:
-                # (a, -a, c) is not reduced
-                if g == 1:
-                    counts[squares[a] - low] += 1
-                    forms = get(squares[a] - fac)
-                    if forms is not None:
-                        forms.append((a, a, c))
-                b1 = a - 1
+                        forms.append((a, b, c))
+            continue
+        if b0 == 0:
             if g == 1:
-                for s in squares[b0:b1 + 1]:
-                    counts[s - low] += 2
-            else:
-                for b in range(b0, b1 + 1):
-                    if gcd(g, b) == 1:
-                        counts[squares[b] - low] += 2
+                counts[-low] += 1
+                forms = get(lo - low)
+                if forms is not None:
+                    forms.append((a, 0, c))
+            b0 = 1
+        if b1 == a:
+            # (a, -a, c) is not reduced
+            if g == 1:
+                counts[squares[a] - low] += 1
+                forms = get(squares[a] - low + lo)
+                if forms is not None:
+                    forms.append((a, a, c))
+            b1 = a - 1
+        if g == 1:
+            for s in squares[b0:b1 + 1]:
+                counts[s - low] += 2
+        else:
+            for b in range(b0, b1 + 1):
+                if gcd(g, b) == 1:
+                    counts[squares[b] - low] += 2
     return counts, ambiguous
 
 

@@ -19,21 +19,17 @@ and the repeats, for a report.  Both ways check every line alike.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from math import prod
 from operator import itemgetter
-from typing import NamedTuple
 
 from .abgroup import AbelianGroup, AbgroupError
 
 
-class ScanRecord(NamedTuple):
-    discriminant: int
-    class_number: int
-    invariant_factors: tuple
-    prime: int
-    rank: int
-    timestamp: str
+class ScanRecord(namedtuple("ScanRecord", ["discriminant", "class_number",
+                                           "invariant_factors", "prime",
+                                           "rank", "timestamp"])):
+    __slots__ = ()
 
     def key(self):
         return (self.discriminant, self.prime)
@@ -68,7 +64,7 @@ def _shape(invs_s, p_s):
 
 
 # Builds a ScanRecord from a tuple, skipping the per-field argument handling
-# of the __new__ that NamedTuple generates.
+# of the __new__ that namedtuple generates.
 _new_record = tuple.__new__
 
 

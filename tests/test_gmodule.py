@@ -11,15 +11,18 @@ Oracles:
     (skipped where sympy is not installed);
   - randomized modules are assembled from explicitly constructed blocks and
     scrambled by elementary automorphisms, so the expected decomposition
-    shape is known by construction.
+    shape is known by construction;
+  - classify_growth equals `image_growth_oracle`, which reads the ranks off
+    the images of the p-th power map and of s^(p-1).
 """
 
 import random
+from math import gcd, lcm
 
 import pytest
 
 from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
-                            identity_hom, power_hom)
+                            identity_hom, power_hom, zero_hom)
 from capkit import abgroup, gmodule
 from capkit.catalog import get_group, load_catalog
 from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
@@ -359,30 +362,71 @@ class TestOrbitSpan:
                 assert M.orbit_span(b) == fixpoint_orbit_span(M, b)
 
 
+def image_growth_oracle(d):
+    """classify_growth from images: rk(A_K^p) read off the image of the p-th
+    power map, and s^(p-1) = 0 tested as a trivial image."""
+    p = d.p
+    if d.norm.image().structure().rank(p) == d.A_L.rank(p) and \
+            d.A_K.rank(p) == power_hom(d.A_K, p).image().structure().rank(p):
+        return GrowthClass.STABLE
+    if hom_power(d.s_map(), p - 1).image().order() == 1:
+        return GrowthClass.SEMI_STABLE
+    return GrowthClass.WILD
+
+
+def random_hom(rng, source, target):
+    """A random homomorphism: entry (i, j) is a multiple of
+    d_i / gcd(d_i, d_j), so column j respects the order d_j."""
+    return Homomorphism(source, target, [
+        [rng.randrange(gcd(di, dj)) * (di // gcd(di, dj))
+         for dj in source.invariant_factors]
+        for di in target.invariant_factors])
+
+
+def random_sigma(rng, A, p):
+    """The identity of A, or a unipotent 1 + x e_12 with sigma^p = 1 on the
+    first two factors (a1, a2): x a multiple of a1/gcd(a1, a2) (a map) and
+    of a1/gcd(a1, p) (p x = 0)."""
+    rows = [[int(i == j) for j in range(A.ngens)] for i in range(A.ngens)]
+    if A.ngens >= 2 and rng.random() < 0.7:
+        a1, a2 = A.invariant_factors[:2]
+        step = lcm(a1 // gcd(a1, a2), a1 // gcd(a1, p))
+        rows[0][1] = rng.randrange(a1 // step) * step
+    return Homomorphism(A, A, rows)
+
+
 class TestRelativeDatum:
     def test_catalog_data_satisfy_invariants(self):
         for name in ("H27", "M27", "C3wrC3", "M243", "Q8", "E125exp25"):
             for d in catalog_relative_data(get_group(name)):
                 assert d.check_invariants() == []
-                assert not d.synthetic
 
     def test_synthetic_datum_reports_instead_of_raising(self):
+        # a hand-built datum that breaks identities is made, and each
+        # broken identity is reported
         A = AbelianGroup((3,))
-        B = AbelianGroup((3,))
+        B = AbelianGroup((3, 3))
         bad = RelativeExtensionDatum(
             3, A, B,
-            lift=Homomorphism(A, B, [[1]]),
-            norm=Homomorphism(B, A, [[1]]),
-            sigma=identity_hom(B),
-            synthetic=True)
-        problems = bad.check_invariants()
-        assert any("p-th power" in msg for msg in problems)
-        with pytest.raises(GModuleError):
-            RelativeExtensionDatum(
-                3, A, B,
-                lift=Homomorphism(A, B, [[1]]),
-                norm=Homomorphism(B, A, [[1]]),
-                sigma=identity_hom(B))
+            lift=Homomorphism(A, B, [[1], [0]]),
+            norm=Homomorphism(B, A, [[1, 0]]),
+            sigma=Homomorphism(B, B, [[1, 1], [0, 1]]))
+        assert bad.check_invariants() == [
+            "norm o lift is not the p-th power map",
+            "lift o norm is not the norm-element action",
+            "norm is not sigma-invariant"]
+
+    def test_made_datum_raises_on_a_broken_identity(self, monkeypatch):
+        # G/G' = C3 x C27 has exponent above p, so a zero transfer breaks
+        # norm o lift = p-th power map
+        G = get_group("M243")
+        assert G.abelianization()[0].invariant_factors == (3, 27)
+        monkeypatch.setattr(gmodule, "transfer", lambda G, H: zero_hom(
+            G.abelianization()[0], H.abelianization[0]))
+        for H in subgroups_index_p_above_derived(G):
+            with pytest.raises(GModuleError, match="datum invariants violated:"
+                               " norm o lift is not the p-th power map"):
+                make_relative_datum(G, H)
 
     @pytest.mark.parametrize("p", [-1, 0, 1, 4, 3.0])
     def test_p_must_be_a_prime(self, p):
@@ -390,7 +434,7 @@ class TestRelativeDatum:
         with pytest.raises(GModuleError, match="is not a prime"):
             RelativeExtensionDatum(p, A, A, lift=identity_hom(A),
                                    norm=identity_hom(A),
-                                   sigma=identity_hom(A), synthetic=True)
+                                   sigma=identity_hom(A))
 
     def test_sigma_powers_are_composed_once(self, monkeypatch):
         # sigma^0 .. sigma^p take p - 1 compositions; the order check and
@@ -402,8 +446,7 @@ class TestRelativeDatum:
         monkeypatch.setattr(Homomorphism, "compose",
                             lambda h, k: calls.append(1) or real(h, k))
         d = RelativeExtensionDatum(5, A, A, lift=identity_hom(A),
-                                   norm=identity_hom(A), sigma=sigma,
-                                   synthetic=True)
+                                   norm=identity_hom(A), sigma=sigma)
         norms = [d.norm_element_action() for _ in range(2)]
         assert len(calls) == 4
         monkeypatch.undo()
@@ -459,8 +502,8 @@ class TestRelativeDatum:
         A = AbelianGroup((3,))
         bad = RelativeExtensionDatum(
             3, A, A, lift=identity_hom(A), norm=identity_hom(A),
-            sigma=identity_hom(A), synthetic=True)
-        assert len(calls) == 1  # synthetic data are checked lazily
+            sigma=identity_hom(A))
+        assert len(calls) == 1  # the constructor leaves the identities alone
         first = bad.check_invariants()
         first.clear()
         assert any("p-th power" in msg for msg in bad.check_invariants())
@@ -484,8 +527,8 @@ class TestRelativeDatum:
         assert GrowthClass.WILD in kinds
 
     def test_growth_builds_one_image_per_map(self, monkeypatch):
-        # each image is an HNF; over the catalog the 224 data ask for 610
-        # images of far fewer distinct maps
+        # each image is an HNF; over the catalog the 224 data ask for the
+        # image of their norm only, and hold far fewer distinct maps
         data = [d for G in load_catalog().values()
                 if G.abelianization()[0].rank(G.p) >= 1
                 for d in catalog_relative_data(G)]
@@ -502,6 +545,39 @@ class TestRelativeDatum:
         count = len(built)
         assert [classify_growth(d) for d in data] == first
         assert len(built) == count
+
+    def test_growth_matches_the_image_oracle_on_the_catalog(self):
+        data = [d for G in load_catalog().values()
+                if G.abelianization()[0].rank(G.p) >= 1
+                for d in catalog_relative_data(G)]
+        assert len(data) == 224
+        assert [classify_growth(d) for d in data] == \
+            [image_growth_oracle(d) for d in data]
+
+    def test_growth_matches_the_image_oracle_on_hand_built_data(self):
+        # A_K and A_L need not be p-groups: (6, 18) at p = 3 has 3 || 6, so
+        # rk(A_K) = 2 > rk(A_K^3) = 1, while (9, 18) keeps both at 2
+        rng = random.Random(24)
+        shapes = [(), (2,), (3,), (9,), (27,), (5,), (25,), (6,), (3, 3),
+                  (3, 9), (9, 27), (6, 18), (9, 18), (2, 6), (4, 12),
+                  (5, 25), (2, 2, 4), (3, 3, 9)]
+        seen, stable_split = set(), set()
+        for _ in range(600):
+            p = rng.choice((2, 3, 5))
+            A_K = AbelianGroup(rng.choice(shapes))
+            A_L = AbelianGroup(rng.choice(shapes))
+            d = RelativeExtensionDatum(
+                p, A_K, A_L, lift=random_hom(rng, A_K, A_L),
+                norm=random_hom(rng, A_L, A_K),
+                sigma=random_sigma(rng, A_L, p))
+            got = classify_growth(d)
+            assert got == image_growth_oracle(d), d
+            seen.add(got)
+            if d.norm.image().structure().rank(p) == A_L.rank(p):
+                stable_split.add(any(f % p == 0 and f % (p * p)
+                                     for f in A_K.invariant_factors))
+        assert seen == set(GrowthClass)
+        assert stable_split == {False, True}
 
     def test_growth_order_law_never_fails_when_applicable(self):
         for name in ("C9", "C27", "M243", "H9c243", "MC81a", "MC81b"):

@@ -53,19 +53,31 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
-def test_commands_leave_costly_modules_unimported():
-    # a fresh interpreter, since pytest itself has imported inspect
+def fresh_stdout(code, *options):
+    """The stdout of code run in a fresh interpreter that imports capkit from
+    this source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *options, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_commands_leave_costly_modules_unimported():
+    # a fresh interpreter, since pytest itself has imported inspect
     code = ("import sys\n"
             "import capkit.cli, capkit.catalog, capkit.gmodule, capkit.fixtures\n"
             "capkit.fixtures.reference_table()\n"
             "print(*sorted({'dataclasses', 'inspect', 'fractions'}"
             " & set(sys.modules)))")
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True,
-                            check=True).stdout.split()
-    assert loaded == []
+    assert fresh_stdout(code).split() == []
+
+
+def test_commands_leave_typing_unimported():
+    # without site (-S), since a site .pth file may import typing itself
+    code = ("import sys\n"
+            "import capkit.cli, capkit.catalog, capkit.gmodule, capkit.fixtures\n"
+            "print('typing' in sys.modules)")
+    assert fresh_stdout(code, "-S").split() == ["False"]
 
 
 def test_value_types_define_no_equality_or_hash():

@@ -111,7 +111,7 @@ CASES = [
     (ClassGroupStructure, _structure, {}, ("forms", "generators")),
     (GroupAlgebraElement, _algebra_element, {}, ()),
     (GModule, _gmodule, {}, ()),
-    (RelativeExtensionDatum, _datum, {"synthetic": True}, ("_violations",)),
+    (RelativeExtensionDatum, _datum, {}, ("_violations",)),
     (TableRow, _table_row, {}, ()),
     (RankDistribution, _distribution, {}, ()),
 ]
