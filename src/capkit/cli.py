@@ -216,9 +216,9 @@ def cmd_scan(ns, out):
 
 def cmd_verify_table(ns, out):
     from .fixtures import reference_table
-    conflicts = 0
+    rows, conflicts = reference_table(), 0
     print("row\tD\trank\tpattern\tclass\tverdict", file=out)
-    for row in reference_table():
+    for row in rows:
         s = class_group_structure(Discriminant(row.discriminant))
         rank = s.group.rank(5)
         cls = classify_capitulation_pattern(row.pattern).value
@@ -230,7 +230,7 @@ def cmd_verify_table(ns, out):
         print("%d\t%d\t%d\t(%s)\t%s\t%s"
               % (row.number, row.discriminant, rank,
                  ",".join(map(str, row.pattern)), cls, verdict), file=out)
-    print("%d rows, %d conflicts" % (len(reference_table()), conflicts), file=out)
+    print("%d rows, %d conflicts" % (len(rows), conflicts), file=out)
     return 0 if conflicts == 0 else 1
 
 
@@ -281,7 +281,8 @@ def cmd_heuristic(ns, out):
 
 def cmd_report(ns, out):
     """The rank histogram of the store, each (D, p) counted once, by its
-    first record; a missing store reads as empty and reports 0 records."""
+    first record; a missing store reads as empty and reports 0 records, or
+    with --tsv only the header."""
     counted = _checked(count_store, ns.store)
     if counted is None:
         return 2
@@ -290,14 +291,14 @@ def cmd_report(ns, out):
         print("%d repeated record%s not counted: the first record of each "
               "discriminant and prime counts"
               % (repeats, "s" if repeats > 1 else ""), file=sys.stderr)
-    if not tally:
-        print("0 records", file=out)
-        return 0
     hist = sorted(tally.items())
     if ns.tsv:
         print("prime\trank\tcount", file=out)
         for (p, rank), n in hist:
             print("%d\t%d\t%d" % (p, rank, n), file=out)
+        return 0
+    if not tally:
+        print("0 records", file=out)
         return 0
     print("%d records in %s" % (sum(tally.values()), ns.store), file=out)
     for p, cells in groupby(hist, key=lambda cell: cell[0][0]):

@@ -103,7 +103,7 @@ from functools import cache, cached_property
 from operator import mul
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
-                      is_prime)
+                      is_prime, op_power)
 from .value import value_type
 
 
@@ -304,16 +304,9 @@ class PcGroup:
         return v
 
     def power(self, u, k):
-        """u^k for any integer k; u^|G| = 1, so k is taken mod |G|, then
-        square-and-multiply: O(log |G|) products."""
-        k %= self.order
-        w = self.identity
-        while k:
-            if k & 1:
-                w = self.mult(w, u)
-            u = self.mult(u, u)
-            k >>= 1
-        return w
+        """u^k for any integer k: u^|G| = 1, so k is taken mod |G| and
+        `op_power` squares and multiplies, at most 2 log2 |G| products."""
+        return op_power(u, k % self.order, self.mult, self.identity)
 
     def element_order(self, u):
         o = 1

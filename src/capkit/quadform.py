@@ -406,9 +406,9 @@ class ClassGroupStructure:
 
 
 def _four_rank(Dv, forms):
-    """The 4-rank of the class group of a fundamental Dv, from its reduced
-    forms `forms` (the ambiguous ones suffice), or None if Dv is not
-    fundamental.
+    """The 4-rank of the class group of a fundamental Dv (its caller
+    decides that Dv is one), from its reduced forms `forms` (the ambiguous
+    ones suffice).
 
     It counts the ambiguous forms (a, b, c) on which every assigned
     character is +1; the count is 2^r4.  Each odd p | Dv gives (m/p), with
@@ -417,15 +417,7 @@ def _four_rank(Dv, forms):
     assigned characters is trivial on the class group (Cox, 3.15), so the
     2-adic one that 4 | Dv adds (chi_-4, chi_-8 or chi_8) is +1 wherever
     the odd ones are, and is not evaluated."""
-    n = -Dv
-    if n % 4 == 0:
-        n //= 4
-        if n % 4 not in (1, 2):
-            return None
-    primes = prime_factors(n)
-    if any(n % (p * p) == 0 for p in primes):
-        return None
-    odd = [p for p in primes if p != 2]
+    odd = [p for p in prime_factors(Dv) if p != 2]
     count = sum(1 for a, b, c in _ambiguous(forms)
                 if all(pow(a if a % p else c, (p - 1) // 2, p) == 1
                        for p in odd))
@@ -435,8 +427,6 @@ def _four_rank(Dv, forms):
 def _two_part(r, v, r4):
     """The 2-part of order 2^v, rank r and 4-rank r4 (ascending), where
     these force it, else None."""
-    if r4 is None:
-        return None
     rest = v - (r - r4)
     if r4 == 1:
         return (2,) * (r - 1) + (1 << rest,)
@@ -511,7 +501,9 @@ def class_group_structure(D: Discriminant,
     ambiguous reduced forms, None) for fundamental D, from a counting sieve
     that has already run, or (h, the ambiguous forms, all reduced forms)
     for other D.  Without it, D alone is counted, or its forms enumerated,
-    at the same cost: one walk of the pairs (a, c).
+    at the same cost: one walk of the pairs (a, c).  So fundamentality is
+    decided once, where `counted` is made: its None selects both the prime
+    forms and the 4-rank rule.
     """
     if -D.value > MAX_ABS_DISC:
         raise QuadFormError("|D| beyond configured bound %d" % MAX_ABS_DISC)
@@ -530,7 +522,8 @@ def class_group_structure(D: Discriminant,
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
                             "%d classes (D = %d)" % (n2, h, Dv))
     op, one = _form_op(Dv), _principal_raw(Dv)
-    forms = _Drawn(_prime_forms(Dv) if forms is None else forms)
+    fundamental = forms is None
+    forms = _Drawn(_prime_forms(Dv) if fundamental else forms)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
         v, qv = 1, q
@@ -539,7 +532,7 @@ def class_group_structure(D: Discriminant,
         r = two_rank if q == 2 else 1 if v == 1 else None
         if r in (1, v - 1, v):
             part = (q,) * (r - 1) + (qv // q ** (r - 1),)
-        elif q == 2:
+        elif q == 2 and fundamental:
             part = _two_part(r, v, _four_rank(Dv, ambiguous))
         else:
             part = None

@@ -18,6 +18,7 @@ and the repeats, for a report.  Both ways check every line alike.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter, namedtuple
 from math import prod
@@ -50,19 +51,6 @@ def format_record(rec: ScanRecord) -> str:
                       str(rec.prime), str(rec.rank), rec.timestamp])
 
 
-def _shape(invs_s, p_s):
-    """(invariant factors, p, their product, whether they are a divisor
-    chain of integers > 1, their p-rank or None when they are not one or
-    p < 2) of the invariant-factor and prime fields of a record."""
-    invs = () if invs_s == "1" else tuple(int(x) for x in invs_s.split(","))
-    p = int(p_s)
-    try:
-        group = AbelianGroup(invs)
-    except AbgroupError:
-        return invs, p, prod(invs), False, None
-    return invs, p, prod(invs), True, group.rank(p) if p >= 2 else None
-
-
 # Builds a ScanRecord from a tuple, skipping the per-field argument handling
 # of the __new__ that namedtuple generates.
 _new_record = tuple.__new__
@@ -79,17 +67,19 @@ def parse_record(line: str) -> ScanRecord:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 6:
         raise ValueError("expected 6 tab-separated fields, got %d" % len(parts))
-    d, h, invs_s, p_s, rank, ts = parts
+    d, h, invs, p, rank, ts = parts
     d, h = int(d), int(h)
-    invs, p, prod, chain, p_rank = _shape(invs_s, p_s)
-    rank = int(rank)
+    invs = () if invs == "1" else tuple(int(x) for x in invs.split(","))
+    p, rank = int(p), int(rank)
     if d >= 0 or h < 1 or p < 2 or rank < 0:
         raise ValueError("field values out of range")
-    if prod != h:
+    if prod(invs) != h:
         raise ValueError("invariant factors inconsistent with class number")
-    if not chain:
+    try:
+        p_rank = AbelianGroup(invs).rank(p)
+    except AbgroupError:
         raise ValueError("invariant factors are not a divisor chain of "
-                         "integers > 1")
+                         "integers > 1") from None
     if rank != p_rank:
         raise ValueError("rank %d differs from the %d-rank %d of the "
                          "invariant factors" % (rank, p, p_rank))
@@ -202,6 +192,15 @@ def _read(path, firsts, prime=None):
 
 
 def append_records(path, records):
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(format_record(rec) + "\n")
+    """Append one line per record to the store at `path`, creating it, in
+    one write.  A last line that a killed writer left without its newline
+    is ended first, so the torn line stays a line of its own and no
+    appended record is fused into it."""
+    data = "".join(format_record(rec) + "\n" for rec in records)
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                data = "\n" + data
+        fh.write(data.encode("utf-8"))

@@ -688,6 +688,47 @@ class TestCli:
         assert "(%d new)" % (len(expected) - len(kept)) in text
         assert [r.payload() for r in read_store(store)[0]] == expected
 
+    def test_append_after_a_torn_last_line(self, tmp_path, capsys):
+        # a kill cut the last line in half: what is left still reads as a
+        # record, with a cut timestamp
+        store = tmp_path / "scan.tsv"
+        run_cli(["scan", "--store", str(store), "--", "-60", "-3"])
+        text = store.read_text()
+        last = text.splitlines()[-1]
+        store.write_text(text[:-len(last) - 1] + last[:len(last) // 2])
+        assert len(last[:len(last) // 2].split("\t")) == 6
+        capsys.readouterr()
+        assert "(10 new)" in run_cli(
+            ["scan", "--store", str(store), "--", "-100", "-3"])[1]
+        assert "(0 new)" in run_cli(
+            ["scan", "--store", str(store), "--", "-100", "-3"])[1]
+        code, text = run_cli(["report", "--store", str(store)])
+        assert code == 0 and text.startswith("31 records in ")
+        assert capsys.readouterr().err == ""
+
+    def test_append_after_a_torn_line_that_is_no_record(self, tmp_path,
+                                                        capsys):
+        store = tmp_path / "scan.tsv"
+        run_cli(["scan", "--store", str(store), "--", "-60", "-3"])
+        lines = store.read_text().splitlines()
+        d = lines[-1].split("\t")[0]
+        store.write_text("\n".join(lines[:-1] + [d + "\t1"]))
+        capsys.readouterr()
+        skipped = ["store line %d skipped: expected 6 tab-separated fields, "
+                   "got 2" % len(lines)]
+        # the torn line's D is computed again, with the 10 below -60
+        assert "(11 new)" in run_cli(
+            ["scan", "--store", str(store), "--", "-100", "-3"])[1]
+        assert capsys.readouterr().err.splitlines() == skipped
+        assert "(0 new)" in run_cli(
+            ["scan", "--store", str(store), "--", "-100", "-3"])[1]
+        assert capsys.readouterr().err.splitlines() == skipped
+        assert run_cli(["report", "--store", str(store)])[1].startswith(
+            "31 records in ")
+        assert capsys.readouterr().err.splitlines() == skipped
+        assert sorted(r.discriminant for r in read_store(store)[0]) == \
+            [d for d in range(-100, -2) if is_fundamental(d)]
+
     @pytest.mark.parametrize("args", [
         ["scan", "--prime", "0", "--", "-100", "-3"],
         ["scan", "--prime", "4", "--", "-100", "-3"],
@@ -812,6 +853,15 @@ class TestCli:
         code, text = run_cli(["report", "--store", str(tmp_path / "no.tsv")])
         assert code == 0
         assert "0 records" in text
+
+    def test_report_tsv_of_an_empty_store(self, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        for store in (empty, tmp_path / "no.tsv"):
+            assert run_cli(["report", "--tsv", "--store", str(store)]) == \
+                (0, "prime\trank\tcount\n")
+            assert run_cli(["report", "--store", str(store)]) == \
+                (0, "0 records\n")
 
     def test_report_counts_each_record_once(self, tmp_path, capsys):
         store = tmp_path / "scan.tsv"

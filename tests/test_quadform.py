@@ -630,7 +630,7 @@ class TestSylowStructure:
         assert s.invariant_factors == invs == \
             _greedy_invariants(dv, _reduced_forms_in([dv])[dv])
 
-    def test_character_four_rank_matches_greedy(self):
+    def test_character_four_rank_matches_greedy(self, monkeypatch):
         chunks = [fundamental_discriminants(-3000, -3)]
         rng = random.Random(4)
         for _ in range(2):
@@ -642,10 +642,46 @@ class TestSylowStructure:
                 invs = _greedy_invariants(dv, buckets[dv])
                 assert quadform._four_rank(dv, buckets[dv]) == \
                     sum(1 for d in invs if d % 4 == 0), dv
-        # the characters are those of the maximal order only
+        # the characters are those of the maximal order only: the caller
+        # leaves the 4-rank of any other order unread
+        calls = []
+        monkeypatch.setattr(quadform, "_four_rank",
+                            lambda dv, forms: calls.append(dv))
         discs = [d for d in _discs_in(-3000, -3) if not is_fundamental(d)]
         buckets = _reduced_forms_in(discs)
-        assert all(quadform._four_rank(d, buckets[d]) is None for d in discs)
+        for d in discs:
+            assert class_group_structure(Discriminant(d)).invariant_factors \
+                == _greedy_invariants(d, buckets[d]), d
+        assert calls == []
+
+    def test_four_rank_is_read_for_fundamental_discriminants_only(
+            self, monkeypatch):
+        calls = []
+        real = quadform._four_rank
+
+        def recording(dv, forms):
+            calls.append(dv)
+            return real(dv, forms)
+
+        monkeypatch.setattr(quadform, "_four_rank", recording)
+        discs = _discs_in(-3000, -3)
+        structures = class_group_structures(discs)
+        assert calls and all(is_fundamental(d) for d in calls)
+
+        def open_two_part(s):
+            # rank r and order 2^v of the 2-part force it when r is 1,
+            # v - 1 or v
+            r = s.group.rank(2)
+            v = (s.order & -s.order).bit_length() - 1
+            return r not in (1, v - 1, v)
+
+        # the chunk is mixed, and some of its non-fundamental D reach the
+        # 2-part rule
+        assert any(open_two_part(s) and not s.is_fundamental
+                   for s in structures)
+        monkeypatch.setattr(quadform, "_four_rank", real)
+        assert structures == [class_group_structure(Discriminant(d))
+                              for d in discs]
 
     @pytest.mark.parametrize("dv, invs, spans", [
         (-4027, (3, 3), 1),              # C3 x C3
