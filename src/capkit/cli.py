@@ -69,13 +69,15 @@ def _chunk_width(lo):
 def _pending_chunks(lo, hi, p, done):
     """(discriminants, p) per chunk of _chunk_width(lo) consecutive
     integers: the fundamental discriminants in [lo, hi] that are not in
-    `done`, the discriminants in [lo, hi] already stored for p."""
+    `done`, the discriminants in [lo, hi] already stored for p.  A range
+    with none pending has no chunk, and its lo, which may lie above 0,
+    sizes none."""
+    pending = [d for d in fundamental_discriminants(lo, hi) if d not in done]
+    if not pending:
+        return []
     width = _chunk_width(lo)
-    chunks = {}
-    for d in fundamental_discriminants(lo, hi):
-        if d not in done:
-            chunks.setdefault((d - lo) // width, []).append(d)
-    return [(discs, p) for discs in chunks.values()]
+    return [(list(discs), p)
+            for _, discs in groupby(pending, lambda d: (d - lo) // width)]
 
 
 def _scan_chunk(args):

@@ -3,13 +3,16 @@ quadratic forms: Gauss reduction, composition, sieves of the reduced forms
 over a range of discriminants, and invariant factors of the form class group.
 
 A scan never lists the reduced forms.  One counting sieve over a range of
-discriminants gives each class number h and the few ambiguous forms; the
-Sylow parts that these do not force take their elements from prime forms
-of norm <= sqrt(|D|/3), computed only as far as a part reads them (see
-`class_group_structure`).  The forms themselves are listed by a second
-sieve, for `enumerate_reduced`, for the generators a structure gives on
-request and as the element source of non-fundamental D; both sieves walk
-the same pairs (a, c), written once in `_pairs`.
+discriminants counts the reduced forms of every integer, primitive or not,
+and lists the few ambiguous ones.  For a fundamental D the count is h(D):
+an imprimitive form e(a', b', c') has discriminant e^2 D', which no
+fundamental D is.  The Sylow parts that h and the ambiguous forms do not
+force take their elements from prime forms of norm <= sqrt(|D|/3),
+computed only as far as a part reads them (see `class_group_structure`).
+Any other D lists its primitive reduced forms, as do `enumerate_reduced`,
+`class_number` and the generators a structure gives on request; that
+listing is the one place where primitivity is tested.  The sieve and the
+listing walk the same pairs (a, c), written once in `_pairs`.
 
 Hot paths work on plain (a, b, c) integer tuples; `QuadForm` is a thin
 validated wrapper around them.
@@ -192,12 +195,13 @@ def inverse(f: QuadForm, D: Discriminant) -> QuadForm:
 
 def _pairs(lo, hi):
     """The pairs (a, c) of reduced forms (a, b, c) with b^2 - 4ac in lo..hi
-    (lo <= hi < 0), as (a, c, low, b0, b1, g): low = lo + 4ac, so that
+    (lo <= hi < 0), as (a, c, low, b0, b1): low = lo + 4ac, so that
     (a, b, c) has D - lo = b^2 - low; b0..b1, never empty, are the
-    0 <= b <= a with low <= b^2 <= hi + 4ac; g = gcd(a, c).  a runs up to
-    sqrt(|lo|/3) and c over [max(a, ceil(-hi/4a)), floor((a^2 - lo)/4a)]:
-    a window of width W costs about amax^2/8 + (W/4) ln amax pairs,
-    instead of O(|D|) per discriminant (Cohen, GTM 138, 5.3-5.4)."""
+    0 <= b <= a with low <= b^2 <= hi + 4ac.  a runs up to sqrt(|lo|/3) and
+    c over [max(a, ceil(-hi/4a)), floor((a^2 - lo)/4a)]: a window of width
+    W costs about amax^2/8 + (W/4) ln amax pairs, instead of O(|D|) per
+    discriminant (Cohen, GTM 138, 5.3-5.4).  Primitivity is not tested
+    here."""
     for a in range(1, isqrt(-lo // 3) + 1):
         fa = 4 * a
         for c in range(max(a, -(hi // fa)), (a * a - lo) // fa + 1):
@@ -206,35 +210,24 @@ def _pairs(lo, hi):
             b0 = isqrt(low - 1) + 1 if low > 0 else 0
             b1 = min(a, isqrt(hi + fac))
             if b0 <= b1:
-                yield a, c, low, b0, b1, gcd(a, c)
-
-
-def _reduced_forms_in(discs):
-    """Primitive reduced forms of each discriminant in `discs` (ascending,
-    all negative), by one sieve over lo = discs[0]..hi = discs[-1]: for each
-    of its `_pairs`, (a, b, c), plus (a, -b, c) if 0 < b < a != c, go to the
-    bucket of b^2 - 4ac.  c is fixed by (a, b, D), so each sorted bucket is
-    in (a, b) order."""
-    lo, hi = discs[0], discs[-1]
-    buckets = {d: [] for d in discs}
-    get = buckets.get
-    for a, c, low, b0, b1, g in _pairs(lo, hi):
-        fac = low - lo
-        for b in range(b0, b1 + 1):
-            forms = get(b * b - fac)
-            # imprimitive forms are not classes of the order
-            if forms is not None and (g == 1 or gcd(g, b) == 1):
-                forms.append((a, b, c))
-                # (a, -a, c) and (a, -b, a) are not reduced
-                if 0 < b < a != c:
-                    forms.append((a, -b, c))
-    for forms in buckets.values():
-        forms.sort()
-    return buckets
+                yield a, c, low, b0, b1
 
 
 def _reduced_forms(Dv):
-    return _reduced_forms_in([Dv])[Dv]
+    """The primitive reduced forms of discriminant Dv, in (a, b) order.
+    Each of the `_pairs(Dv, Dv)` has one b, with b^2 = Dv + 4ac, and gives
+    (a, b, c), plus (a, -b, c) if 0 < b < a != c.  A form with
+    gcd(a, b, c) > 1 is no class of the order and is left out: the one
+    primitivity test of the module."""
+    forms = []
+    for a, c, _, b, _ in _pairs(Dv, Dv):
+        if gcd(a, b, c) == 1:
+            forms.append((a, b, c))
+            # (a, -a, c) and (a, -b, a) are not reduced
+            if 0 < b < a != c:
+                forms.append((a, -b, c))
+    forms.sort()
+    return forms
 
 
 def _ambiguous(forms):
@@ -244,58 +237,51 @@ def _ambiguous(forms):
 
 def _count_forms(discs):
     """(counts, ambiguous) for `discs` (ascending, all negative), by one
-    sieve over lo = discs[0]..hi = discs[-1]: counts[D - lo] is h(D), the
-    number of primitive reduced forms, of every D in [lo, hi], and
-    ambiguous[D] lists the ambiguous reduced forms (b = 0, a = b or a = c)
-    of each D in `discs` in (a, b) order.
+    sieve over lo = discs[0]..hi = discs[-1]: counts[D - lo] is the number
+    of reduced forms of discriminant D, primitive or not, for every D in
+    [lo, hi], and ambiguous[D] lists the ambiguous reduced forms (b = 0,
+    a = b or a = c) of each D in `discs` in (a, b) order.  For a
+    fundamental D every reduced form is primitive, so its count is h(D)
+    and its ambiguous forms are those of its class group; of any other D
+    the caller reads neither.
 
-    It walks `_pairs` as `_reduced_forms_in` does, but a hit adds 1, or 2
-    for the pair (a, +-b), to a list slot instead of building form tuples:
-    one slot update per (a, c, b), and W slots of memory for a window of
-    width W.  Only the ambiguous forms, about 2^(t-1) per D with t prime
-    divisors, are listed, and they go to the few (a, c) whose b range
-    reaches b = 0 or b = a, or where a = c."""
+    For each of its `_pairs`, a hit adds 1, or 2 for the pair (a, +-b), to
+    a list slot: one slot update per (a, c, b), and W slots of memory for a
+    window of width W.  Only the ambiguous forms, about 2^(t-1) per D with
+    t prime divisors, are listed, and they go to the few (a, c) whose b
+    range reaches b = 0 or b = a, or where a = c."""
     lo, hi = discs[0], discs[-1]
     counts = [0] * (hi - lo + 1)
     ambiguous = {d: [] for d in discs}
     get = ambiguous.get
     squares = [0]  # b^2 for b <= a; a never decreases and b never exceeds a
-    for a, c, low, b0, b1, g in _pairs(lo, hi):
+    for a, c, low, b0, b1 in _pairs(lo, hi):
         if a >= len(squares):
             squares += [b * b for b in range(len(squares), a + 1)]
-        # the slot of b^2 - 4ac is b^2 - low; imprimitive forms are not
-        # classes of the order
+        # the slot of b^2 - 4ac is b^2 - low
         if a == c:
             # (a, -b, a) is not reduced, so each b counts once
             for b in range(b0, b1 + 1):
-                if g == 1 or gcd(g, b) == 1:
-                    counts[squares[b] - low] += 1
-                    forms = get(squares[b] - low + lo)
-                    if forms is not None:
-                        forms.append((a, b, c))
+                counts[squares[b] - low] += 1
+                forms = get(squares[b] - low + lo)
+                if forms is not None:
+                    forms.append((a, b, c))
             continue
         if b0 == 0:
-            if g == 1:
-                counts[-low] += 1
-                forms = get(lo - low)
-                if forms is not None:
-                    forms.append((a, 0, c))
+            counts[-low] += 1
+            forms = get(lo - low)
+            if forms is not None:
+                forms.append((a, 0, c))
             b0 = 1
         if b1 == a:
             # (a, -a, c) is not reduced
-            if g == 1:
-                counts[squares[a] - low] += 1
-                forms = get(squares[a] - low + lo)
-                if forms is not None:
-                    forms.append((a, a, c))
+            counts[squares[a] - low] += 1
+            forms = get(squares[a] - low + lo)
+            if forms is not None:
+                forms.append((a, a, c))
             b1 = a - 1
-        if g == 1:
-            for s in squares[b0:b1 + 1]:
-                counts[s - low] += 2
-        else:
-            for b in range(b0, b1 + 1):
-                if gcd(g, b) == 1:
-                    counts[squares[b] - low] += 2
+        for s in squares[b0:b1 + 1]:
+            counts[s - low] += 2
     return counts, ambiguous
 
 
@@ -305,7 +291,7 @@ def enumerate_reduced(D: Discriminant) -> list:
 
 
 def class_number(D: Discriminant) -> int:
-    return _count_forms([D.value])[0][0]
+    return len(_reduced_forms(D.value))
 
 
 def _form_op(Dv):
@@ -387,14 +373,14 @@ class ClassGroupStructure:
 
     @cached_property
     def forms(self):
-        """The primitive reduced forms, in sieve order, enumerated on first
+        """The primitive reduced forms, in (a, b) order, listed on first
         read."""
         return _reduced_forms(self.discriminant.value)
 
     @cached_property
     def generators(self):
         """QuadForm per invariant factor, chosen greedily over the forms in
-        sieve order on first read; about h to 2h compositions."""
+        (a, b) order on first read; about h to 2h compositions."""
         Dv = self.discriminant.value
         res = abelian_structure(self.forms, _form_op(Dv), _principal_raw(Dv))
         if res.group != self.group:
@@ -465,11 +451,11 @@ def class_group_structure(D: Discriminant,
     """Invariant factors of the form class group, one Sylow subgroup at a
     time (Teske, Math. Comp. 67, 1998; Cohen, GTM 138, 5.4).
 
-    h is the number of primitive reduced forms, counted by `_count_forms`.
-    A q-part of order q^v and rank r in {1, v - 1, v} is forced, at no
-    composition: C_q^(r-1) x C_{q^(v-r+1)}.  r is known for q = 2, as each
-    class of order <= 2 holds one ambiguous reduced form (b = 0, a = b or
-    a = c; Buell, Binary Quadratic Forms, ch. 4), and for v = 1.
+    h is the number of primitive reduced forms.  A q-part of order q^v and
+    rank r in {1, v - 1, v} is forced, at no composition:
+    C_q^(r-1) x C_{q^(v-r+1)}.  r is known for q = 2, as each class of
+    order <= 2 holds one ambiguous reduced form (b = 0, a = b or a = c;
+    Buell, Binary Quadratic Forms, ch. 4), and for v = 1.
 
     Two more rules decide most of the other parts without a span:
 
@@ -495,34 +481,29 @@ def class_group_structure(D: Discriminant,
     i-th q-factors from the top.
 
     `forms` and `generators` are computed only when read; the generators
-    are chosen greedily over all h forms in sieve order.  Non-fundamental
+    are chosen greedily over all h forms in (a, b) order.  Non-fundamental
     discriminants are computed on (class group of the non-maximal order)
     but flagged via `is_fundamental`.  `counted`, if given, is (h, the
-    ambiguous reduced forms, None) for fundamental D, from a counting sieve
-    that has already run, or (h, the ambiguous forms, all reduced forms)
-    for other D.  Without it, D alone is counted, or its forms enumerated,
-    at the same cost: one walk of the pairs (a, c).  So fundamentality is
-    decided once, where `counted` is made: its None selects both the prime
-    forms and the 4-rank rule.
+    ambiguous reduced forms) of a fundamental D, from a counting sieve
+    that has already run (see `class_group_structures`).  Without it, the
+    primitive reduced forms of D are listed, in one walk of the pairs
+    (a, c), and give h and the ambiguous forms; `Discriminant.is_fundamental`
+    then decides whether the prime forms and the 4-rank rule apply.
     """
     if -D.value > MAX_ABS_DISC:
         raise QuadFormError("|D| beyond configured bound %d" % MAX_ABS_DISC)
     Dv = D.value
+    fundamental = counted is not None or D.is_fundamental
     if counted is None:
-        if D.is_fundamental:
-            counts, ambiguous = _count_forms([Dv])
-            counted = counts[0], ambiguous[Dv], None
-        else:
-            forms = _reduced_forms(Dv)
-            counted = len(forms), _ambiguous(forms), forms
-    h, ambiguous, forms = counted
+        forms = _reduced_forms(Dv)
+        counted = len(forms), _ambiguous(forms)
+    h, ambiguous = counted
     n2 = len(ambiguous)
     two_rank = max(n2.bit_length() - 1, 0)
     if n2 != 1 << two_rank or h % n2 or (n2 > 1) != (h % 2 == 0):
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
                             "%d classes (D = %d)" % (n2, h, Dv))
     op, one = _form_op(Dv), _principal_raw(Dv)
-    fundamental = forms is None
     forms = _Drawn(_prime_forms(Dv) if fundamental else forms)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
@@ -548,14 +529,15 @@ def class_group_structure(D: Discriminant,
 
 def class_group_structures(discs):
     """class_group_structure of each discriminant in `discs` (ascending and
-    close together), sharing one counting sieve over their range."""
+    close together).  One counting sieve over their range gives h and the
+    ambiguous forms of each fundamental D, whose reduced forms are all
+    primitive; any other D lists its own primitive forms."""
     counts, ambiguous = _count_forms(discs)
     lo = discs[0]
     fundamental = set(fundamental_discriminants(lo, discs[-1]))
-    others = [d for d in discs if d not in fundamental]
-    forms = _reduced_forms_in(others) if others else {}
     return [class_group_structure(Discriminant(d), (
-        counts[d - lo], ambiguous[d], forms.get(d))) for d in discs]
+        counts[d - lo], ambiguous[d]) if d in fundamental else None)
+        for d in discs]
 
 
 def p_rank(D: Discriminant, p: int) -> int:

@@ -4,21 +4,24 @@ One record per line, UTF-8, tab-separated:
 
     D<TAB>h<TAB>d1,d2,...<TAB>p<TAB>rank<TAB>iso-timestamp
 
-Lines starting with '#' are comments.  Corrupted lines, undecodable bytes
-included, are reported with their line number and skipped; they never abort
-a read.  A reader checks each record shape (the fields between D and the
-timestamp) once and takes the later lines of that shape from a memo.  It
-reads in one of two ways.  read_store(path) builds every record, in file
-order: the view that tests and tools use.  The other way builds no record:
-it keeps the first record of each (D, p) as its shape's shared (h,
-invariant factors, p, rank) tuple.  read_store(path, prime) keeps those of
-one prime for a scan resume, and count_store counts those of every prime,
-and the repeats, for a report.  Both ways check every line alike.
+The timestamp is UTC to the second, YYYY-MM-DDTHH:MM:SS+00:00.  Lines
+starting with '#' are comments.  Corrupted lines, undecodable bytes and
+timestamps cut short included, are reported with their line number and
+skipped; they never abort a read.  A reader checks each record shape (the
+fields between D and the timestamp) and each timestamp once and takes the
+later lines of that shape from a memo.  It reads in one of two ways.
+read_store(path) builds every record, in file order: the view that tests
+and tools use.  The other way builds no record: it keeps the first record
+of each (D, p) as its shape's shared (h, invariant factors, p, rank)
+tuple.  read_store(path, prime) keeps those of one prime for a scan
+resume, and count_store counts those of every prime, and the repeats, for
+a report.  Both ways check every line alike.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import time
 from collections import Counter, namedtuple
 from math import prod
@@ -45,6 +48,12 @@ def now_timestamp():
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
+# The form of the text now_timestamp() gives; the only stamp a record may
+# carry.
+_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+                    r"\+00:00")
+
+
 def format_record(rec: ScanRecord) -> str:
     invs = ",".join(map(str, rec.invariant_factors)) or "1"
     return "\t".join([str(rec.discriminant), str(rec.class_number), invs,
@@ -58,7 +67,9 @@ _new_record = tuple.__new__
 
 def parse_record(line: str) -> ScanRecord:
     """The record on one store line; ValueError says why a line is not one.
-    This is the only check of a store line (see read_store)."""
+    This is the only check of a store line; read_store's memo takes a line
+    whose other fields it has seen accepted, and checks only its D and a
+    timestamp it has not seen (see read_store)."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -83,6 +94,9 @@ def parse_record(line: str) -> ScanRecord:
     if rank != p_rank:
         raise ValueError("rank %d differs from the %d-rank %d of the "
                          "invariant factors" % (rank, p, p_rank))
+    if not _STAMP.fullmatch(ts):
+        raise ValueError("timestamp is not of the form "
+                         "YYYY-MM-DDTHH:MM:SS+00:00")
     return _new_record(ScanRecord, (d, h, invs, p, rank, ts))
 
 
@@ -99,15 +113,17 @@ def read_store(path, prime=None):
     A line's shape is its text between the first and the last tab: h, the
     invariant factors, p and the rank.  Once parse_record has accepted a
     line, its shape holds for every line that carries it, and such a line
-    is a record exactly when its D field is a negative integer.  So a later
-    ASCII line of a known shape whose D field int() reads as negative is
+    is a record exactly when its D field is a negative integer and its
+    timestamp has the form of now_timestamp()'s.  So a later ASCII line of
+    a known shape whose D field int() reads as negative, and whose
+    timestamp has that form (each distinct timestamp is checked once), is
     taken from the memoized fields and its own D (and, for a record, its
     timestamp), without splitting the shape or checking it again; every
     other line (the first of each shape, any non-ASCII line, any line whose
-    D int() rejects or reads as >= 0) goes to parse_record, and fails there
-    if it fails.  The lines of one shape share one fields tuple, and the
-    records of one timestamp one string (a scan stamps each chunk's records
-    alike).
+    D int() rejects or reads as >= 0, any line whose timestamp lacks the
+    form) goes to parse_record, and fails there if it fails.  The lines of
+    one shape share one fields tuple, and the records of one timestamp one
+    string (a scan stamps each chunk's records alike).
 
     A missing file reads as empty; any other OSError from opening the path
     (a directory, no permission) propagates."""
@@ -163,12 +179,15 @@ def _read(path, firsts, prime=None):
                     d = int(d)
                 except ValueError:
                     d = 0
-                if d < 0:
+                # the first line of each distinct timestamp checks its form
+                # and keeps it; a later one costs one lookup
+                if d < 0 and (ts in stamps or _STAMP.fullmatch(ts)
+                              and stamps.setdefault(ts, ts)):
                     fields, by_d = memo
                     if firsts is None:
                         h, invs, p, rank = fields
                         records.append(_new_record(ScanRecord, (
-                            d, h, invs, p, rank, stamps.setdefault(ts, ts))))
+                            d, h, invs, p, rank, stamps[ts])))
                     elif by_d is not None:
                         by_d.setdefault(d, fields)
                     lines += 1

@@ -1,27 +1,38 @@
 """CLI subcommands, the record store, pattern classification and the
 packaged discriminant table."""
 
+import contextlib
 import dataclasses
 import io
 import os
 import pickle
 import random
 import re
+import string
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capkit import cli
 from capkit.catalog import parse_catalog
-from capkit.cli import (PatternClass, classify_capitulation_pattern, main)
+from capkit.catalog import load_catalog
+from capkit.cli import (MAX_PRIME, PatternClass,
+                        classify_capitulation_pattern, main)
 from capkit.fixtures import reference_discriminants, reference_table
 from capkit.quadform import Discriminant, is_fundamental
 from capkit.store import (ScanRecord, append_records, count_store,
                           format_record, now_timestamp, parse_record,
                           read_store)
+
+
+# A timestamp of the one form a store holds, for hand-written store lines
+TS = "2026-01-01T00:00:00+00:00"
 
 
 def run_cli(args):
@@ -32,7 +43,8 @@ def run_cli(args):
 
 # ---------------------------------------------------------------------------
 # oracle: the frozen-dataclass store parser that `store.parse_record`
-# replaced, with the divisor-chain and rank checks added after the others
+# replaced, with the divisor-chain, rank and timestamp checks added after
+# the others
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -72,6 +84,9 @@ def oracle_parse_record(line):
     if rec.rank != p_rank:
         raise ValueError("rank %d differs from the %d-rank %d of the "
                          "invariant factors" % (rec.rank, rec.prime, p_rank))
+    if re.sub("[0-9]", "0", ts) != "0000-00-00T00:00:00+00:00":
+        raise ValueError("timestamp is not of the form "
+                         "YYYY-MM-DDTHH:MM:SS+00:00")
     return rec
 
 
@@ -149,8 +164,10 @@ _MEMO_SHAPES = (("25", "5,5", "5", "2"), ("3", "3", "5", "0"),
 _MEMO_D_FIELDS = ("{d}", "{d}", "{d}", "-0{n}", "-1_0", "-\u0663", "+{n}",
                   "0", "x-{n}", "{d} ", "--{n}", "-", "{n}", "-{n}.0")
 _MEMO_STAMPS = (b"2026-01-01T00:00:00+00:00", b"2026-01-01T00:00:00+00:00",
+                b"2026-01-01T00:00:00+00:00", b"2026-01-01T00:00:07+00:00",
                 b"2026-01-01T00:00:07+00:00", b"ts \xc3\xa9",  # non-ASCII
-                b"2026\xff\xfe", b"")                           # undecodable
+                b"2026\xff\xfe", b"",                           # undecodable
+                b"2026-01-01T00:0", b"2026-01-01 00:00:07+00:00")  # malformed
 
 
 def memo_store_bytes(seed, n_lines):
@@ -158,9 +175,8 @@ def memo_store_bytes(seed, n_lines):
     which the first line of a shape fails on its D field and valid lines of
     that shape follow."""
     rng = random.Random(seed)
-    lines = [b"x-5\t9\t9\t3\t1\tts", b"+5\t9\t9\t3\t1\tts",
-             b"-5\t9\t9\t3\t1\tts", b"-05\t9\t9\t3\t1\tts",
-             b"0\t9\t9\t3\t1\tts"]
+    lines = [b"%s\t9\t9\t3\t1\t%s" % (d, TS.encode())
+             for d in (b"x-5", b"+5", b"-5", b"-05", b"0")]
     for _ in range(n_lines):
         n = rng.randint(3, 10 ** 6)
         d = rng.choice(_MEMO_D_FIELDS).format(d=-n, n=n)
@@ -284,10 +300,11 @@ class TestStore:
     def test_corrupted_lines_reported_not_fatal(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text("# comment\n"
-                        "-23\t3\t3\t5\t0\tts\n"
+                        "-23\t3\t3\t5\t0\t%s\n"
                         "garbage line\n"
-                        "-15\t2\t7\t5\t0\tts\n"     # 7 != h
-                        "-15\t2\t2\t0\t0\tts\n")    # bad prime
+                        "-15\t2\t7\t5\t0\t%s\n"     # 7 != h
+                        "-15\t2\t2\t0\t0\t%s\n"     # bad prime
+                        % (TS, TS, TS))
         got, problems = read_store(path)
         assert [r.discriminant for r in got] == [-23]
         assert [ln for ln, _ in problems] == [3, 4, 5]
@@ -296,7 +313,7 @@ class TestStore:
         with pytest.raises(ValueError):
             parse_record("1\t2\t3")
         with pytest.raises(ValueError):
-            parse_record("23\t3\t3\t5\t0\tts")  # positive discriminant
+            parse_record("23\t3\t3\t5\t0\t" + TS)  # positive discriminant
 
     def test_missing_file_is_empty(self, tmp_path):
         got, problems = read_store(tmp_path / "absent.tsv")
@@ -308,6 +325,17 @@ class TestStore:
         assert re.sub(r"\d", "0", ours) == re.sub(r"\d", "0", theirs)
         age = datetime.now(timezone.utc) - datetime.fromisoformat(ours)
         assert abs(age.total_seconds()) < 5
+
+    @pytest.mark.parametrize("ts", [
+        "2026-10", "", "2026-01-01T00:00:00", "2026-01-01 00:00:00+00:00",
+        "2026-01-01T00:00:00Z", "2026-01-01T00:00:00.5+00:00",
+        "2026-1-01T00:00:00+00:00", "2026-01-01T00:00:00+01:00",
+        "\u0662026-01-01T00:00:00+00:00",    # a digit, but not an ASCII one
+    ])
+    def test_rejects_malformed_timestamps(self, ts):
+        with pytest.raises(ValueError, match="timestamp is not of the form"):
+            parse_record("-23\t3\t3\t5\t0\t" + ts)
+        assert parse_record("-23\t3\t3\t5\t0\t" + TS).timestamp == TS
 
     def test_format_parse_identity(self):
         rec = ScanRecord(-84, 4, (2, 2), 2, 2, "2026-01-01T00:00:00+00:00")
@@ -330,8 +358,8 @@ class TestStore:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_shape_memo_matches_oracle(self, tmp_path, seed):
-        # a memo that took a line without its D check or its ASCII check
-        # would keep a line that the oracle skips
+        # a memo that took a line without its D check, its ASCII check or
+        # its timestamp check would keep a line that the oracle skips
         path = tmp_path / "s.tsv"
         path.write_bytes(memo_store_bytes(seed, 800))
         got, problems = read_store(path)
@@ -345,10 +373,11 @@ class TestStore:
                                 (5, "field values out of range")]
         assert [r.discriminant for r in got[:2]] == [-5, -5]
         for reason in ("invalid literal", "out of range", "not valid UTF-8",
-                       "differs", "inconsistent", "expected 6"):
+                       "differs", "inconsistent", "expected 6", "timestamp"):
             assert any(reason in msg for _, msg in problems), reason
         assert {-10, -3} <= {r.discriminant for r in got}  # -1_0, -\u0663
-        assert "ts \u00e9" in {r.timestamp for r in got}
+        assert {r.timestamp for r in got} == \
+            {"2026-01-01T00:00:00+00:00", "2026-01-01T00:00:07+00:00"}
         assert len(got) > 120
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -390,18 +419,19 @@ class TestStore:
         # factors recur with p = 5 (lines 5-7, one p field written as 05);
         # lines 11-12 repeat a D of each prime with other fields
         path = tmp_path / "s.tsv"
-        path.write_text("-23\t3\t3\t3\t1\tts\n"
-                        "-31\t3\t3\t3\t1\tts\n"
-                        "x-7\t3\t3\t3\t1\tts\n"
-                        "7\t3\t3\t3\t1\tts\n"
-                        "-39\t3\t3\t5\t0\tts\n"
-                        "-43\t3\t3\t5\t0\tts\n"
-                        "-47\t3\t3\t05\t0\tts\n"
-                        "-59\t3\t3\t3\t1\tts\u00e9\n"
-                        "-67\t3\t3\t5\t0\tts\u00e9\n"
-                        "-71\t3\t3\t5\t1\tts\n"
-                        "-39\t25\t5,5\t5\t2\tts\n"
-                        "-31\t9\t3,3\t3\t2\tts\n", encoding="utf-8")
+        path.write_text("".join(line + "\t" + TS + "\n" for line in (
+            "-23\t3\t3\t3\t1",
+            "-31\t3\t3\t3\t1",
+            "x-7\t3\t3\t3\t1",
+            "7\t3\t3\t3\t1",
+            "-39\t3\t3\t5\t0",
+            "-43\t3\t3\t5\t0",
+            "-47\t3\t3\t05\t0",
+            "-\u0665\u0669\t3\t3\t3\t1",      # -59, non-ASCII
+            "-\u0666\u0667\t3\t3\t5\t0",      # -67, non-ASCII
+            "-71\t3\t3\t5\t1",
+            "-39\t25\t5,5\t5\t2",
+            "-31\t9\t3,3\t3\t2")), encoding="utf-8")
         problems = [(3, "invalid literal for int() with base 10: 'x-7'"),
                     (4, "field values out of range"),
                     (10, "rank 1 differs from the 5-rank 0 of the invariant "
@@ -421,8 +451,9 @@ class TestStore:
         "-84\t4\t4,1\t2\t1\tts",      # decreasing
     ])
     def test_rejects_non_chain(self, line):
+        # with a valid stamp in place of "ts", only the factors are at fault
         with pytest.raises(ValueError, match="not a divisor chain"):
-            parse_record(line)
+            parse_record(line.replace("\tts", "\t" + TS))
 
     @pytest.mark.parametrize("line", [
         "-84\t4\t2,2\t2\t1\tts",
@@ -431,20 +462,26 @@ class TestStore:
     ])
     def test_rejects_rank_mismatch(self, line):
         with pytest.raises(ValueError, match="rank 1 differs from the"):
-            parse_record(line)
+            parse_record(line.replace("\tts", "\t" + TS))
 
     def test_undecodable_line_skipped(self, tmp_path, capsys):
         path = tmp_path / "s.tsv"
-        path.write_bytes(b"-23\t3\t3\t3\t1\tts\n"
+        # a valid line may hold non-ASCII text (-44 in Arabic-Indic digits)
+        # but no timestamp that is not ASCII
+        ts = TS.encode()
+        path.write_bytes(b"-23\t3\t3\t3\t1\t" + ts + b"\n"
                          b"-31\t3\t3\t3\t1\t2026\xff\xfe\n"
-                         b"-44\t3\t3\t3\t1\tts\xc3\xa9\n")
+                         b"-\xd9\xa4\xd9\xa4\t3\t3\t3\t1\t" + ts + b"\n"
+                         b"-47\t3\t3\t3\t1\tts\xc3\xa9\n")
         got, problems = read_store(path)
         assert [r.discriminant for r in got] == [-23, -44]
-        assert got[1].timestamp == "ts\u00e9"
-        assert problems == [(2, "line is not valid UTF-8")]
+        assert problems == [(2, "line is not valid UTF-8"),
+                            (4, "timestamp is not of the form "
+                                "YYYY-MM-DDTHH:MM:SS+00:00")]
         code, text = run_cli(["report", "--store", str(path)])
         assert code == 0 and "2 records" in text
-        assert "store line 2 skipped" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "store line 2 skipped" in err and "store line 4 skipped" in err
 
     def test_record_pickles(self):
         rec = ScanRecord(-12451, 25, (5, 5), 5, 2, "2026-01-01T00:00:00+00:00")
@@ -531,7 +568,7 @@ class TestCli:
         assert run_cli(["scan", "--store", str(store), "--",
                         "-100", "-3"]) == once
         # repeats that disagree with the first records do not count
-        repeats = "".join("%s\t5\t5\t5\t1\tts\n" % line.split("\t")[0]
+        repeats = "".join("%s\t5\t5\t5\t1\t%s\n" % (line.split("\t")[0], TS)
                           for line in text.splitlines())
         store.write_text(text + repeats)
         assert run_cli(["scan", "--store", str(store), "--",
@@ -619,10 +656,13 @@ class TestCli:
         assert len(built) == len(firsts) < len(text.splitlines()) // 10
 
     def test_scan_empty_range(self, tmp_path):
+        # a range above -3 holds no discriminant, also when it lies above 0
         store = str(tmp_path / "scan.tsv")
-        code, text = run_cli(["scan", "--store", store, "--", "-2", "-1"])
-        assert code == 0
-        assert "scanned 0 discriminants" in text
+        for lo, hi in (("-2", "-1"), ("1", "1"), ("5", "10"), ("10", "5")):
+            code, text = run_cli(["scan", "--store", store, "--", lo, hi])
+            assert code == 0
+            assert "scanned 0 discriminants (0 new)" in text
+        assert list(tmp_path.iterdir()) == []
 
     def test_scan_records_recompute_identically(self, tmp_path):
         store = str(tmp_path / "scan.tsv")
@@ -689,22 +729,28 @@ class TestCli:
         assert [r.payload() for r in read_store(store)[0]] == expected
 
     def test_append_after_a_torn_last_line(self, tmp_path, capsys):
-        # a kill cut the last line in half: what is left still reads as a
-        # record, with a cut timestamp
+        # a kill cut the last line inside its timestamp: what is left has
+        # six fields, but is reported, and its D is computed again
         store = tmp_path / "scan.tsv"
         run_cli(["scan", "--store", str(store), "--", "-60", "-3"])
         text = store.read_text()
-        last = text.splitlines()[-1]
+        lines = text.splitlines()
+        last = lines[-1]
         store.write_text(text[:-len(last) - 1] + last[:len(last) // 2])
         assert len(last[:len(last) // 2].split("\t")) == 6
         capsys.readouterr()
-        assert "(10 new)" in run_cli(
+        skipped = ["store line %d skipped: timestamp is not of the form "
+                   "YYYY-MM-DDTHH:MM:SS+00:00" % len(lines)]
+        assert "(11 new)" in run_cli(
             ["scan", "--store", str(store), "--", "-100", "-3"])[1]
+        assert capsys.readouterr().err.splitlines() == skipped
         assert "(0 new)" in run_cli(
             ["scan", "--store", str(store), "--", "-100", "-3"])[1]
         code, text = run_cli(["report", "--store", str(store)])
         assert code == 0 and text.startswith("31 records in ")
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err.splitlines() == skipped * 2
+        assert sorted(r.discriminant for r in read_store(store)[0]) == \
+            [d for d in range(-100, -2) if is_fundamental(d)]
 
     def test_append_after_a_torn_line_that_is_no_record(self, tmp_path,
                                                         capsys):
@@ -877,15 +923,98 @@ class TestCli:
             "31 repeated records not counted: the first record of each " \
             "discriminant and prime counts\n"
         # a repeat with another rank does not count either
-        store.write_text(text + "-3\t5\t5\t5\t1\tts\n")
+        store.write_text(text + "-3\t5\t5\t5\t1\t%s\n" % TS)
         assert run_cli(["report", "--store", str(store)]) == once
         assert capsys.readouterr().err.startswith("1 repeated record")
 
     def test_report_tsv(self, tmp_path):
         store = tmp_path / "s.tsv"
-        append_records(store, [ScanRecord(-23, 3, (3,), 3, 1, "t"),
-                               ScanRecord(-31, 3, (3,), 3, 1, "t")])
+        append_records(store, [ScanRecord(-23, 3, (3,), 3, 1, TS),
+                               ScanRecord(-31, 3, (3,), 3, 1, TS)])
         code, text = run_cli(["report", "--tsv", "--store", str(store)])
         assert code == 0
         assert "prime\trank\tcount" in text
         assert "3\t1\t2" in text
+
+
+# ---------------------------------------------------------------------------
+# fuzz oracle: no argv ends in a traceback
+# ---------------------------------------------------------------------------
+
+_CPUS = os.cpu_count() or 1
+# --jobs stays out of range or at 1, so that no process pool is started
+_JOBS = st.sampled_from([-1, 0, 1, _CPUS + 1]).map(str)
+_PRIMES = st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(-10, 1),
+                    st.sampled_from([4, 9, 25, 91, 561]),
+                    st.integers(MAX_PRIME + 1, 10 ** 20)).map(str)
+# no '-' in junk text, so that no token abbreviates an option (--jobs)
+_JUNK = st.text(string.ascii_letters + string.digits + " \u00e9\x00",
+                max_size=6)
+_INTS = st.integers(-10 ** 6, 10 ** 6).map(str)
+_NAMES = st.one_of(st.sampled_from(sorted(load_catalog())), _JUNK)
+
+_ARGVS = st.one_of(
+    st.tuples(_PRIMES, _JOBS, st.integers(-1, 3).map(str),
+              st.integers(-3000, 3000).map(str),
+              st.integers(-3000, 3000).map(str)).map(
+        lambda t: ["scan", "--prime", t[0], "--jobs", t[1], "--min-rank",
+                   t[2], "--store", "{store}", "--", t[3], t[4]]),
+    st.integers(-10 ** 5, 10 ** 5).map(lambda d: ["classgroup", "--", str(d)]),
+    st.one_of(st.integers(-5, 10 ** 4).map(str), _JUNK).map(
+        lambda p: ["heuristic", "--", p]),
+    _NAMES.map(lambda name: ["tkt", "--", name]),
+    st.booleans().map(lambda tsv: ["report", "--store", "{store}"]
+                      + ["--tsv"] * tsv),
+    st.lists(st.one_of(
+        st.sampled_from(["scan", "classgroup", "tkt", "heuristic", "report",
+                         "verify-table", "--", "--prime", "--min-rank",
+                         "--store", "--tsv", "-h"]), _INTS, _JUNK),
+        max_size=5))
+# a store path that is missing or a directory, or a file of any bytes
+_STORES = st.one_of(st.sampled_from(["missing", "directory"]),
+                    st.binary(max_size=64))
+
+
+@given(argv=_ARGVS, store=_STORES)
+@example(argv=["scan", "--store", "{store}", "--", "1", "1"], store="missing")
+@example(argv=["scan", "--store", "{store}", "--", "5", "10"], store="missing")
+@example(argv=["scan", "--store", "{store}", "--", "-10", "5"],
+         store="missing")
+@example(argv=["scan", "--store", "{store}", "--", "0", "0"], store="missing")
+@example(argv=["scan", "--store", "{store}", "--", "-2", "0"], store="missing")
+@example(argv=["scan", "--prime", "1" * 20, "--", "-100", "-3"],
+         store="missing")
+@example(argv=["heuristic", "--", "1000000000039"], store="missing")
+@example(argv=["classgroup", "--", "0"], store="missing")
+@example(argv=["report", "--store", "{store}"],
+         store=b"\x00\xff\xfe\x89PNG\r\n\x1a\n\x00\x00")
+@example(argv=["scan", "--store", "{store}", "--", "-30", "-3"],
+         store=b"\x00\xff\xfe\x89PNG\r\n\x1a\n\x00\x00")
+@example(argv=["report", "--store", "{store}"],
+         store=("-3\t%s\t1\t5\t0\t%s\n" % ("9" * 5000, TS)).encode())
+@example(argv=["report", "--store", "{store}"],
+         store=("-3\t1\t\t5\t0\t%s\n" % TS).encode())
+@example(argv=["scan", "--store", "{store}", "--", "-100", "-3"],
+         store="directory")
+@settings(max_examples=100, deadline=None)
+def test_no_argv_ends_in_a_traceback(argv, store):
+    # each run is in process, in a directory of its own, which also holds
+    # the default store of an argv without --store
+    err, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = tmp if store == "directory" else os.path.join(tmp, "s.tsv")
+        if isinstance(store, bytes):
+            with open(path, "wb") as fh:
+                fh.write(store)
+        argv = [a.replace("{store}", path) for a in argv]
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv, out=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -7,9 +7,11 @@ Oracles used here, all independent of the implementation under test:
   - class numbers for small discriminants are checked against an exhaustive
     representation count and against well-known values;
   - genus theory is checked against a direct ambiguous-form count;
-  - the range sieve of reduced forms is checked against the per-discriminant
-    enumeration it replaced, and the fundamental-discriminant sieve against
-    the per-value definition `is_fundamental`.
+  - the listing of one discriminant's reduced forms, and the sieve of the
+    reduced forms of a window kept here as an oracle, are checked against
+    the per-discriminant enumeration they replaced, and the
+    fundamental-discriminant sieve against the per-value definition
+    `is_fundamental`.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from capkit import abgroup, quadform
 from capkit.abgroup import abelian_structure
 from capkit.quadform import (ClassGroupStructure, Discriminant, QuadForm,
                              QuadFormError, _compose_raw, _principal_raw,
-                             _reduce_raw, _reduced_forms_in, _solve_linmod,
+                             _reduce_raw, _reduced_forms, _solve_linmod,
                              class_group_structure, class_group_structures,
                              class_number, compose, enumerate_reduced,
                              fundamental_discriminants, genus_two_rank,
@@ -254,6 +256,31 @@ def _discs_in(lo, hi):
     return [d for d in range(lo, hi + 1) if is_discriminant(d)]
 
 
+def _reduced_forms_in(discs, primitive=True):
+    """Oracle: the reduced forms of each discriminant in `discs` (ascending,
+    all negative), only the primitive ones unless `primitive` is false, by
+    one sieve over lo = discs[0]..hi = discs[-1], the window sieve that
+    scans used before the counting sieve: for each of the `_pairs`,
+    (a, b, c), plus (a, -b, c) if 0 < b < a != c, go to the bucket of
+    b^2 - 4ac, in (a, b) order."""
+    lo, hi = discs[0], discs[-1]
+    buckets = {d: [] for d in discs}
+    get = buckets.get
+    for a, c, low, b0, b1 in quadform._pairs(lo, hi):
+        fac = low - lo
+        g = gcd(a, c) if primitive else 1
+        for b in range(b0, b1 + 1):
+            forms = get(b * b - fac)
+            if forms is not None and (g == 1 or gcd(g, b) == 1):
+                forms.append((a, b, c))
+                # (a, -a, c) and (a, -b, a) are not reduced
+                if 0 < b < a != c:
+                    forms.append((a, -b, c))
+    for forms in buckets.values():
+        forms.sort()
+    return buckets
+
+
 class TestRangeSieve:
     def test_every_small_discriminant(self):
         discs = _discs_in(-3000, -3)
@@ -262,7 +289,7 @@ class TestRangeSieve:
         for d in discs:
             want = _enumerate_reduced_raw(d)
             assert buckets[d] == want, d
-            assert _reduced_forms_in([d]) == {d: want}, d
+            assert _reduced_forms(d) == want, d
 
     def test_chunks_in_the_table_range(self):
         rng = random.Random(3)
@@ -281,7 +308,7 @@ class TestRangeSieve:
             buckets = _reduced_forms_in(discs)
             for d in discs:
                 assert buckets[d] == _enumerate_reduced_raw(d), d
-            # a scan sieves only the discriminants it still needs
+            # the oracle sieves only the discriminants it is given
             sparse = fundamental_discriminants(lo, hi)[1:]
             assert _reduced_forms_in(sparse) == {d: buckets[d] for d in sparse}
 
@@ -317,19 +344,34 @@ class TestRangeSieve:
 class TestCountingSieve:
     @pytest.mark.parametrize("top", [-10 ** 5, -10 ** 6, -10 ** 7])
     def test_counts_match_the_forms_sieve(self, top):
-        # a seeded 256-wide window below each top: every integer's count,
-        # and the ambiguous forms of each fundamental D, in (a, b) order
+        # a seeded 256-wide window below each top: every integer's count is
+        # its number of reduced forms, primitive or not; a fundamental D has
+        # no imprimitive form, so its count is h(D); and the ambiguous forms
+        # of each fundamental D, in (a, b) order
         rng = random.Random(top)
         lo = top - rng.randrange(4096) - 255
         discs = fundamental_discriminants(lo, lo + 255)
         counts, ambiguous = quadform._count_forms(discs)
-        buckets = _reduced_forms_in(_discs_in(discs[0], discs[-1]))
+        buckets = _reduced_forms_in(_discs_in(discs[0], discs[-1]),
+                                    primitive=False)
         assert len(counts) == discs[-1] - discs[0] + 1
         for i, n in enumerate(counts):
             assert n == len(buckets.get(discs[0] + i, ())), discs[0] + i
+        assert any(gcd(*f) > 1 for forms in buckets.values() for f in forms)
         for d in discs:
+            assert counts[d - discs[0]] == \
+                sum(1 for f in buckets[d] if gcd(*f) == 1), d
             assert ambiguous[d] == [(a, b, c) for a, b, c in buckets[d]
                                     if b == 0 or a == b or a == c], d
+
+    def test_the_counting_sieve_tests_no_primitivity(self, monkeypatch):
+        def no_gcd(*args):
+            raise AssertionError("gcd called by the counting sieve")
+
+        discs = fundamental_discriminants(-82300, -82000)
+        want = quadform._count_forms(discs)
+        monkeypatch.setattr(quadform, "gcd", no_gcd)
+        assert quadform._count_forms(discs) == want
 
     def test_prime_forms_generate_the_class_group(self):
         for dv in fundamental_discriminants(-3000, -3):
@@ -357,12 +399,12 @@ class TestCountingSieve:
                 _greedy_invariants(dv, buckets[dv]), dv
 
     def test_a_scan_never_enumerates_forms(self, monkeypatch):
-        def no_forms(discs):
+        def no_forms(Dv):
             raise AssertionError("reduced forms enumerated")
 
         discs = fundamental_discriminants(-82300, -82000)
         with monkeypatch.context() as m:
-            m.setattr(quadform, "_reduced_forms_in", no_forms)
+            m.setattr(quadform, "_reduced_forms", no_forms)
             structures = class_group_structures(discs)
         assert [s.order for s in structures] == \
             [len(_enumerate_reduced_raw(d)) for d in discs]
@@ -514,7 +556,7 @@ class TestSylowStructure:
         for s in class_group_structures(discs):
             dv = s.discriminant.value
             assert s.invariant_factors == \
-                _greedy_invariants(dv, _reduced_forms_in([dv])[dv]), dv
+                _greedy_invariants(dv, _reduced_forms(dv)), dv
 
     def test_table_range_chunks_match_greedy(self):
         rng = random.Random(7)
@@ -628,7 +670,7 @@ class TestSylowStructure:
         s = class_group_structure(Discriminant(dv))
         assert (calls == []) == forced
         assert s.invariant_factors == invs == \
-            _greedy_invariants(dv, _reduced_forms_in([dv])[dv])
+            _greedy_invariants(dv, _reduced_forms(dv))
 
     def test_character_four_rank_matches_greedy(self, monkeypatch):
         chunks = [fundamental_discriminants(-3000, -3)]
@@ -701,7 +743,7 @@ class TestSylowStructure:
         s = class_group_structure(Discriminant(dv))
         assert len(calls) == spans
         assert s.invariant_factors == invs == \
-            _greedy_invariants(dv, _reduced_forms_in([dv])[dv])
+            _greedy_invariants(dv, _reduced_forms(dv))
 
     @pytest.mark.parametrize("dv, forms", [
         (-84, []),
@@ -718,8 +760,7 @@ class TestSylowStructure:
         ambiguous = [(a, b, c) for a, b, c in forms
                      if b == 0 or a == b or a == c]
         with pytest.raises(QuadFormError, match="ambiguous"):
-            class_group_structure(Discriminant(dv),
-                                  (len(forms), ambiguous, None))
+            class_group_structure(Discriminant(dv), (len(forms), ambiguous))
 
     def test_scan_outputs_are_pinned(self):
         # sha256 of "D h d1,d2,...\n" per fundamental D in the first 5,100
