@@ -8,7 +8,7 @@ form d1 | d2 | ... | dk; elements are exponent tuples reduced mod di.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -335,10 +335,6 @@ class Homomorphism:
                  for j, d in enumerate(dt)]
         return Subgroup._zero_head_tails(self.source, rows)
 
-    # Equal maps share one entry: data are built afresh, yet equal norms
-    # recur across them (the 224 data of the packaged catalog hold 159
-    # distinct norms), and classify_growth reads each norm's image.
-    @lru_cache(maxsize=1024)
     def image(self):
         return Subgroup.from_generators(self.target, transpose(self.matrix))
 
@@ -479,14 +475,9 @@ class Subgroup:
         """Invariant factors of the subgroup itself."""
         return self.structure_with_coords()[0]
 
-    # Equal subgroups share one entry: unequal maps can have equal images
-    # (the 159 distinct catalog norms have 97 distinct images), and
-    # classify_growth reads the structure of each norm's image.
-    @lru_cache(maxsize=1024)
     def structure_with_coords(self):
         """(structure, to_coords, generators): coordinates of subgroup elements
-        with respect to an invariant-factor decomposition of the subgroup.
-        Computed once per subgroup; the generators are a tuple."""
+        in an invariant-factor decomposition; the generators are a tuple."""
         k = self.ambient.ngens
         if k == 0 or self.order() == 1:
             return AbelianGroup(()), (lambda vec: ()), ()

@@ -27,6 +27,7 @@ from .store import (ScanRecord, append_records, count_store, now_timestamp,
                     read_store)
 
 DEFAULT_STORE = "capkit-scan.tsv"
+TABLE_PRIME = 5  # the prime of the packaged table and of its patterns
 
 
 class PatternClass(Enum):
@@ -35,10 +36,10 @@ class PatternClass(Enum):
     OTHER = "Other"
 
 
-def classify_capitulation_pattern(pattern, p=5):
+def classify_capitulation_pattern(pattern):
     """OneOne when the entries are a permutation of 1..p+1, PCapitulation
-    when exactly p of the p+1 entries coincide, Other otherwise."""
-    pattern = tuple(pattern)
+    when exactly p of the p+1 entries coincide, Other otherwise (p = 5)."""
+    p, pattern = TABLE_PRIME, tuple(pattern)
     if len(pattern) != p + 1:
         raise ValueError("pattern must have %d entries" % (p + 1))
     for x in pattern:
@@ -205,7 +206,7 @@ def cmd_scan(ns, out):
           % (len(stored) + fresh, fresh,
              " ".join("%d:%d" % kv for kv in sorted(hist.items()))), file=out)
 
-    if ns.prime == 5 and min_rank <= 2:
+    if ns.prime == TABLE_PRIME and min_rank <= 2:
         from .fixtures import reference_table
         known = {row.discriminant for row in reference_table()}
         table_lo, table_hi = min(known), max(known)
@@ -222,7 +223,7 @@ def cmd_verify_table(ns, out):
     print("row\tD\trank\tpattern\tclass\tverdict", file=out)
     for row in rows:
         s = class_group_structure(Discriminant(row.discriminant))
-        rank = s.group.rank(5)
+        rank = s.group.rank(TABLE_PRIME)
         cls = classify_capitulation_pattern(row.pattern).value
         if rank == 2:
             verdict = "ok"
@@ -359,7 +360,14 @@ def main(argv=None, out=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     ns = parser.parse_args(argv)
-    return ns.func(ns, out if out is not None else sys.stdout)
+    out = sys.stdout if out is None else out
+    try:  # a closed pipe fails at this flush, not at exit
+        code = ns.func(ns, out)
+        out.flush()
+    except BrokenPipeError:  # Python's SIGPIPE note: devnull takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -484,14 +484,15 @@ def f_property(d: RelativeExtensionDatum) -> bool:
 
 
 def classify_growth(d: RelativeExtensionDatum) -> GrowthClass:
-    """Stable when rk(N(A_L)) = rk(A_L) and rk(A_K) = rk(A_K^p); semi-stable
-    when s^(p-1) annihilates A_L; wild otherwise (relative to those two
-    conditions; the tame case of the taxonomy has no computable definition)."""
+    """Stable when rk(N(A_L)) = rk(A_L), read off ker N, and rk(A_K) =
+    rk(A_K^p); semi-stable when s^(p-1) annihilates A_L; wild otherwise (the
+    tame case of the taxonomy has no computable definition)."""
     p = d.p
-    # p Z/f is Z/(f/gcd(f, p)), so rk(A_K^p) counts the invariant factors f
-    # of A_K with p^2 | f, and rk(A_K) = rk(A_K^p) when no f has p || f
-    if d.norm.image().structure().rank(p) == d.A_L.rank(p) and \
-            all(f % p or f % (p * p) == 0 for f in d.A_K.invariant_factors):
+    # pZ/f = Z/(f/gcd(f, p)), so rk(A_K) = rk(A_K^p) iff no f of A_K has p || f
+    # rk(A/K) = rk(A) - dim((K + pA)/pA): rk(N(A_L)) = rk(A_L) iff ker N <= pA_L
+    wide = [i for i, f in enumerate(d.A_L.invariant_factors) if f % p == 0]
+    if all(f % p or f % (p * p) == 0 for f in d.A_K.invariant_factors) and \
+            all(r[i] % p == 0 for r in d.norm.kernel().basis for i in wide):
         return GrowthClass.STABLE
     if hom_power(d.s_map(), p - 1).is_zero():
         return GrowthClass.SEMI_STABLE
@@ -504,8 +505,7 @@ def check_growth_order_law(d: RelativeExtensionDatum, b):
     the hypothesis is not met (inapplicable)."""
     if classify_growth(d) not in (GrowthClass.STABLE, GrowthClass.SEMI_STABLE):
         return None
-    AKprime = d.norm.image()
-    S, to_coords, _ = AKprime.structure_with_coords()
+    S, to_coords, _ = d.norm.image().structure_with_coords()
     if S.order() == 1:
         return None
     a = d.norm(b)

@@ -1018,3 +1018,27 @@ def test_no_argv_ends_in_a_traceback(argv, store):
             os.chdir(cwd)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("argv", [["verify-table"], ["tkt", "H27"],
+                                  ["classgroup", "--", "-12451"],
+                                  ["heuristic", "3"]])
+def test_a_closed_stdout_ends_in_no_traceback(argv):
+    # the pipe's read end is closed before the command writes; buffered,
+    # the write fails at the last flush, unbuffered at the first print
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "capkit.cli", *argv],
+                                 env=env, stdout=write, stderr=subprocess.PIPE,
+                                 text=True)
+        finally:
+            os.close(write)
+        assert run.returncode == 1, (argv, unbuffered, run.stderr)
+        assert "Traceback" not in run.stderr
+        assert "Exception ignored" not in run.stderr

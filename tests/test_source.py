@@ -100,3 +100,23 @@ def test_value_types_define_no_equality_or_hash():
                 found += ["%s:%d %s.%s" % (path.name, node.lineno, cls.name, n)
                           for n in names if n in ("__eq__", "__hash__")]
     assert found == []
+
+
+def test_no_method_is_memoised_across_instances():
+    # lru_cache or cache on a method keeps every instance it sees for the
+    # life of the process; a cached_property lives with its instance
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found += ["%s:%d %s.%s" % (path.name, node.lineno, cls.name,
+                                       node.name)
+                      for node in cls.body
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      for dec in node.decorator_list
+                      if ast.unparse(getattr(dec, "func", dec))
+                      .split(".")[-1] in ("lru_cache", "cache")]
+    assert found == []
