@@ -316,8 +316,13 @@ def cmd_report(ns, out):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse drops a failed write
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="capkit",
         description="class groups, discriminant scans and transfer kernels")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -359,9 +364,9 @@ def main(argv=None, out=None):
     except CatalogError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    ns = parser.parse_args(argv)
     out = sys.stdout if out is None else out
-    try:  # a closed pipe fails at this flush, not at exit
+    try:  # a closed pipe fails at this flush, or --help's, not at exit
+        ns = parser.parse_args(argv)
         code = ns.func(ns, out)
         out.flush()
     except BrokenPipeError:  # Python's SIGPIPE note: devnull takes the rest

@@ -391,10 +391,9 @@ class ClassGroupStructure:
         return tuple(QuadForm(*g) for g in res.generators)
 
 
-def _four_rank(Dv, forms):
+def _four_rank(Dv, ambiguous):
     """The 4-rank of the class group of a fundamental Dv (its caller
-    decides that Dv is one), from its reduced forms `forms` (the ambiguous
-    ones suffice).
+    decides that Dv is one), from its ambiguous reduced forms.
 
     It counts the ambiguous forms (a, b, c) on which every assigned
     character is +1; the count is 2^r4.  Each odd p | Dv gives (m/p), with
@@ -404,7 +403,7 @@ def _four_rank(Dv, forms):
     2-adic one that 4 | Dv adds (chi_-4, chi_-8 or chi_8) is +1 wherever
     the odd ones are, and is not evaluated."""
     odd = [p for p in prime_factors(Dv) if p != 2]
-    count = sum(1 for a, b, c in _ambiguous(forms)
+    count = sum(1 for a, b, c in ambiguous
                 if all(pow(a if a % p else c, (p - 1) // 2, p) == 1
                        for p in odd))
     return count.bit_length() - 1

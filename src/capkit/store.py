@@ -7,21 +7,22 @@ One record per line, UTF-8, tab-separated:
 The timestamp is UTC to the second, YYYY-MM-DDTHH:MM:SS+00:00.  Lines
 starting with '#' are comments.  Corrupted lines, undecodable bytes and
 timestamps cut short included, are reported with their line number and
-skipped; they never abort a read.  A reader checks each record shape (the
-fields between D and the timestamp) and each timestamp once and takes the
-later lines of that shape from a memo.  It reads in one of two ways.
-read_store(path) builds every record, in file order: the view that tests
-and tools use.  The other way builds no record: it keeps the first record
-of each (D, p) as its shape's shared (h, invariant factors, p, rank)
-tuple.  read_store(path, prime) keeps those of one prime for a scan
-resume, and count_store counts those of every prime, and the repeats, for
-a report.  Both ways check every line alike.
+skipped; they never abort a read.
+
+parse_record is the one place where a line becomes a record.
+read_store(path) sends every line through it: the reference reading, which
+no command runs.  The views the commands read, read_store(path, prime) for
+a scan resume and count_store for a report, keep the fields of the first
+record of each (D, p), and take a later line of a checked shape from a
+memo (see _read); all three report the same problems.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
+import stat
 import time
 from collections import Counter, namedtuple
 from math import prod
@@ -60,16 +61,11 @@ def format_record(rec: ScanRecord) -> str:
                       str(rec.prime), str(rec.rank), rec.timestamp])
 
 
-# Builds a ScanRecord from a tuple, skipping the per-field argument handling
-# of the __new__ that namedtuple generates.
-_new_record = tuple.__new__
-
-
 def parse_record(line: str) -> ScanRecord:
     """The record on one store line; ValueError says why a line is not one.
-    This is the only check of a store line; read_store's memo takes a line
-    whose other fields it has seen accepted, and checks only its D and a
-    timestamp it has not seen (see read_store)."""
+    This is the only check of a store line; the memo of the first-record
+    views takes a line whose other fields it has seen accepted, and checks
+    only its D and a timestamp it has not seen (see _read)."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -97,52 +93,42 @@ def parse_record(line: str) -> ScanRecord:
     if not _STAMP.fullmatch(ts):
         raise ValueError("timestamp is not of the form "
                          "YYYY-MM-DDTHH:MM:SS+00:00")
-    return _new_record(ScanRecord, (d, h, invs, p, rank, ts))
+    return ScanRecord(d, h, invs, p, rank, ts)
 
 
 def read_store(path, prime=None):
     """(records, problems): problems are (line number, message) pairs.
 
     Without `prime`, records lists every record in file order, repeats
-    included.  With `prime` given, records is {D: (h, invariant factors,
-    p, rank)}, the fields of the first record of each D for that p, which
-    is what a scan resume needs; no record is built, and the lines of other
-    primes are checked but not kept, so the problems are the same either
-    way.
+    included, each parsed by parse_record.  With `prime` given, records is
+    {D: (h, invariant factors, p, rank)}, the fields of the first record of
+    each D for that p, which is what a scan resume needs (see _read); the
+    lines of other primes are checked but not kept, so the problems are
+    the same either way.
 
-    A line's shape is its text between the first and the last tab: h, the
-    invariant factors, p and the rank.  Once parse_record has accepted a
-    line, its shape holds for every line that carries it, and such a line
-    is a record exactly when its D field is a negative integer and its
-    timestamp has the form of now_timestamp()'s.  So a later ASCII line of
-    a known shape whose D field int() reads as negative, and whose
-    timestamp has that form (each distinct timestamp is checked once), is
-    taken from the memoized fields and its own D (and, for a record, its
-    timestamp), without splitting the shape or checking it again; every
-    other line (the first of each shape, any non-ASCII line, any line whose
-    D int() rejects or reads as >= 0, any line whose timestamp lacks the
-    form) goes to parse_record, and fails there if it fails.  The lines of
-    one shape share one fields tuple, and the records of one timestamp one
-    string (a scan stamps each chunk's records alike).
-
-    A missing file reads as empty; any other OSError from opening the path
-    (a directory, no permission) propagates."""
-    if prime is None:
-        return _read(path, None)
-    firsts = {}
-    problems = _read(path, firsts, prime)[1]
-    return firsts.get(prime, {}), problems
+    A missing file reads as empty; a path that is not a regular file, or
+    that cannot be opened, raises OSError."""
+    if prime is not None:
+        by_d = {}
+        return by_d, _read(path, {prime: by_d}, prime)[1]
+    records, problems = [], []
+    with _open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    records.append(parse_record(line))
+                except ValueError as exc:
+                    problems.append((lineno, str(exc)))
+    return records, problems
 
 
 def count_store(path):
     """(tally, repeats, problems): tally maps (p, rank) to the number of
     (D, p) with a record of that rank, each counted once, by its first
     record; repeats is the number of record lines after the first of their
-    (D, p); problems are those of read_store.
-
-    The lines are read as read_store(path, p) reads them, for every p at
-    once: no record is built, and a later line of a known shape costs one
-    dict insert."""
+    (D, p); problems are those of read_store.  The lines are read as
+    read_store(path, p) reads them, for every p at once."""
     firsts = {}
     lines, problems = _read(path, firsts)
     tally = Counter()
@@ -152,20 +138,35 @@ def count_store(path):
     return tally, lines - sum(map(len, firsts.values())), problems
 
 
-def _read(path, firsts, prime=None):
-    """(records, problems) of read_store(path) when `firsts` is None.
-    With a dict `firsts`, builds no record but sets firsts[p][D] to the
-    shared (h, invariant factors, p, rank) of the first record of each
-    (D, p), for every p or only for `prime`, and gives the number of
-    record lines, of every p, in place of the records."""
-    records, problems = [], []
-    shapes, stamps = {}, {}
-    lines = 0
+def _open(path):
+    """The store at `path` open for reading; a missing one reads as empty.
+    A path that is not a regular file is refused before it is opened: a
+    FIFO would block the open, and a device such as /dev/zero need not end."""
     try:
-        fh = open(path, encoding="utf-8", errors="surrogateescape")
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        return (records if firsts is None else lines), problems
-    with fh:
+        return io.StringIO()
+    if not stat.S_ISREG(mode):
+        raise OSError("not a regular file")
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _read(path, firsts, prime=None):
+    """(lines, problems): sets firsts[p][D] to the shared (h, invariant
+    factors, p, rank) of the first record of each (D, p), for every p or
+    only for `prime`; lines counts the record lines of every p.
+
+    A line's shape is its text between the first and the last tab: h, the
+    invariant factors, p and the rank.  Once parse_record has accepted one
+    line of a shape, a later ASCII line of it is a record exactly when
+    int() reads its D field as negative and its timestamp has the form of
+    now_timestamp()'s (checked once per distinct timestamp); such a line is
+    taken from the memo with its own D, without checking its shape again.
+    Every other line goes to parse_record, and fails there if it fails.
+    The lines of one shape share one fields tuple."""
+    problems, shapes, stamps = [], {}, set()
+    lines = 0
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             head, _, ts = line.rpartition("\t")
@@ -182,13 +183,9 @@ def _read(path, firsts, prime=None):
                 # the first line of each distinct timestamp checks its form
                 # and keeps it; a later one costs one lookup
                 if d < 0 and (ts in stamps or _STAMP.fullmatch(ts)
-                              and stamps.setdefault(ts, ts)):
+                              and not stamps.add(ts)):
                     fields, by_d = memo
-                    if firsts is None:
-                        h, invs, p, rank = fields
-                        records.append(_new_record(ScanRecord, (
-                            d, h, invs, p, rank, stamps[ts])))
-                    elif by_d is not None:
+                    if by_d is not None:
                         by_d.setdefault(d, fields)
                     lines += 1
                     continue
@@ -200,14 +197,12 @@ def _read(path, firsts, prime=None):
                 problems.append((lineno, str(exc)))
                 continue
             fields, by_d = rec[1:5], None
-            if firsts is None:
-                records.append(rec)
-            elif prime is None or rec.prime == prime:
+            if prime is None or rec.prime == prime:
                 by_d = firsts.setdefault(rec.prime, {})
                 by_d.setdefault(rec.discriminant, fields)
             shapes[shape] = fields, by_d
             lines += 1
-    return (records if firsts is None else lines), problems
+    return lines, problems
 
 
 def append_records(path, records):

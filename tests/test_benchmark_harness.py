@@ -80,3 +80,29 @@ def test_traced_scan_fires_the_expected_spans(bench, tmp_path):
                (tmp_path / "scan.tsv").read_text("utf-8").splitlines()
                if not line.startswith("#")]
     assert len(records) == len(window)
+
+
+def test_traced_store_read_fires_the_expected_spans(bench, tmp_path):
+    # the store-read workload in small: a no-op scan resume and a report
+    # over a finished store that also holds a comment and a corrupt line
+    run, _ = bench
+    store = tmp_path / "store.tsv"
+    env = _env()
+    scan = ["scan", "--prime", "5", "--store", str(store), "--", "-400", "-3"]
+    subprocess.run([sys.executable, "-m", "capkit.cli", *scan], env=env,
+                   check=True, timeout=120, stdout=subprocess.DEVNULL)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write("# a comment\n-7\t1\t1\t5\t0\tnot a time\n")
+    fired = set()
+    for i, argv in enumerate([scan, ["report", "--store", str(store)]]):
+        spans = tmp_path / ("spans%d.json" % i)
+        done = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
+             "--", *argv], env=env, check=True, timeout=120,
+            capture_output=True, text=True)
+        assert "skipped: timestamp is not of the form" in done.stderr
+        fired |= {s[2] for s in json.loads(spans.read_text("utf-8"))["spans"]}
+        if i == 0:
+            assert "(0 new)" in done.stdout
+    assert [n for n in run.EXPECTED_SPANS["store-read"] if n not in fired] \
+        == []

@@ -104,6 +104,21 @@ def oracle_read_store(path):
     return records, problems
 
 
+def assert_first_record_views_match(path, records, problems):
+    """read_store(path, p) for each p and count_store(path) give the first
+    record of each (D, p) among `records`, the oracle's reading of the
+    store, and its problems."""
+    first = {}
+    for r in records:
+        first.setdefault((r.discriminant, r.prime), r)
+    for p in {r.prime for r in records} | {11}:
+        want = {d: (r.class_number, r.invariant_factors, r.prime, r.rank)
+                for (d, q), r in first.items() if q == p}
+        assert read_store(path, p) == (want, problems), p
+    tally = Counter((p, r.rank) for (_, p), r in first.items())
+    assert count_store(path) == (tally, len(records) - len(first), problems)
+
+
 # Store lines of every kind a reader meets: {d} {h} {invs} {p} {r} {ts} are
 # the fields of a valid record, which is listed twice to be drawn more often.
 _STORE_LINE_KINDS = (
@@ -350,6 +365,7 @@ class TestStore:
         assert [tuple(r) for r in got] == \
             [dataclasses.astuple(r) for r in want]
         assert problems == want_problems
+        assert_first_record_views_match(path, want, want_problems)
         # valid lines and every rejection are present
         assert len(got) > 40
         for reason in ("expected 6", "invalid literal", "out of range",
@@ -367,6 +383,7 @@ class TestStore:
         assert [tuple(r) for r in got] == \
             [dataclasses.astuple(r) for r in want]
         assert problems == want_problems
+        assert_first_record_views_match(path, want, want_problems)
         assert problems[:3] == [(1, "invalid literal for int() with base "
                                     "10: 'x-5'"),
                                 (2, "field values out of range"),
@@ -379,6 +396,28 @@ class TestStore:
         assert {r.timestamp for r in got} == \
             {"2026-01-01T00:00:00+00:00", "2026-01-01T00:00:07+00:00"}
         assert len(got) > 120
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_records_view_parses_every_line(self, tmp_path, monkeypatch,
+                                            seed):
+        # the reference reading shares no shortcut with the memo: each
+        # line that is neither blank nor a comment goes to parse_record
+        from capkit import store
+        path = tmp_path / "s.tsv"
+        write_seeded_store(path, seed)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            want = [line.strip() for line in fh]
+        want = [line for line in want if line and not line.startswith("#")]
+        seen = []
+
+        def recording_parse(line):
+            seen.append(line)
+            return parse_record(line)
+        monkeypatch.setattr(store, "parse_record", recording_parse)
+        records, problems = read_store(path)
+        assert seen == want
+        assert len(records) + len(problems) == len(want)
+        assert records and problems
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_prime_filter_matches_unfiltered_read(self, tmp_path, seed):
@@ -636,19 +675,22 @@ class TestCli:
             shape = line.strip().partition("\t")[2].rpartition("\t")[0]
             firsts.setdefault(shape, line.strip())
         accepted, built = [], []
-        real_parse, real_new = store.parse_record, store._new_record
+        real_parse = store.parse_record
 
         def recording_parse(line):
             rec = real_parse(line)
             accepted.append(line)
             return rec
 
-        def counting_new(cls, fields):
-            built.append(fields)
-            return real_new(cls, fields)
+        class CountedRecord(store.ScanRecord):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
 
         monkeypatch.setattr(store, "parse_record", recording_parse)
-        monkeypatch.setattr(store, "_new_record", counting_new)
+        monkeypatch.setattr(store, "ScanRecord", CountedRecord)
         args = ["scan", "--store", str(path), "--", "-13500", "-12000"] \
             if command == "scan" else ["report", "--store", str(path)]
         assert run_cli(args)[0] == 0
@@ -1020,15 +1062,20 @@ def test_no_argv_ends_in_a_traceback(argv, store):
     assert "Traceback" not in err.getvalue(), argv
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("argv", [["verify-table"], ["tkt", "H27"],
                                   ["classgroup", "--", "-12451"],
-                                  ["heuristic", "3"]])
+                                  ["heuristic", "3"], ["--help"],
+                                  ["tkt", "--help"]])
 def test_a_closed_stdout_ends_in_no_traceback(argv):
     # the pipe's read end is closed before the command writes; buffered,
     # the write fails at the last flush, unbuffered at the first print
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     for unbuffered in ("", "1"):
         env["PYTHONUNBUFFERED"] = unbuffered
         read, write = os.pipe()
@@ -1042,3 +1089,25 @@ def test_a_closed_stdout_ends_in_no_traceback(argv):
         assert run.returncode == 1, (argv, unbuffered, run.stderr)
         assert "Traceback" not in run.stderr
         assert "Exception ignored" not in run.stderr
+
+
+@pytest.mark.parametrize("store", ["/dev/zero", "/dev/null", "fifo"])
+@pytest.mark.parametrize("command", ["scan", "report"])
+def test_a_store_that_is_no_regular_file_is_refused(tmp_path, store, command):
+    # read as a store, /dev/zero is one endless line and a FIFO blocks the
+    # open; each run is capped at 400 MB of address space and a few
+    # seconds, so a reader that tries fails here instead of taking the
+    # machine's memory
+    import resource
+    if store == "fifo":
+        store = str(tmp_path / "fifo")
+        os.mkfifo(store)
+    argv = ["scan", "--store", store, "--", "-50", "-3"] \
+        if command == "scan" else ["report", "--store", store]
+    cap = 400 << 20
+    run = subprocess.run(
+        [sys.executable, "-m", "capkit.cli", *argv], env=_subprocess_env(),
+        capture_output=True, text=True, timeout=5,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (run.returncode, run.stdout, run.stderr) == \
+        (2, "", "error: cannot read store %s: not a regular file\n" % store)

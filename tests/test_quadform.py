@@ -682,7 +682,8 @@ class TestSylowStructure:
             buckets = _reduced_forms_in(discs)
             for dv in discs:
                 invs = _greedy_invariants(dv, buckets[dv])
-                assert quadform._four_rank(dv, buckets[dv]) == \
+                assert quadform._four_rank(
+                    dv, quadform._ambiguous(buckets[dv])) == \
                     sum(1 for d in invs if d % 4 == 0), dv
         # the characters are those of the maximal order only: the caller
         # leaves the 4-rank of any other order unread
