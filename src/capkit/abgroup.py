@@ -206,10 +206,13 @@ def quotient_coords(relation_rows, ngens):
 
 @value_type("invariant_factors")
 class AbelianGroup:
-    """Finite abelian group in invariant-factor form d1 | d2 | ... | dk."""
+    """Finite abelian group in invariant-factor form d1 | d2 | ... | dk,
+    ints >= 2."""
 
     def __init__(self, invariant_factors):
-        facs = tuple(int(d) for d in invariant_factors)
+        facs = tuple(invariant_factors)
+        if not all(isinstance(d, int) for d in facs):
+            raise AbgroupError("invariant factors must be ints")
         if any(d < 2 for d in facs):
             raise AbgroupError("invariant factors must be >= 2")
         for a, b in zip(facs, facs[1:]):
@@ -260,19 +263,22 @@ class Homomorphism:
     i-th invariant factor, so each map has exactly one matrix.
 
     Homomorphism(source, target, matrix) is the one public constructor: it
-    checks the shape and that column j respects the order d_j of the j-th
-    source generator (d_j times the column is 0 in the target).  Every map
-    given from outside this module goes through it.  The maps that compose,
-    + and - build from two maps, and identity_hom, zero_hom and power_hom,
-    are homomorphisms by construction (a product or sum of homomorphisms
-    is one), so Homomorphism._derived only reduces their entries."""
+    checks the shape, that the entries are ints and that column j respects
+    the order d_j of the j-th source generator (d_j times the column is 0
+    in the target).  Every map given from outside this module goes through
+    it.  The maps that compose, + and - build from two maps, and
+    identity_hom, zero_hom and power_hom, are homomorphisms by construction
+    (a product or sum of homomorphisms is one), so Homomorphism._derived
+    only reduces their entries."""
 
     def __init__(self, source, target, matrix):
         # matrix: target.ngens rows x source.ngens cols
         kt, ks = target.ngens, source.ngens
         if len(matrix) != kt or any(len(row) != ks for row in matrix):
             raise AbgroupError("homomorphism matrix has wrong shape")
-        mat = tuple(tuple(int(x) % di for x in row) for row, di
+        if not all(isinstance(x, int) for row in matrix for x in row):
+            raise AbgroupError("homomorphism matrix entries must be ints")
+        mat = tuple(tuple(x % di for x in row) for row, di
                     in zip(matrix, target.invariant_factors))
         for j, dj in enumerate(source.invariant_factors):
             for i, di in enumerate(target.invariant_factors):

@@ -1,18 +1,21 @@
-"""Group-algebra machinery over Z/p^m: primitive idempotents, component and
-cyclic-module decompositions, the relative-extension datum coming from a
-group/subgroup pair, the norm-kernel comparison predicate and the growth
-classifier for norm kernels.
+"""Group-algebra machinery over Z/p^m: primitive idempotents of (Z/p^m)[G]
+for finite abelian G, by one Berlekamp split of F_p[G] and Hensel lifting;
+component and cyclic-module decompositions, the relative-extension datum
+coming from a group/subgroup pair, the norm-kernel comparison predicate
+and the growth classifier for norm kernels.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from enum import Enum
 from functools import cached_property
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
-                      identity_hom, is_prime, power_hom, transpose, zero_hom)
+                      identity_hom, is_prime, op_power, power_hom, transpose,
+                      zero_hom)
 from .pcgroup import (PcGroup, SubgroupDescriptor,
                       subgroups_index_p_above_derived, transfer)
 from .value import value_type
@@ -40,8 +43,13 @@ class GroupAlgebraElement:
 
     @classmethod
     def make(cls, group, prime, precision, mapping):
+        """The element sum c g over the (g, c) of `mapping`: each g is
+        reduced first, so the coefficients of equal elements add up."""
         mod = prime ** precision
-        items = tuple(sorted((g, c % mod) for g, c in mapping.items() if c % mod))
+        sums = Counter()
+        for g, c in mapping.items():
+            sums[group.reduce(g)] += c
+        items = tuple(sorted((g, c % mod) for g, c in sums.items() if c % mod))
         return cls(group, prime, precision, items)
 
     def _as_dict(self):
@@ -95,111 +103,6 @@ def algebra_one(group, p, m):
     return GroupAlgebraElement.make(group, p, m, {group.zero(): 1})
 
 
-# F_p[x] arithmetic on coefficient lists, lowest degree first, with no
-# trailing zeros (the zero polynomial is [])
-
-def _fp_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a, b, p):
-    """Quotient and remainder of a by a nonzero b."""
-    r = [c % p for c in a]
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + len(b) - 1] * inv % p
-        q[i] = c
-        for j, bj in enumerate(b):
-            r[i + j] = (r[i + j] - c * bj) % p
-    return _fp_trim(q), _fp_trim(r[:len(b) - 1])
-
-
-def _fp_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
-def _fp_gcd(a, b, p):
-    """Monic gcd of a nonzero a and any b."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _fp_inverse(a, f, p):
-    """a^-1 mod f, by the extended Euclidean algorithm; s_i a = r_i mod f."""
-    r0, r1 = f, _fp_divmod(a, f, p)[1]
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        q, r = _fp_divmod(r0, r1, p)
-        qs = itertools.zip_longest(s0, _fp_mul(q, s1, p), fillvalue=0)
-        s0, s1 = s1, _fp_trim([(a - b) % p for a, b in qs])
-        r0, r1 = r1, r
-    if not r1:
-        raise GModuleError("polynomial is not invertible mod %d" % p)
-    inv = pow(r1[0], -1, p)
-    return [c * inv % p for c in s1]
-
-
-def _cyclic_idempotents_modp(d, p):
-    """Primitive idempotents of F_p[C_d] as coefficient lists indexed by
-    exponent of the generator, one per irreducible factor of x^d - 1.
-
-    For p not dividing d, the polynomials b with b^p = b mod x^d - 1
-    (Berlekamp's subalgebra) are spanned by the orbit sums sum_{j in O} x^j
-    over the orbits O of j -> p j mod d, one orbit per irreducible factor.
-    Every factor f of x^d - 1 is then the product of the gcd(f, b - t),
-    t in F_p, and the orbit sums b together separate all irreducible
-    factors (Berlekamp, Math. Comp. 24, 1970; Cohen, GTM 138, 3.4).  The
-    factors are listed by degree, then by coefficients from the top."""
-    if d % p == 0:
-        raise GModuleError("x^%d - 1 is not squarefree mod %d" % (d, p))
-    orbits, seen = [], set()
-    for j in range(d):
-        if j not in seen:
-            orbit, k = [j], j * p % d
-            while k != j:
-                orbit.append(k)
-                k = k * p % d
-            seen.update(orbit)
-            orbits.append(orbit)
-    modulus = [p - 1] + [0] * (d - 1) + [1]
-    factors = [modulus]
-    for orbit in orbits:
-        if len(factors) == len(orbits):
-            break
-        b = [int(j in orbit) for j in range(d)]
-        split = []
-        for f in factors:
-            bf = _fp_divmod(b, f, p)[1]
-            if len(bf) <= 1:
-                split.append(f)
-                continue
-            for t in range(p):
-                g = _fp_gcd(f, [(bf[0] - t) % p] + bf[1:], p)
-                if len(g) > 1:
-                    split.append(g)
-        factors = split
-    factors.sort(key=lambda f: (len(f), f[::-1]))
-    out = []
-    for f in factors:
-        cof = _fp_divmod(modulus, f, p)[0]
-        inv = _fp_inverse(cof, f, p)
-        e = [0] * d  # cof * (cof^-1 mod f) mod x^d - 1
-        for i, x in enumerate(cof):
-            for j, y in enumerate(inv):
-                e[(i + j) % d] += x * y
-        out.append([c % p for c in e])
-    return out
-
-
 def _hensel_lift(e, target_precision):
     """Lift an idempotent of (Z/p)[G] to (Z/p^m)[G] via e <- 3e^2 - 2e^3."""
     prec = e.precision
@@ -211,30 +114,63 @@ def _hensel_lift(e, target_precision):
 
 
 def primitive_idempotents(G: AbelianGroup, p: int, m: int):
-    """Pairwise orthogonal primitive idempotents of (Z/p^m)[G] summing to 1.
+    """Pairwise orthogonal primitive idempotents of (Z/p^m)[G] summing to 1,
+    sorted by coefficients, for a prime p not dividing |G| and an int m >= 1.
 
-    Factor idempotents of the mod-p group algebra (by factoring x^d - 1 over
-    F_p per cyclic invariant factor, with Berlekamp's split by the orbit
-    sums of j -> p j mod d) are multiplied out over the factors and
-    Hensel-lifted to precision m; characters with values outside F_p appear
-    orbit-summed."""
+    F_p[G] is a product of fields, one per orbit of g -> p g on G, and the
+    orbit sums span Berlekamp's subalgebra B = {b : b^p = b}, a copy of
+    F_p^r (Berlekamp, Math. Comp. 24, 1970).  In B, 1 - (b - t)^(p-1) is
+    the idempotent of the fields where b takes the value t in F_p, so the
+    orbit sums b, one at a time, split 1 until r idempotents remain; these
+    are Hensel-lifted to precision m."""
+    if not is_prime(p):
+        raise GModuleError("p = %r is not a prime" % (p,))
+    if not isinstance(m, int) or m < 1:
+        raise GModuleError("precision must be an int >= 1")
     if G.order() % p == 0:
         raise GModuleError("prime divides the group order")
-    if m < 1:
-        raise GModuleError("precision must be >= 1")
-    per_factor = [_cyclic_idempotents_modp(d, p) for d in G.invariant_factors]
-    idems = []
-    for combo in itertools.product(*per_factor):
-        mapping = {}
+    orbit_of, orbits = {}, []  # the orbit of 0 comes first
+    for g in G.elements():
+        if g not in orbit_of:
+            orbits.append([])
+            while g not in orbit_of:
+                orbit_of[g] = len(orbits) - 1
+                orbits[-1].append(g)
+                g = G.scale(p, g)
+    r = len(orbits)
+    # b_i b_j = sum_k table[i, j][k] b_k: the coefficient of b_k counts the
+    # g in orbit i with (first element of orbit k) - g in orbit j
+    table = {}
+    for k, orbit in enumerate(orbits):
         for g in G.elements():
-            c = 1
-            for coord, coeff_list in zip(g, combo):
-                c = (c * coeff_list[coord]) % p
-            if c:
-                mapping[g] = c
-        e = GroupAlgebraElement.make(G, p, 1, mapping)
-        idems.append(_hensel_lift(e, m))
-    return idems
+            ij = orbit_of[g], orbit_of[G.add(orbit[0], G.scale(-1, g))]
+            table.setdefault(ij, Counter())[k] += 1
+
+    def mul(x, y):  # product in B, on the orbit-sum basis
+        out = [0] * r
+        for (i, j), row in table.items():
+            if x[i] and y[j]:
+                for k, c in row.items():
+                    out[k] += x[i] * y[j] * c
+        return tuple(c % p for c in out)
+
+    one = (1,) + (0,) * (r - 1)
+    idems = [one]
+    for b in range(1, r):
+        if len(idems) == r:
+            break
+        cuts = []  # 1 - (b - t)^(p-1), t in F_p, those that are not 0
+        for t in range(p):
+            b_t = [-t] + [0] * (r - 1)
+            b_t[b] = 1
+            power = op_power(tuple(b_t), p - 1, mul, one)
+            cut = tuple((a - c) % p for a, c in zip(one, power))
+            if any(cut):
+                cuts.append(cut)
+        idems = [f for e in idems for u in cuts if any(f := mul(e, u))]
+    return sorted((_hensel_lift(GroupAlgebraElement.make(
+        G, p, 1, {g: e[i] for g, i in orbit_of.items()}), m) for e in idems),
+        key=lambda e: e.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +238,9 @@ def trivial_action_module(A: AbelianGroup, G: AbelianGroup):
 
 
 def decompose_module(M: GModule, idempotents):
-    """Internal direct product decomposition A = prod e_alpha(A)."""
+    """Internal direct product decomposition A = prod e_alpha(A), one
+    component per idempotent; for those of `primitive_idempotents`, one per
+    orbit of g -> p g on the acting group (some may be trivial)."""
     comps = [M.algebra_endomorphism(e).image() for e in idempotents]
     total = 1
     for c in comps:

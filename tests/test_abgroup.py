@@ -178,6 +178,12 @@ class TestAbelianGroup:
         with pytest.raises(AbgroupError):
             AbelianGroup((1, 2))
 
+    @pytest.mark.parametrize("invs", [(2.9,), ["4"], (2, 4.0)])
+    def test_rejects_entries_that_are_not_ints(self, invs):
+        # int() would truncate 2.9 to a C2 and read "4" as C4
+        with pytest.raises(AbgroupError, match="must be ints"):
+            AbelianGroup(invs)
+
     def test_order_rank_exponent(self):
         A = AbelianGroup((2, 4, 4))
         assert A.order() == 32
@@ -215,6 +221,12 @@ class TestHomomorphism:
         assert ker.order() == 9
         assert ker.contains((1, 0)) and ker.contains((0, 3))
         assert not ker.contains((0, 1))
+
+    @pytest.mark.parametrize("mat", [[[1.5]], [["1"]], [[2.0]]])
+    def test_rejects_entries_that_are_not_ints(self, mat):
+        C4 = AbelianGroup((4,))
+        with pytest.raises(AbgroupError, match="must be ints"):
+            Homomorphism(C4, C4, mat)
 
     def test_image_and_kernel_orders_multiply(self):
         rng = random.Random(7)

@@ -2,13 +2,14 @@
 extension datum.
 
 Oracles:
-  - the number of primitive idempotents of (Z/p^m)[C_d] is checked against
-    the count of p-cyclotomic cosets mod d, computed here directly;
+  - the number of primitive idempotents of (Z/p^m)[G], cyclic or not, is
+    checked against the number of orbits of g -> p g on G, counted here
+    directly;
   - idempotent identities (e^2 = e, orthogonality, sum to one) are verified
     by plain algebra arithmetic;
-  - the mod-p idempotents of each cyclic factor equal, list and order
-    included, those from sympy's factorisation of x^d - 1 over GF(p)
-    (skipped where sympy is not installed);
+  - for cyclic G = C_d, the mod-p idempotents equal, as a set, those from
+    sympy's factorisation of x^d - 1 over GF(p) (skipped where sympy is
+    not installed);
   - randomized modules are assembled from explicitly constructed blocks and
     scrambled by elementary automorphisms, so the expected decomposition
     shape is known by construction;
@@ -16,7 +17,11 @@ Oracles:
     the images of the p-th power map and of s^(p-1).
 """
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from math import gcd, lcm
 
 import pytest
@@ -36,19 +41,20 @@ from capkit.pcgroup import PresentationError, subgroups_index_p_above_derived
 from pgroup_oracles import closure, derived_closure
 
 
-def cyclotomic_coset_count(d, p):
-    """Number of orbits of multiplication by p on Z/d, i.e. the number of
-    irreducible factors of x^d - 1 over F_p (for p coprime to d)."""
+def cyclotomic_coset_count(invs, p):
+    """Number of orbits of multiplication by p on Z/d1 x ... x Z/dk, i.e.
+    the number of fields in F_p[G] (for p coprime to |G|); for G = C_d the
+    number of irreducible factors of x^d - 1 over F_p."""
     seen = set()
     orbits = 0
-    for a in range(d):
+    for a in itertools.product(*map(range, invs)):
         if a in seen:
             continue
         orbits += 1
         b = a
         while b not in seen:
             seen.add(b)
-            b = (b * p) % d
+            b = tuple(x * p % d for x, d in zip(b, invs))
     return orbits
 
 
@@ -71,10 +77,16 @@ class TestIdempotents:
         assert total == one
 
     def test_count_matches_cyclotomic_cosets(self):
-        for d, p in [(2, 3), (4, 3), (8, 3), (2, 5), (4, 5), (3, 2), (7, 2)]:
-            G = AbelianGroup((d,))
+        # products of primitive idempotents of the cyclic factors are not
+        # primitive where two factor fields have degrees k, l with
+        # gcd(k, l) > 1, so the non-cyclic G here have more idempotents
+        # than those products: 5, 8, 7, 17 and 10 against 4, 6, 4, 9 and 9
+        for invs, p in [((2,), 3), ((4,), 3), ((8,), 3), ((2,), 5), ((4,), 5),
+                        ((3,), 2), ((7,), 2), ((3, 3), 2), ((3, 9), 2),
+                        ((5, 5), 2), ((7, 7), 2), ((4, 4), 3), ((2, 2), 3)]:
+            G = AbelianGroup(invs)
             assert len(primitive_idempotents(G, p, 2)) == \
-                cyclotomic_coset_count(d, p)
+                cyclotomic_coset_count(invs, p), (invs, p)
 
     def test_c2_mod_nine_closed_form(self):
         G = AbelianGroup((2,))
@@ -90,6 +102,38 @@ class TestIdempotents:
             primitive_idempotents(AbelianGroup((3,)), 3, 2)
         with pytest.raises(GModuleError):
             primitive_idempotents(AbelianGroup((2,)), 3, 0)
+
+    @pytest.mark.parametrize("d,p,m", [(2, 4, 1), (3, 4, 1), (5, 9, 1),
+                                       (2, 0, 1), (2, -3, 1), (2, 3, 2.5)])
+    def test_rejects_a_p_that_is_no_prime_and_an_m_that_is_no_int(
+            self, d, p, m):
+        # without the checks, p = 4 on C2 grows an orbit without end, so
+        # each case runs in a subprocess capped at 400 MB of address space
+        # and a few seconds; -S skips the site packages, which capkit does
+        # not use, to start faster
+        import resource
+        src = os.path.dirname(os.path.dirname(gmodule.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("from capkit.abgroup import AbelianGroup\n"
+                "from capkit.gmodule import primitive_idempotents\n"
+                "primitive_idempotents(AbelianGroup((%d,)), %r, %r)" % (d, p, m))
+        cap = 400 << 20
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True,
+            text=True, timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1].startswith(
+            "capkit.gmodule.GModuleError: "), run.stderr
+
+    def test_make_adds_the_coefficients_of_equal_elements(self):
+        C2 = AbelianGroup((2,))
+        three_g = GroupAlgebraElement.make(C2, 3, 1, {(1,): 1, (3,): 2})
+        assert three_g.is_zero()
+        assert three_g.coefficient((1,)) == 0
+        assert GroupAlgebraElement.make(C2, 3, 1, {(3,): 1}) == \
+            GroupAlgebraElement.make(C2, 3, 1, {(1,): 1})
 
     def test_trivial_group_has_identity_only(self):
         es = primitive_idempotents(AbelianGroup(()), 3, 2)
@@ -124,12 +168,16 @@ class TestCyclicIdempotentOracle:
                  if d % p]
         assert len(cases) == 152
         for d, p in cases:
-            assert gmodule._cyclic_idempotents_modp(d, p) == \
-                sympy_cyclic_idempotents_modp(d, p), (d, p)
+            G = AbelianGroup((d,) if d > 1 else ())
+            got = {tuple(e.coefficient((j,) if d > 1 else ())
+                         for j in range(d))
+                   for e in primitive_idempotents(G, p, 1)}
+            assert got == set(map(tuple, sympy_cyclic_idempotents_modp(d, p))), \
+                (d, p)
 
     def test_rejects_prime_dividing_the_order(self):
-        with pytest.raises(GModuleError, match="not squarefree"):
-            gmodule._cyclic_idempotents_modp(6, 3)
+        with pytest.raises(GModuleError, match="divides the group order"):
+            primitive_idempotents(AbelianGroup((6,)), 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +295,23 @@ class TestDecomposition:
             sorted([(0, 0), (1, 1), (2, 2)]),
             sorted([(0, 0), (1, 2), (2, 1)]),
         ]
+
+    def test_regular_module_of_c3_x_c3_mod_2_has_five_components(self):
+        # (Z/2)^9 with basis indexed by G = C3 x C3, each generator acting
+        # as its translation; the fields of F_2[G] are F_2 and four F_4
+        G = AbelianGroup((3, 3))
+        A = AbelianGroup((2,) * 9)
+        index = {g: i for i, g in enumerate(G.elements())}
+
+        def translation(s):
+            mat = [[0] * 9 for _ in range(9)]
+            for g, i in index.items():
+                mat[index[G.add(g, s)]][i] = 1
+            return Homomorphism(A, A, mat)
+
+        M = GModule(A, G, (translation((1, 0)), translation((0, 1))))
+        comps = decompose_module(M, primitive_idempotents(G, 2, 1))
+        assert sorted(c.order() for c in comps) == [2, 4, 4, 4, 4]
 
     def test_randomized_modules_decompose(self):
         rng = random.Random(20260825)
