@@ -1,8 +1,8 @@
 """Group-algebra machinery over Z/p^m: primitive idempotents of (Z/p^m)[G]
-for finite abelian G, by one Berlekamp split of F_p[G] and Hensel lifting;
-component and cyclic-module decompositions, the relative-extension datum
-coming from a group/subgroup pair, the norm-kernel comparison predicate
-and the growth classifier for norm kernels.
+for finite abelian G, split and Hensel-lifted in Berlekamp's orbit-sum
+algebra; component and cyclic-module decompositions, the relative-extension
+datum coming from a group/subgroup pair, the norm-kernel comparison
+predicate and the growth classifier for norm kernels.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class GroupAlgebraElement:
         return self._plus(other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupAlgebraElement.make(
-                self.group, self.prime, self.precision,
-                {g: c * other for g, c in self.coeffs})
         self._check_compat(other)
         out = {}
         for g, c in self.coeffs:
@@ -89,8 +85,6 @@ class GroupAlgebraElement:
                 k = self.group.add(g, h)
                 out[k] = out.get(k, 0) + c * d
         return GroupAlgebraElement.make(self.group, self.prime, self.precision, out)
-
-    __rmul__ = __mul__
 
     def is_zero(self):
         return not self.coeffs
@@ -103,16 +97,6 @@ def algebra_one(group, p, m):
     return GroupAlgebraElement.make(group, p, m, {group.zero(): 1})
 
 
-def _hensel_lift(e, target_precision):
-    """Lift an idempotent of (Z/p)[G] to (Z/p^m)[G] via e <- 3e^2 - 2e^3."""
-    prec = e.precision
-    while prec < target_precision:
-        prec = min(prec * 2, target_precision)
-        e = GroupAlgebraElement.make(e.group, e.prime, prec, e._as_dict())
-        e = 3 * (e * e) - 2 * (e * e * e)
-    return e
-
-
 def primitive_idempotents(G: AbelianGroup, p: int, m: int):
     """Pairwise orthogonal primitive idempotents of (Z/p^m)[G] summing to 1,
     sorted by coefficients, for a prime p not dividing |G| and an int m >= 1.
@@ -121,8 +105,10 @@ def primitive_idempotents(G: AbelianGroup, p: int, m: int):
     orbit sums span Berlekamp's subalgebra B = {b : b^p = b}, a copy of
     F_p^r (Berlekamp, Math. Comp. 24, 1970).  In B, 1 - (b - t)^(p-1) is
     the idempotent of the fields where b takes the value t in F_p, so the
-    orbit sums b, one at a time, split 1 until r idempotents remain; these
-    are Hensel-lifted to precision m."""
+    orbit sums b, one at a time, split 1 until r idempotents remain.  The
+    orbit sums have integer structure constants, so the same table mod p^m
+    multiplies in their span over Z/p^m, and e <- 3e^2 - 2e^3 lifts each
+    idempotent there; only the results are expanded over G."""
     if not is_prime(p):
         raise GModuleError("p = %r is not a prime" % (p,))
     if not isinstance(m, int) or m < 1:
@@ -146,13 +132,13 @@ def primitive_idempotents(G: AbelianGroup, p: int, m: int):
             ij = orbit_of[g], orbit_of[G.add(orbit[0], G.scale(-1, g))]
             table.setdefault(ij, Counter())[k] += 1
 
-    def mul(x, y):  # product in B, on the orbit-sum basis
+    def mul(x, y, mod=p):  # product in B, on the orbit-sum basis
         out = [0] * r
         for (i, j), row in table.items():
             if x[i] and y[j]:
                 for k, c in row.items():
                     out[k] += x[i] * y[j] * c
-        return tuple(c % p for c in out)
+        return tuple(c % mod for c in out)
 
     one = (1,) + (0,) * (r - 1)
     idems = [one]
@@ -168,8 +154,14 @@ def primitive_idempotents(G: AbelianGroup, p: int, m: int):
             if any(cut):
                 cuts.append(cut)
         idems = [f for e in idems for u in cuts if any(f := mul(e, u))]
-    return sorted((_hensel_lift(GroupAlgebraElement.make(
-        G, p, 1, {g: e[i] for g, i in orbit_of.items()}), m) for e in idems),
+    mod = p ** m
+    for _ in range((m - 1).bit_length()):  # each step doubles the precision
+        squares = [mul(e, e, mod) for e in idems]
+        idems = [tuple((3 * a - 2 * b) % mod
+                       for a, b in zip(e2, mul(e2, e, mod)))
+                 for e, e2 in zip(idems, squares)]
+    return sorted((GroupAlgebraElement.make(
+        G, p, m, {g: e[i] for g, i in orbit_of.items()}) for e in idems),
         key=lambda e: e.coeffs)
 
 

@@ -117,15 +117,13 @@ def _reduce_raw(a, b, c):
             # normalize: b into (-a, a]
             r = (a - b) // (2 * a)
             b, c = b + 2 * r * a, a * r * r + b * r + c
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        if a == c and b < 0:
-            b = -b
-        if -a < b <= a <= c:
-            if b < 0 and (a == -b or a == c):
-                b = -b
-            return a, b, c
+        if a <= c:
+            break
+        a, b, c = c, -b, a
+    # now -a < b <= a <= c: reduced, except (a, b, a) with b < 0
+    if a == c and b < 0:
+        b = -b
+    return a, b, c
 
 
 def _principal_raw(D):
@@ -531,6 +529,8 @@ def class_group_structures(discs):
     close together).  One counting sieve over their range gives h and the
     ambiguous forms of each fundamental D, whose reduced forms are all
     primitive; any other D lists its own primitive forms."""
+    if not discs:
+        return []
     counts, ambiguous = _count_forms(discs)
     lo = discs[0]
     fundamental = set(fundamental_discriminants(lo, discs[-1]))

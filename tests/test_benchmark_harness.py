@@ -2,9 +2,11 @@
 resolves, and a traced catalog-tkt session and a traced scan fire the
 spans that perfbench/run.py expects of those workloads.  A rename or a
 deleted call in capkit then fails here, not only in a traced benchmark
-run."""
+run.  The outputs the benchmark checks are recomputed here too, against
+perfbench/digests.json."""
 
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -14,6 +16,7 @@ import sys
 import pytest
 
 import capkit
+from capkit import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -106,3 +109,40 @@ def test_traced_store_read_fires_the_expected_spans(bench, tmp_path):
             assert "(0 new)" in done.stdout
     assert [n for n in run.EXPECTED_SPANS["store-read"] if n not in fired] \
         == []
+
+
+def test_outputs_match_the_benchmark_digests(bench, tmp_path):
+    # what perfbench/record_digests.py records: the payload digest of each
+    # scan seed's window, scanned through the CLI in process, and the
+    # catalog-tkt digests of the packaged catalog and of every product
+    # group the workload can draw, from one catalog session
+    run, _ = bench
+    inputs = importlib.import_module("inputs")
+    want = run.load_digests()
+    got = {"scan": {}, "catalog_products": {}}
+    for seed in want["scan"]:
+        lo, hi, _ = inputs.scan_window(int(seed))
+        store = tmp_path / ("scan%s.tsv" % seed)
+        assert cli.main(["scan", "--prime", "5", "--store", str(store), "--",
+                         str(lo), str(hi)], out=io.StringIO()) == 0
+        payloads, problems = run.read_payloads(str(store))
+        assert problems == [], seed
+        got["scan"][seed] = inputs.payload_digest(payloads)
+
+    blocks = inputs.catalog_blocks(
+        (SRC / "capkit" / "data" / "catalog.txt").read_text("utf-8"))
+    products, result = tmp_path / "products.txt", tmp_path / "result.json"
+    products.write_text("\n".join(inputs.direct_product_text(blocks, name, k)
+                                  for name, k in inputs.PRODUCT_POOL),
+                        encoding="utf-8")
+    subprocess.run([sys.executable, str(PERFBENCH / "catalog_session.py"),
+                    str(products), str(result)],
+                   env=_env(), check=True, timeout=120)
+    groups = json.loads(result.read_text("utf-8"))["groups"]
+    names = {inputs.product_name(blocks, name, k)
+             for name, k in inputs.PRODUCT_POOL}
+    got["catalog_packaged"] = run.group_digest(
+        groups, [n for n in groups if n not in names])
+    for n in sorted(names):
+        got["catalog_products"][n] = run.group_digest(groups, [n])
+    assert got == want

@@ -62,6 +62,8 @@ class TestIdempotents:
     @pytest.mark.parametrize("invs,p,m", [
         ((2,), 3, 1), ((2,), 3, 2), ((4,), 3, 2), ((2, 2), 3, 2),
         ((2,), 5, 2), ((4,), 5, 1), ((2, 4), 3, 1), ((3,), 2, 3),
+        # the lift doubles the precision: m = 2^k and 2^k + 1 end its loop
+        ((2,), 3, 4), ((3,), 2, 5), ((2, 2), 3, 8), ((4,), 5, 9),
     ])
     def test_algebraic_identities(self, invs, p, m):
         G = AbelianGroup(invs)
@@ -75,6 +77,16 @@ class TestIdempotents:
             for f in es[i + 1:]:
                 assert (e * f).is_zero()
         assert total == one
+
+    def test_idempotents_make_no_group_algebra_product(self, monkeypatch):
+        # split and lift run on the orbit-sum basis; the product in
+        # (Z/p^m)[G] is left to the tests as their check
+        def refuse(self, other):
+            raise AssertionError("group algebra product")
+        monkeypatch.setattr(GroupAlgebraElement, "__mul__", refuse)
+        for invs, p, m in [((4,), 3, 2), ((2, 2), 3, 3), ((3, 3), 2, 5)]:
+            es = primitive_idempotents(AbelianGroup(invs), p, m)
+            assert len(es) == cyclotomic_coset_count(invs, p)
 
     def test_count_matches_cyclotomic_cosets(self):
         # products of primitive idempotents of the cyclic factors are not

@@ -114,6 +114,20 @@ class TestReduction:
         for f in enumerate_reduced(D):
             assert reduce_form(f, D) == f
 
+    def test_grid_of_forms_reduces_consistently(self):
+        # every positive definite (a, b, c) of a grid that holds the edges
+        # a = c, b = +-a and b = 0: its reduction is reduced, keeps the
+        # discriminant and is shared with the equivalent (c, -b, a) and
+        # (a, b + 2a, a + b + c)
+        for a in range(1, 31):
+            for b in range(-60, 61):
+                for c in range(b * b // (4 * a) + 1, 61):
+                    f = _reduce_raw(a, b, c)
+                    assert QuadForm(*f).is_reduced, (a, b, c)
+                    assert form_disc(f) == b * b - 4 * a * c, (a, b, c)
+                    assert _reduce_raw(c, -b, a) == f, (a, b, c)
+                    assert _reduce_raw(a, b + 2 * a, a + b + c) == f, (a, b, c)
+
     def test_principal_form(self):
         assert principal_form(Discriminant(-4)).as_tuple() == (1, 0, 1)
         assert principal_form(Discriminant(-23)).as_tuple() == (1, 1, 6)
@@ -332,6 +346,9 @@ class TestRangeSieve:
             if sparse:
                 assert _reduced_forms_in(sparse) == \
                     {d: buckets[d] for d in sparse}
+
+    def test_no_discriminants_give_no_structures(self):
+        assert class_group_structures([]) == []
 
     def test_batched_structures_match_single(self):
         discs = fundamental_discriminants(-82300, -82000)
