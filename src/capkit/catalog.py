@@ -13,6 +13,7 @@ states each power and each commutator relation at most once.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
@@ -29,7 +30,9 @@ class CatalogError(ValueError):
     pass
 
 
-def _parse_word(text, p, ngens):
+def _parse_word(text):
+    """The letters (0-based generator, exponent) of a word; PcGroup checks
+    their range."""
     text = text.strip()
     if text == "1":
         return ()
@@ -38,11 +41,7 @@ def _parse_word(text, p, ngens):
         m = _FACTOR.match(part.strip())
         if not m:
             raise CatalogError("bad word factor %r" % part)
-        g = int(m.group(1))
-        e = int(m.group(2) or 1)
-        if not (1 <= g <= ngens) or not (1 <= e < p):
-            raise CatalogError("word factor %r out of range" % part)
-        word.append((g - 1, e))
+        word.append((int(m.group(1)) - 1, int(m.group(2) or 1)))
     return tuple(word)
 
 
@@ -71,7 +70,7 @@ def parse_catalog(text):
                     raise CatalogError("generator g%d out of range" % i)
                 if i - 1 in power_tails:
                     raise CatalogError("duplicate power relation %r" % line)
-                power_tails[i - 1] = _parse_word(pm.group(3), p, n)
+                power_tails[i - 1] = _parse_word(pm.group(3))
                 continue
             cm = _COMM.match(line)
             if cm:
@@ -80,7 +79,7 @@ def parse_catalog(text):
                     raise CatalogError("commutator relation %r out of order" % line)
                 if (j - 1, i - 1) in conj_tails:
                     raise CatalogError("duplicate commutator relation %r" % line)
-                conj_tails[(j - 1, i - 1)] = _parse_word(cm.group(3), p, n)
+                conj_tails[(j - 1, i - 1)] = _parse_word(cm.group(3))
                 continue
             raise CatalogError("unparsable relation line %r" % line)
         if name in groups:
@@ -102,19 +101,13 @@ def parse_catalog(text):
     return groups
 
 
-_cache = None
-
-
+@functools.cache
 def load_catalog():
     """All shipped catalog groups, parsed and consistency-checked."""
-    global _cache
-    if _cache is None:
-        # what pkgutil.get_data does, zip imports included, without the
-        # import of importlib.resources (pathlib, zipfile, tempfile)
-        path = os.path.join(os.path.dirname(data.__file__), "catalog.txt")
-        text = data.__loader__.get_data(path).decode("utf-8")
-        _cache = parse_catalog(text)
-    return _cache
+    # what pkgutil.get_data does, zip imports included, without the
+    # import of importlib.resources (pathlib, zipfile, tempfile)
+    path = os.path.join(os.path.dirname(data.__file__), "catalog.txt")
+    return parse_catalog(data.__loader__.get_data(path).decode("utf-8"))
 
 
 def get_group(name):

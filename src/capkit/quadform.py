@@ -371,8 +371,8 @@ class ClassGroupStructure:
 
     @cached_property
     def forms(self):
-        """The primitive reduced forms, in (a, b) order, listed on first
-        read."""
+        """The primitive reduced forms, in (a, b) order: those that
+        `class_group_structure` listed, else listed on first read."""
         return _reduced_forms(self.discriminant.value)
 
     @cached_property
@@ -477,10 +477,12 @@ def class_group_structure(D: Discriminant,
     theorem: the i-th invariant factor from the top is the product of the
     i-th q-factors from the top.
 
-    `forms` and `generators` are computed only when read; the generators
-    are chosen greedily over all h forms in (a, b) order.  Non-fundamental
-    discriminants are computed on (class group of the non-maximal order)
-    but flagged via `is_fundamental`.  `counted`, if given, is (h, the
+    A structure built without `counted` keeps the forms it listed for h
+    as its `forms`; one built from a sieve count lists them on first read.
+    `generators` is computed only when read, chosen greedily over all h
+    forms in (a, b) order.  Non-fundamental discriminants are computed on
+    (class group of the non-maximal order) but flagged via
+    `is_fundamental`.  `counted`, if given, is (h, the
     ambiguous reduced forms) of a fundamental D, from a counting sieve
     that has already run (see `class_group_structures`).  Without it, the
     primitive reduced forms of D are listed, in one walk of the pairs
@@ -491,9 +493,10 @@ def class_group_structure(D: Discriminant,
         raise QuadFormError("|D| beyond configured bound %d" % MAX_ABS_DISC)
     Dv = D.value
     fundamental = counted is not None or D.is_fundamental
+    listed = None
     if counted is None:
-        forms = _reduced_forms(Dv)
-        counted = len(forms), _ambiguous(forms)
+        listed = _reduced_forms(Dv)
+        counted = len(listed), _ambiguous(listed)
     h, ambiguous = counted
     n2 = len(ambiguous)
     two_rank = max(n2.bit_length() - 1, 0)
@@ -501,7 +504,7 @@ def class_group_structure(D: Discriminant,
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
                             "%d classes (D = %d)" % (n2, h, Dv))
     op, one = _form_op(Dv), _principal_raw(Dv)
-    forms = _Drawn(_prime_forms(Dv) if fundamental else forms)
+    forms = _Drawn(_prime_forms(Dv) if fundamental else listed)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
         v, qv = 1, q
@@ -520,8 +523,11 @@ def class_group_structure(D: Discriminant,
             if i == len(top):
                 top.append(1)
             top[i] *= d
-    return ClassGroupStructure(discriminant=D, order=h,
-                               group=AbelianGroup(top[::-1]))
+    structure = ClassGroupStructure(discriminant=D, order=h,
+                                    group=AbelianGroup(top[::-1]))
+    if listed is not None:
+        vars(structure)["forms"] = listed  # the cached `forms`, listed once
+    return structure
 
 
 def class_group_structures(discs):

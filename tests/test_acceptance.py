@@ -24,6 +24,7 @@ from capkit.quadform import (Discriminant, QuadForm, QuadFormError,
                              compose, inverse)
 
 import conftest
+from algebra_oracles import algebra_one, algebra_product, algebra_sum
 from pgroup_oracles import members
 from test_gmodule import random_c2_module, random_c3_module
 
@@ -166,14 +167,11 @@ def test_criterion_7_idempotent_and_cycle_suite():
         while 3 ** m < M.module.exponent():
             m += 1
         es = primitive_idempotents(C2, 3, m + 1)
-        one = es[0]
-        for e in es[1:]:
-            one = one + e
-        assert one.coefficient(C2.zero()) == 1
+        assert algebra_sum(*es) == algebra_one(C2, 3, m + 1)
         for i, e in enumerate(es):
-            assert e * e == e
+            assert algebra_product(e, e) == e
             for f in es[i + 1:]:
-                assert (e * f).is_zero()
+                assert not algebra_product(e, f).coeffs
         comps = decompose_module(M, es)
         total = 1
         for c in comps:

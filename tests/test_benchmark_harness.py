@@ -1,15 +1,18 @@
-"""The benchmark's hold on the package: every name its tracer wraps
-resolves, and a traced catalog-tkt session and a traced scan fire the
-spans that perfbench/run.py expects of those workloads.  A rename or a
-deleted call in capkit then fails here, not only in a traced benchmark
-run.  The outputs the benchmark checks are recomputed here too, against
+"""The benchmark's hold on the package: every name its tracer wraps and
+every capkit name its files import or read resolves, and a traced
+catalog-tkt session and a traced scan fire the spans that
+perfbench/run.py expects of those workloads.  A rename or a deleted call
+in capkit then fails here, not only in a traced benchmark run.  The
+outputs the benchmark checks are recomputed here too, against
 perfbench/digests.json."""
 
+import ast
 import importlib
 import io
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -40,6 +43,54 @@ def test_tracer_names_resolve(bench):
             obj = getattr(obj, attr)
     for modname, attr in tracer.REQUIRED_BINDINGS:
         assert hasattr(importlib.import_module(modname), attr), (modname, attr)
+
+
+def benchmark_capkit_names():
+    """Every capkit name that perfbench/*.py reads, dotted: each module or
+    name it imports from capkit, and each attribute chain it reads off a
+    name so imported."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        bound = {}  # local name -> the dotted capkit name it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "capkit":
+                for alias in node.names:
+                    dotted = node.module + "." + alias.name
+                    names.add(dotted)
+                    bound[alias.asname or alias.name] = dotted
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "capkit":
+                        names.add(alias.name)
+                        if alias.asname:
+                            bound[alias.asname] = alias.name
+                        else:  # import capkit.cli binds capkit
+                            bound["capkit"] = "capkit"
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in bound:
+                names.add(".".join([bound[node.id]] + chain[::-1]))
+    return names
+
+
+def test_names_the_benchmark_reads_exist():
+    # a removal from src/ that would break perfbench fails here, without
+    # running it: its files are parsed, not imported
+    names = benchmark_capkit_names()
+    assert {"capkit.fixtures.reference_discriminants",
+            "capkit.store.read_store", "capkit.cli.main"} <= names
+    missing = []
+    for dotted in sorted(names):
+        try:
+            pkgutil.resolve_name(dotted)
+        except (AttributeError, ImportError):
+            missing.append(dotted)
+    assert missing == []
 
 
 def _env():

@@ -75,6 +75,11 @@ class TestParser:
         ("group X prime 4 ngens 1\ng1^4 = 1", r"group X: p = 4 is not a prime"),
         ("group Y prime 3 ngens 4\ng1^3 = g3\n[g3,g2] = g4",
          r"group Y: presentation inconsistent: overlap .* fails"),
+        # word letters are range-checked by PcGroup alone
+        ("group Z prime 3 ngens 2\ng1^3 = g3",
+         r"group Z: power tail of g1 uses invalid letter g3\^1"),
+        ("group W prime 3 ngens 2\ng1^3 = g2^3",
+         r"group W: power tail of g1 uses invalid letter g2\^3"),
     ])
     def test_rejected_block_is_named(self, block, message):
         # PcGroup's error used to escape without the name of the block

@@ -6,7 +6,7 @@ Oracles:
     checked against the number of orbits of g -> p g on G, counted here
     directly;
   - idempotent identities (e^2 = e, orthogonality, sum to one) are verified
-    by plain algebra arithmetic;
+    by the term-by-term arithmetic of (Z/p^m)[G] in algebra_oracles;
   - for cyclic G = C_d, the mod-p idempotents equal, as a set, those from
     sympy's factorisation of x^d - 1 over GF(p) (skipped where sympy is
     not installed);
@@ -31,13 +31,14 @@ from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
 from capkit import abgroup, gmodule
 from capkit.catalog import get_group, load_catalog
 from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
-                            GrowthClass, RelativeExtensionDatum, algebra_one,
+                            GrowthClass, RelativeExtensionDatum,
                             catalog_relative_data, check_growth_order_law,
                             classify_growth, cycle_decomposition,
                             decompose_module, f_property, is_exact_cycle,
                             make_relative_datum, primitive_idempotents,
                             trivial_action_module)
 from capkit.pcgroup import PresentationError, subgroups_index_p_above_derived
+from algebra_oracles import algebra_one, algebra_product, algebra_sum
 from pgroup_oracles import closure, derived_closure
 
 
@@ -68,25 +69,29 @@ class TestIdempotents:
     def test_algebraic_identities(self, invs, p, m):
         G = AbelianGroup(invs)
         es = primitive_idempotents(G, p, m)
-        one = algebra_one(G, p, m)
-        total = GroupAlgebraElement.make(G, p, m, {})
         for i, e in enumerate(es):
-            assert e * e == e
-            assert not e.is_zero()
-            total = total + e
+            assert algebra_product(e, e) == e
+            assert e.coeffs
             for f in es[i + 1:]:
-                assert (e * f).is_zero()
-        assert total == one
+                assert not algebra_product(e, f).coeffs
+        assert algebra_sum(*es) == algebra_one(G, p, m)
 
     def test_idempotents_make_no_group_algebra_product(self, monkeypatch):
-        # split and lift run on the orbit-sum basis; the product in
-        # (Z/p^m)[G] is left to the tests as their check
-        def refuse(self, other):
-            raise AssertionError("group algebra product")
-        monkeypatch.setattr(GroupAlgebraElement, "__mul__", refuse)
+        # split and lift run on the orbit-sum basis, whose table takes one
+        # addition in G per element and orbit, |G| r in all; a product over
+        # G takes one more per pair of terms, so any such product, even of
+        # one idempotent with itself, goes over the bound
+        adds = []
+        add = AbelianGroup.add
+        monkeypatch.setattr(AbelianGroup, "add",
+                            lambda G, x, y: adds.append(1) or add(G, x, y))
         for invs, p, m in [((4,), 3, 2), ((2, 2), 3, 3), ((3, 3), 2, 5)]:
-            es = primitive_idempotents(AbelianGroup(invs), p, m)
-            assert len(es) == cyclotomic_coset_count(invs, p)
+            G = AbelianGroup(invs)
+            r = cyclotomic_coset_count(invs, p)
+            adds.clear()
+            es = primitive_idempotents(G, p, m)
+            assert len(es) == r
+            assert 0 < len(adds) <= G.order() * r, (invs, p, m)
 
     def test_count_matches_cyclotomic_cosets(self):
         # products of primitive idempotents of the cyclic factors are not
@@ -142,8 +147,9 @@ class TestIdempotents:
     def test_make_adds_the_coefficients_of_equal_elements(self):
         C2 = AbelianGroup((2,))
         three_g = GroupAlgebraElement.make(C2, 3, 1, {(1,): 1, (3,): 2})
-        assert three_g.is_zero()
-        assert three_g.coefficient((1,)) == 0
+        assert three_g.coeffs == ()
+        assert GroupAlgebraElement.make(C2, 3, 2, {(1,): 1, (3,): 2}).coeffs \
+            == (((1,), 3),)
         assert GroupAlgebraElement.make(C2, 3, 1, {(3,): 1}) == \
             GroupAlgebraElement.make(C2, 3, 1, {(1,): 1})
 
@@ -181,7 +187,7 @@ class TestCyclicIdempotentOracle:
         assert len(cases) == 152
         for d, p in cases:
             G = AbelianGroup((d,) if d > 1 else ())
-            got = {tuple(e.coefficient((j,) if d > 1 else ())
+            got = {tuple(dict(e.coeffs).get((j,) if d > 1 else (), 0)
                          for j in range(d))
                    for e in primitive_idempotents(G, p, 1)}
             assert got == set(map(tuple, sympy_cyclic_idempotents_modp(d, p))), \

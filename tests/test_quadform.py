@@ -211,6 +211,21 @@ class TestStructure:
                     assert acc != e
             assert acc == e
 
+    @pytest.mark.parametrize("dv", [-3299, -3900])  # fundamental, 25 | -3900
+    def test_a_single_discriminant_lists_its_forms_once(self, monkeypatch,
+                                                         dv):
+        # the forms listed for h are the structure's forms, from which the
+        # generators are chosen
+        listed = []
+        listing = quadform._reduced_forms
+        monkeypatch.setattr(quadform, "_reduced_forms",
+                            lambda D: listed.append(D) or listing(D))
+        s = class_group_structure(Discriminant(dv))
+        assert len(s.generators) == len(s.invariant_factors)
+        assert listed == [dv]
+        assert s.forms == [f for f in _enumerate_reduced_raw(dv)
+                           if gcd(*f) == 1]
+
     def test_p_rank(self):
         assert p_rank(Discriminant(-12451), 5) == 2
         assert p_rank(Discriminant(-12451), 3) == 0

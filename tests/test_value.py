@@ -20,12 +20,13 @@ from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup,
 from capkit.catalog import get_group
 from capkit.fixtures import TableRow, reference_table
 from capkit.gmodule import (GModule, GroupAlgebraElement,
-                            RelativeExtensionDatum, algebra_one,
-                            catalog_relative_data)
+                            RelativeExtensionDatum, catalog_relative_data)
 from capkit.heuristics import RankDistribution, predicted_rank_distribution
 from capkit.pcgroup import CapitulationEntry, PcGroup, SubgroupDescriptor
 from capkit.quadform import (ClassGroupStructure, Discriminant, QuadForm,
                              class_group_structure)
+
+from algebra_oracles import algebra_one
 
 
 def heisenberg():
