@@ -10,12 +10,20 @@ timestamps cut short included, are reported with their line number and
 skipped; they never abort a read.
 
 parse_record is the one place where a line becomes a record.
-read_store(path) sends every line through it: the reference reading, which
-no command runs.  The views the commands read, read_store(path, prime) for
-a scan resume and count_store for a report, keep the fields of the first
-record of each (D, p), and take a later line of a checked shape from a
-memo (see _read); all three report the same problems.
-"""
+read_store(path) sends every line through it on every call: the reference
+reading, which no command runs.  The views the commands read,
+read_store(path, prime) for a scan resume and count_store for a report,
+come from one reader, _read, which keeps the fields of the first record of
+each (D, p) for every p and takes a later line of a checked shape from a
+memo (see _parse); all three report the same problems.
+
+_read starts from a checkpoint beside the store, PATH.capkit-checkpoint:
+the state of a full read of a prefix of the store, which is replayed only
+when that prefix is still byte for byte the one it was taken from.  Once a
+read has written one (it takes 1 MiB of new bytes), a read of the
+unchanged store parses no line, and one after an append parses only the
+appended lines.  Deleting the checkpoint is always safe: the next read is
+a full one."""
 
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ import io
 import os
 import re
 import stat
+import sys
 import time
 from collections import Counter, namedtuple
 from math import prod
@@ -65,7 +74,7 @@ def parse_record(line: str) -> ScanRecord:
     """The record on one store line; ValueError says why a line is not one.
     This is the only check of a store line; the memo of the first-record
     views takes a line whose other fields it has seen accepted, and checks
-    only its D and a timestamp it has not seen (see _read)."""
+    only its D and a timestamp it has not seen (see _parse)."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -100,19 +109,23 @@ def read_store(path, prime=None):
     """(records, problems): problems are (line number, message) pairs.
 
     Without `prime`, records lists every record in file order, repeats
-    included, each parsed by parse_record.  With `prime` given, records is
+    included, each parsed by parse_record: the reference reading, which
+    reads every line on every call.  With `prime` given, records is
     {D: (h, invariant factors, p, rank)}, the fields of the first record of
-    each D for that p, which is what a scan resume needs (see _read); the
-    lines of other primes are checked but not kept, so the problems are
-    the same either way.
+    each D for that p, which is what a scan resume needs; it is read as
+    count_store reads, from the store's checkpoint (see _read), and the
+    problems are the same either way.
 
     A missing file reads as empty; a path that is not a regular file, or
     that cannot be opened, raises OSError."""
     if prime is not None:
-        by_d = {}
-        return by_d, _read(path, {prime: by_d}, prime)[1]
+        firsts, _, problems = _read(path)
+        return firsts.get(prime, {}), problems
     records, problems = [], []
-    with _open(path) as fh:
+    raw = _open(path)
+    if raw is None:
+        return records, problems
+    with _text(raw) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):
@@ -127,10 +140,9 @@ def count_store(path):
     """(tally, repeats, problems): tally maps (p, rank) to the number of
     (D, p) with a record of that rank, each counted once, by its first
     record; repeats is the number of record lines after the first of their
-    (D, p); problems are those of read_store.  The lines are read as
-    read_store(path, p) reads them, for every p at once."""
-    firsts = {}
-    lines, problems = _read(path, firsts)
+    (D, p); problems are those of read_store.  The store is read as
+    read_store(path, p) reads it, from its checkpoint (see _read)."""
+    firsts, lines, problems = _read(path)
     tally = Counter()
     for p, by_d in firsts.items():
         for rank, n in Counter(map(itemgetter(3), by_d.values())).items():
@@ -139,22 +151,167 @@ def count_store(path):
 
 
 def _open(path):
-    """The store at `path` open for reading; a missing one reads as empty.
-    A path that is not a regular file is refused before it is opened: a
-    FIFO would block the open, and a device such as /dev/zero need not end."""
+    """The store at `path` open for binary reading, or None when there is
+    none: a missing store reads as empty.  A path that is not a regular
+    file is refused before it is opened: a FIFO would block the open, and a
+    device such as /dev/zero need not end."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
-        return io.StringIO()
+        return None
     if not stat.S_ISREG(mode):
         raise OSError("not a regular file")
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return open(path, "rb")
 
 
-def _read(path, firsts, prime=None):
-    """(lines, problems): sets firsts[p][D] to the shared (h, invariant
-    factors, p, rank) of the first record of each (D, p), for every p or
-    only for `prime`; lines counts the record lines of every p.
+def _text(raw):
+    """The binary stream `raw` read as store text: UTF-8 with undecodable
+    bytes kept as surrogates (parse_record reports them), universal
+    newlines."""
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+
+
+# The checkpoint of the store at PATH is the file PATH + _CHECKPOINT_SUFFIX.
+# It is written only by a read that parsed at least _CHECKPOINT_MIN_BYTES
+# past where it started: replacing an existing file can stall for tens of
+# milliseconds, which a small store would pay on every read.
+_CHECKPOINT_SUFFIX = ".capkit-checkpoint"
+_CHECKPOINT_MIN_BYTES = 1 << 20
+
+# The first line of every checkpoint; a checkpoint with another one is never
+# replayed.  The number is the layout of its payload (see _read).  The digest
+# is of the source of parse_record, _STAMP's pattern and AbelianGroup's
+# __init__ and rank, which decide what a line reads as: tests/test_source.py
+# fails until it is brought up to date after any change to them, and that
+# retires every checkpoint written under the old rules.
+_CHECKPOINT_VERSION = "capkit-checkpoint 1 72452ebde91b93be"
+
+
+def _read(path):
+    """(firsts, lines, problems): firsts[p][D] is the shared (h, invariant
+    factors, p, rank) of the first record of each (D, p); lines counts the
+    record lines; problems are (line number, message) pairs.
+
+    The read starts from the store's checkpoint when it has a valid one:
+    the byte length N of a prefix of the store that ends just after a
+    newline, the sha256 of those N bytes, and the line count, record-line
+    count, problems and firsts of a full read of that prefix.  When its
+    first line is _CHECKPOINT_VERSION and this interpreter's cache tag,
+    its payload matches the sha256 that follows that line, and the store's
+    first N bytes hash to the recorded digest, only the bytes from N on are
+    parsed, decoded as _text decodes and numbered on from the prefix's last
+    line.  A newline always ends a line, and a prefix that ends with one
+    decodes to the text of the same lines, so the result is the one a full
+    read gives.  Any other checkpoint, or none, means a full read; a read
+    that parsed enough (see _CHECKPOINT_MIN_BYTES) writes one up to the
+    last newline it read.  See _parse for how lines become records.
+
+    hashlib and marshal are imported only where a checkpoint is read or
+    written, so that a command that reads a small store does not load
+    them."""
+    raw = _open(path)
+    if raw is None:
+        return {}, 0, []
+    side = os.fsencode(path) + os.fsencode(_CHECKPOINT_SUFFIX)
+    head = ("%s %s\n" % (_CHECKPOINT_VERSION,
+                         sys.implementation.cache_tag)).encode()
+    with raw:
+        start = _load_checkpoint(side, head, raw) or (0, None, 0, 0, [], {})
+        offset, digest, lineno, lines, problems, firsts = start
+        data = raw.read()
+    cut = data.rfind(b"\n") + 1
+    lineno, lines = _parse(data[:cut], lineno, lines, problems, firsts)
+    if cut and cut >= _CHECKPOINT_MIN_BYTES:
+        _write_checkpoint(side, head, digest, data[:cut], offset + cut,
+                          (lineno, lines, problems, firsts))
+    _, lines = _parse(data[cut:], lineno, lines, problems, firsts)
+    return firsts, lines, problems
+
+
+def _load_checkpoint(side, head, raw):
+    """(N, sha256 of the store's first N bytes as a hashlib object, line
+    count, record-line count, problems, firsts) from the checkpoint file
+    `side`, with the store `raw` read up to N; None, with `raw` at its
+    start, when there is no checkpoint written under `head` that matches
+    the store.  A checkpoint file that does not is removed: it would be
+    read again on every read, and a store under _CHECKPOINT_MIN_BYTES
+    never replaces it."""
+    try:
+        if not stat.S_ISREG(os.stat(side).st_mode):
+            return None
+        with open(side, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    start = _match_checkpoint(data, head, raw)
+    if start is None:
+        raw.seek(0)
+        try:
+            os.remove(side)
+        except OSError:
+            pass
+    return start
+
+
+def _match_checkpoint(data, head, raw):
+    """The payload of the checkpoint file contents `data`, as
+    _load_checkpoint returns it, or None."""
+    import hashlib
+    import marshal
+    body = data[len(head) + 32:]
+    if not data.startswith(head) or \
+            hashlib.sha256(body).digest() != data[len(head):len(head) + 32]:
+        return None
+    try:
+        offset, digest, lineno, lines, problems, firsts = marshal.loads(body)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if not (type(offset) is int and offset > 0 and type(digest) is bytes
+            and type(lineno) is int and type(lines) is int
+            and type(problems) is list and type(firsts) is dict):
+        return None
+    prefix = hashlib.sha256()
+    left = offset
+    while left:
+        chunk = raw.read(min(left, 1 << 20))
+        if not chunk:
+            break
+        prefix.update(chunk)
+        left -= len(chunk)
+    if left or prefix.digest() != digest:
+        return None
+    return offset, prefix, lineno, lines, problems, firsts
+
+
+def _write_checkpoint(side, head, prefix, data, n, state):
+    """Write the checkpoint file `side` for the first n bytes of the store,
+    which are those the hashlib object `prefix` (None for no bytes) hashed
+    followed by `data`, and the (line count, record-line count, problems,
+    firsts) of their read.  It goes through a temporary file and a rename,
+    so that a reader sees the old checkpoint or the new one; it is only an
+    aid, so a failure to write it is ignored."""
+    import hashlib
+    import marshal
+    if prefix is None:
+        prefix = hashlib.sha256()
+    prefix.update(data)
+    payload = marshal.dumps((n, prefix.digest()) + state)
+    tmp = side + b".%d.tmp" % os.getpid()
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head + hashlib.sha256(payload).digest() + payload)
+        os.replace(tmp, side)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
+def _parse(data, lineno, lines, problems, firsts):
+    """(last line number, record lines) after parsing the store bytes
+    `data`, whose first line is line lineno + 1 and which follow `lines`
+    record lines, into problems and firsts (see _read).
 
     A line's shape is its text between the first and the last tab: h, the
     invariant factors, p and the rank.  Once parse_record has accepted one
@@ -164,45 +321,41 @@ def _read(path, firsts, prime=None):
     taken from the memo with its own D, without checking its shape again.
     Every other line goes to parse_record, and fails there if it fails.
     The lines of one shape share one fields tuple."""
-    problems, shapes, stamps = [], {}, set()
-    lines = 0
-    with _open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            head, _, ts = line.rpartition("\t")
-            d, _, shape = head.partition("\t")
-            # non-ASCII text may hold undecodable bytes: parse_record says
-            # so.  No shape of a blank line is known, and no D field of a
-            # comment reads as an int, so both reach the check below.
-            memo = shapes.get(shape) if line.isascii() else None
-            if memo is not None:
-                try:
-                    d = int(d)
-                except ValueError:
-                    d = 0
-                # the first line of each distinct timestamp checks its form
-                # and keeps it; a later one costs one lookup
-                if d < 0 and (ts in stamps or _STAMP.fullmatch(ts)
-                              and not stamps.add(ts)):
-                    fields, by_d = memo
-                    if by_d is not None:
-                        by_d.setdefault(d, fields)
-                    lines += 1
-                    continue
-            if not line or line.startswith("#"):
-                continue
+    shapes, stamps = {}, set()
+    for lineno, line in enumerate(_text(io.BytesIO(data)), lineno + 1):
+        line = line.strip()
+        head, _, ts = line.rpartition("\t")
+        d, _, shape = head.partition("\t")
+        # non-ASCII text may hold undecodable bytes: parse_record says so.
+        # No shape of a blank line is known, and no D field of a comment
+        # reads as an int, so both reach the check below.
+        known = shapes.get(shape) if line.isascii() else None
+        if known is not None:
             try:
-                rec = parse_record(line)
-            except ValueError as exc:
-                problems.append((lineno, str(exc)))
+                d = int(d)
+            except ValueError:
+                d = 0
+            # the first line of each distinct timestamp checks its form and
+            # keeps it; a later one costs one lookup
+            if d < 0 and (ts in stamps or _STAMP.fullmatch(ts)
+                          and not stamps.add(ts)):
+                fields, by_d = known
+                by_d.setdefault(d, fields)
+                lines += 1
                 continue
-            fields, by_d = rec[1:5], None
-            if prime is None or rec.prime == prime:
-                by_d = firsts.setdefault(rec.prime, {})
-                by_d.setdefault(rec.discriminant, fields)
-            shapes[shape] = fields, by_d
-            lines += 1
-    return lines, problems
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rec = parse_record(line)
+        except ValueError as exc:
+            problems.append((lineno, str(exc)))
+            continue
+        fields = rec[1:5]
+        by_d = firsts.setdefault(rec.prime, {})
+        by_d.setdefault(rec.discriminant, fields)
+        shapes[shape] = fields, by_d
+        lines += 1
+    return lineno, lines
 
 
 def append_records(path, records):

@@ -119,6 +119,13 @@ def assert_first_record_views_match(path, records, problems):
     assert count_store(path) == (tally, len(records) - len(first), problems)
 
 
+def assert_views_match_oracle(path):
+    """assert_first_record_views_match against the oracle's reading of the
+    store at `path`."""
+    want, want_problems = oracle_read_store(path)
+    assert_first_record_views_match(path, want, want_problems)
+
+
 # Store lines of every kind a reader meets: {d} {h} {invs} {p} {r} {ts} are
 # the fields of a valid record, which is listed twice to be drawn more often.
 _STORE_LINE_KINDS = (
@@ -528,6 +535,171 @@ class TestStore:
         assert back == rec and type(back) is ScanRecord
         assert back.key() == (-12451, 5)
         assert back.payload() == (-12451, 25, (5, 5), 5, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_checkpoint_life_cycle_matches_oracle(self, tmp_path, monkeypatch,
+                                                  seed):
+        # every read that parses a byte writes a checkpoint, and after each
+        # change to the store or to its checkpoint the views are still those
+        # of the oracle's full read
+        from capkit import store
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        rng = random.Random(seed)
+        path = tmp_path / "s.tsv"
+        side = path.with_name(path.name + store._CHECKPOINT_SUFFIX)
+        ts = TS.encode()
+
+        def append(data):
+            with open(path, "ab") as fh:
+                fh.write(data)
+
+        write_seeded_store(path, seed)
+        assert_views_match_oracle(path)     # a cold read, then warm ones
+        assert side.is_file()
+        append_records(path, [ScanRecord(-7, 1, (), 5, 0, TS),
+                              ScanRecord(-23, 3, (3,), 3, 1, TS),
+                              ScanRecord(-23, 9, (3, 3), 3, 2, TS),
+                              ScanRecord(-3299, 25, (5, 5), 5, 2, TS)])
+        assert_views_match_oracle(path)
+        # corrupt lines, then a torn last line, which is a problem until
+        # the rest of it is appended
+        append(b"garbage\n-15\t2\t7\t5\t0\t" + ts + b"\n# note\n\n"
+               b"-31\t3\t3\t5\t0\t2026-01-01T00:0")
+        assert_views_match_oracle(path)
+        append(b"0:00+00:00\n")
+        assert_views_match_oracle(path)
+        # CRLF and lone CR line ends, non-ASCII and undecodable lines, and
+        # a last line ended by CR alone
+        append(b"-35\t2\t2\t2\t1\t" + ts + b"\r\n"
+               b"-51\t1\t1\t5\t0\r" + ts + b"\n"
+               + "-\u0663\u0669\t1\t1\t7\t0\t".encode() + ts + b"\n"
+               b"-43\t1\t1\t5\t0\t2026\xff\xfe\n"
+               b"-\xd9\xa4\xd9\xa4\t3\t3\t3\t1\t" + ts + b"\n"
+               b"-47\t1\t1\t7\t0\t" + ts + b"\r")
+        assert_views_match_oracle(path)
+        append_records(path, [ScanRecord(-47, 1, (), 3, 0, TS)])
+        assert_views_match_oracle(path)
+        # a shorter store, whose checkpoint reaches past its end
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) * 2 // 3])
+        assert_views_match_oracle(path)
+        # a store of the same length with other bytes
+        lines = path.read_bytes().splitlines(keepends=True)
+        rng.shuffle(lines)
+        assert len(b"".join(lines)) == path.stat().st_size
+        assert b"".join(lines) != path.read_bytes()
+        path.write_bytes(b"".join(lines))
+        assert_views_match_oracle(path)
+        # checkpoints that are junk, cut short, of another layout, digest
+        # or interpreter, or whose payload is not the one its digest names
+        valid = side.read_bytes()
+        head, _, rest = valid.partition(b"\n")
+        assert head.startswith(b"capkit-checkpoint 1 ")
+        foreign = [b" ".join(f(head.split(b" "))) + b"\n" + rest
+                   for f in (lambda w: w[:1] + [b"0"] + w[2:],
+                             lambda w: w[:2] + [b"0" * 16] + w[3:],
+                             lambda w: w[:3] + [b"cpython-00"])]
+        for bad in [rng.randbytes(len(valid)), b"", valid[:len(valid) // 2],
+                    valid[:-1], valid[:-1] + bytes([valid[-1] ^ 1]),
+                    *foreign]:
+            assert bad != valid
+            side.write_bytes(bad)
+            assert_views_match_oracle(path)
+            assert side.read_bytes() == valid
+        # a deleted store reads as empty, its stale checkpoint kept aside;
+        # a new store at the path does not replay it
+        path.unlink()
+        assert read_store(path, 5) == ({}, [])
+        assert count_store(path) == ({}, 0, [])
+        assert side.read_bytes() == valid
+        write_seeded_store(path, (seed + 1) % 5)
+        assert_views_match_oracle(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["s.tsv", side.name]
+
+    def test_a_warm_read_parses_no_line(self, tmp_path, monkeypatch):
+        from capkit import store
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        path = tmp_path / "s.tsv"
+        write_seeded_store(path, 0)
+        cold = (read_store(path, 5), count_store(path))
+        seen = []
+
+        def recording_parse(line):
+            seen.append(line)
+            return parse_record(line)
+        monkeypatch.setattr(store, "parse_record", recording_parse)
+        assert (read_store(path, 5), count_store(path)) == cold
+        assert seen == []
+        # after an append only the new lines are read
+        append_records(path, [ScanRecord(-7, 1, (), 5, 0, TS),
+                              ScanRecord(-23, 3, (3,), 13, 0, TS)])
+        tally, repeats, problems = count_store(path)
+        assert [line.split("\t")[0] for line in seen] == ["-7", "-23"]
+        assert tally[13, 0] == 1 and problems == cold[1][2]
+
+    @pytest.mark.parametrize("failing", ["open", "replace"])
+    def test_checkpoint_write_errors_change_no_output(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      failing):
+        # a checkpoint that cannot be read or written leaves the output and
+        # exit status of scan and report as they are, and no file behind
+        from capkit import store
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        text = resume_store_text(1, -13500, -12000)
+
+        def run_commands(where):
+            where.mkdir()
+            (where / "s.tsv").write_text(text, encoding="utf-8")
+            monkeypatch.chdir(where)
+            runs = []
+            for args in (["scan", "--store", "s.tsv", "--", "-14000",
+                          "-12000"], ["report", "--store", "s.tsv"],
+                         ["scan", "--store", "s.tsv", "--", "-14000",
+                          "-12000"]):
+                code, out = run_cli(args)
+                runs.append((code, out, capsys.readouterr().err))
+            return runs, sorted(p.name for p in where.iterdir())
+
+        want, names = run_commands(tmp_path / "ok")
+        assert names == ["s.tsv", "s.tsv.capkit-checkpoint"]
+        if failing == "open":
+            def fail(file, *args, **kwargs):
+                if b".capkit-checkpoint" in os.fsencode(file):
+                    raise PermissionError(13, "Permission denied")
+                return open(file, *args, **kwargs)
+            monkeypatch.setattr(store, "open", fail, raising=False)
+        else:
+            def fail(src, dst):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(store.os, "replace", fail)
+        got, names = run_commands(tmp_path / "failing")
+        assert got == want
+        assert names == ["s.tsv"]
+        assert want[0][0] == want[1][0] == 0
+        assert "(0 new)" not in want[0][1] and "(0 new)" in want[2][1]
+        assert all("Traceback" not in err for _, _, err in got)
+
+    def test_only_a_store_of_a_mebibyte_gets_a_checkpoint(self, tmp_path):
+        from capkit import store
+        path = tmp_path / "s.tsv"
+        write_seeded_store(path, 1)
+        text = path.read_bytes()
+        small = count_store(path), read_store(path, 5)
+        assert len(text) < store._CHECKPOINT_MIN_BYTES
+        assert [p.name for p in tmp_path.iterdir()] == ["s.tsv"]
+        # the same lines, repeated past the threshold
+        path.write_bytes(text * (store._CHECKPOINT_MIN_BYTES // len(text) + 1))
+        cold = count_store(path), read_store(path, 5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["s.tsv", "s.tsv.capkit-checkpoint"]
+        assert (count_store(path), read_store(path, 5)) == cold
+        assert cold[0][0] == small[0][0] and cold[1][0] == small[1][0]
+        # the small store again: its read removes the checkpoint that no
+        # longer fits, which no read of it would replace
+        path.write_bytes(text)
+        assert (count_store(path), read_store(path, 5)) == small
+        assert [p.name for p in tmp_path.iterdir()] == ["s.tsv"]
 
 
 class TestCli:

@@ -1,6 +1,8 @@
 """Checks on the source text of the package itself."""
 
 import ast
+import hashlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -51,6 +53,32 @@ def test_no_module_imports_dataclasses():
              for line, name in absolute_imports(path)
              if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_no_module_imports_pickle():
+    # the store's checkpoint is read with marshal, which builds plain values
+    # and runs no code; pickle would run what a crafted file names
+    found = ["%s:%d" % (path.name, line)
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in absolute_imports(path)
+             if name.split(".")[0] == "pickle"]
+    assert found == []
+
+
+def test_checkpoint_version_names_the_parser():
+    # a store checkpoint replays what parse_record decided; the digest in
+    # its version line must change with the code that decides it, so that
+    # no checkpoint written under other acceptance rules is replayed
+    from capkit import store
+    from capkit.abgroup import AbelianGroup
+    text = "".join([inspect.getsource(store.parse_record),
+                    store._STAMP.pattern,
+                    inspect.getsource(AbelianGroup.__init__),
+                    inspect.getsource(AbelianGroup.rank)])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert store._CHECKPOINT_VERSION.split() == \
+        ["capkit-checkpoint", "1", digest], \
+        "the parser changed: put %s in store._CHECKPOINT_VERSION" % digest
 
 
 def fresh_stdout(code, *options):
