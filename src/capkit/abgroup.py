@@ -19,11 +19,22 @@ class AbgroupError(ValueError):
     pass
 
 
+MAX_PRIME = 10 ** 8  # bounds a p from outside: is_prime is trial division
+
+
 def is_prime(n):
     """Whether n is a prime integer, by trial division: callers bound n
     where it comes from outside."""
     return isinstance(n, int) and n >= 2 and \
         all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def check_prime(p, error):
+    """Raise error unless p is a prime <= MAX_PRIME, testing none above."""
+    if isinstance(p, int) and p > MAX_PRIME:
+        raise error("p = %d is above the bound %d" % (p, MAX_PRIME))
+    if not is_prime(p):
+        raise error("p = %r is not a prime" % (p,))
 
 
 # ---------------------------------------------------------------------------

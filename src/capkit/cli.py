@@ -10,14 +10,14 @@ import os
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby
 from math import isqrt
 from operator import itemgetter
 
 # fixtures (hashlib) and heuristics (fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
 # the benchmark's tracer finds their names when it wraps them
-from .abgroup import is_prime
+from .abgroup import MAX_PRIME, is_prime
 from .catalog import CatalogError, get_group, load_catalog
 from .pcgroup import PresentationError, capitulation_type
 from .quadform import (MAX_ABS_DISC, Discriminant, QuadFormError,
@@ -69,16 +69,18 @@ def _chunk_width(lo):
 
 def _pending_chunks(lo, hi, p, done):
     """(discriminants, p) per chunk of _chunk_width(lo) consecutive
-    integers: the fundamental discriminants in [lo, hi] that are not in
-    `done`, the discriminants in [lo, hi] already stored for p.  A range
-    with none pending has no chunk, and its lo, which may lie above 0,
-    sizes none."""
-    pending = [d for d in fundamental_discriminants(lo, hi) if d not in done]
-    if not pending:
-        return []
+    integers from lo, sieved only when the scan reaches it: the fundamental
+    discriminants of the chunk in [lo, hi] not in `done`, those already
+    stored for p.  A chunk with none pending is skipped; a range above -3
+    has no chunk, and its lo, which may lie above 0, sizes none."""
+    if lo > -3:
+        return
     width = _chunk_width(lo)
-    return [(list(discs), p)
-            for _, discs in groupby(pending, lambda d: (d - lo) // width)]
+    for start in range(lo, min(hi, -3) + 1, width):
+        discs = [d for d in fundamental_discriminants(
+            start, min(start + width - 1, hi)) if d not in done]
+        if discs:
+            yield discs, p
 
 
 def _scan_chunk(args):
@@ -97,11 +99,6 @@ def _scan_parts(work, jobs):
             yield from pool.imap(_scan_chunk, work)
     else:
         yield from map(_scan_chunk, work)
-
-
-# Every class number in range is below this, so a larger p gives rank 0;
-# the bound also keeps the trial-division primality test short.
-MAX_PRIME = 10 ** 8
 
 
 def _checked(read, path, *args):
@@ -174,7 +171,8 @@ def cmd_scan(ns, out):
     for d in [d for d in stored if not lo <= d <= hi]:
         del stored[d]
     work = _pending_chunks(lo, hi, ns.prime, stored)
-    if work:
+    first = next(work, None)
+    if first is not None:
         try:  # fail before computing anything, not after
             open(ns.store, "a", encoding="utf-8").close()
         except OSError as exc:
@@ -188,7 +186,7 @@ def cmd_scan(ns, out):
     # before it and a resume computes only the rest; only the histogram
     # and the hits stay in memory
     fresh = 0
-    parts = _scan_parts(work, ns.jobs)
+    parts = _scan_parts(chain([first], work) if first else (), ns.jobs)
     for part in parts:
         try:
             append_records(ns.store, part)

@@ -13,8 +13,8 @@ from collections import Counter
 from enum import Enum
 from functools import cached_property
 
-from .abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
-                      identity_hom, is_prime, op_power, power_hom, transpose,
+from .abgroup import (AbelianGroup, Homomorphism, Subgroup, check_prime,
+                      hom_power, identity_hom, op_power, power_hom, transpose,
                       zero_hom)
 from .pcgroup import (PcGroup, SubgroupDescriptor,
                       subgroups_index_p_above_derived, transfer)
@@ -71,8 +71,7 @@ def primitive_idempotents(G: AbelianGroup, p: int, m: int):
     orbit sums have integer structure constants, so the same table mod p^m
     multiplies in their span over Z/p^m, and e <- 3e^2 - 2e^3 lifts each
     idempotent there; only the results are expanded over G."""
-    if not is_prime(p):
-        raise GModuleError("p = %r is not a prime" % (p,))
+    check_prime(p, GModuleError)
     if not isinstance(m, int) or m < 1:
         raise GModuleError("precision must be an int >= 1")
     if G.order() % p == 0:
@@ -281,8 +280,7 @@ class RelativeExtensionDatum:
     def __init__(self, p, A_K, A_L, lift, norm, sigma):
         # lift: A_K -> A_L, norm: A_L -> A_K, sigma: automorphism of A_L of
         # order dividing p
-        if not is_prime(p):
-            raise GModuleError("p = %r is not a prime" % (p,))
+        check_prime(p, GModuleError)
         if lift.source != A_K or lift.target != A_L:
             raise GModuleError("lift has wrong signature")
         if norm.source != A_L or norm.target != A_K:

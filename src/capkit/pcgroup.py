@@ -103,7 +103,7 @@ from functools import cache, cached_property
 from operator import mul
 
 from .abgroup import (AbelianGroup, Homomorphism, Subgroup, abelian_structure,
-                      is_prime, op_power)
+                      check_prime, op_power)
 from .value import value_type
 
 
@@ -136,8 +136,7 @@ class PcGroup:
     """
 
     def __init__(self, p, ngens, power_tails, conj_tails, name=None):
-        if not is_prime(p):
-            raise PresentationError("p = %r is not a prime" % (p,))
+        check_prime(p, PresentationError)
         if not isinstance(ngens, int) or ngens < 0:
             raise PresentationError("ngens = %r is not a count of generators"
                                     % (ngens,))
@@ -169,7 +168,6 @@ class PcGroup:
             if tail:
                 self.conj_tails[key] = tail
         self._gens = tuple(p ** (ngens - 1 - m) for m in range(ngens))  # w_m
-        self._index_p_subgroups = None
         self._build()
 
     # -- presentation plumbing -------------------------------------------
@@ -449,6 +447,31 @@ class PcGroup:
         """(G/G' as AbelianGroup, projection element->coords, generator lifts)."""
         return self.as_subgroup.abelianization
 
+    @cached_property
+    def _index_p_subgroups(self):
+        """subgroups_index_p_above_derived(self), as a tuple."""
+        p = self.p
+        A, proj, _ = self.abelianization()
+        r = A.rank(p)
+        if r < 1:
+            raise PresentationError("G/G' must have rank >= 1")
+        images = [proj(g) for g in self._gens]
+        derived = [self.exponents(h) for h in self.derived_subgroup().pcgs]
+        subs = []
+        for v in normalized_lines(p, r):  # r = A.ngens for a p-group
+            phi = (v[1], -v[0]) if r == 2 else v
+            c = [sum(map(mul, phi, x)) % p for x in images]
+            if any(sum(map(mul, c, e)) % p for e in derived):
+                raise PresentationError("functional %r on G/G' does not "
+                                        "vanish on G'" % (phi,))
+            delta = max(i for i, ci in enumerate(c) if ci)
+            w = self._gens[delta]
+            scale = -pow(c[delta], -1, p)
+            subs.append(SubgroupDescriptor(self, tuple(
+                w_d + c[d] * scale % p * w if d < delta else w_d
+                for d, w_d in enumerate(self._gens) if d != delta)))
+        return tuple(subs)
+
 
 @value_type("ambient", "pcgs")
 class SubgroupDescriptor:
@@ -533,28 +556,6 @@ def subgroups_index_p_above_derived(G: PcGroup):
     PresentationError unless phi, so computed, vanishes on the pcgs of G',
     as every subgroup above G' must.  The lattice is computed once per
     group; each call returns a fresh list."""
-    if G._index_p_subgroups is None:
-        p = G.p
-        A, proj, _ = G.abelianization()
-        r = A.rank(p)
-        if r < 1:
-            raise PresentationError("G/G' must have rank >= 1")
-        images = [proj(g) for g in G._gens]
-        derived = [G.exponents(h) for h in G.derived_subgroup().pcgs]
-        subs = []
-        for v in normalized_lines(p, r):  # r = A.ngens for a p-group
-            phi = (v[1], -v[0]) if r == 2 else v
-            c = [sum(map(mul, phi, x)) % p for x in images]
-            if any(sum(map(mul, c, e)) % p for e in derived):
-                raise PresentationError("functional %r on G/G' does not "
-                                        "vanish on G'" % (phi,))
-            delta = max(i for i, ci in enumerate(c) if ci)
-            w = G._gens[delta]
-            scale = -pow(c[delta], -1, p)
-            subs.append(SubgroupDescriptor(G, tuple(
-                G._gens[d] + c[d] * scale % p * w if d < delta else G._gens[d]
-                for d in range(G.n) if d != delta)))
-        G._index_p_subgroups = tuple(subs)
     return list(G._index_p_subgroups)
 
 

@@ -21,7 +21,7 @@ validated wrapper around them.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt
 
 from .abgroup import AbelianGroup, AbgroupError, abelian_structure, op_power
@@ -300,10 +300,15 @@ def _form_op(Dv):
 
 
 @lru_cache(maxsize=1)
-def _form_primes():
-    """The primes up to sqrt(MAX_ABS_DISC / 3), the bound of every prime
-    form's norm."""
-    return [2] + _odd_primes_upto(isqrt(MAX_ABS_DISC // 3))
+def _small_primes():
+    """The primes up to sqrt(MAX_ABS_DISC): prime forms read those up to
+    sqrt(|D|/3), and the fundamental sieve the odd ones with p^2 <= |lo|."""
+    n = isqrt(MAX_ABS_DISC)
+    flags = bytearray(b"\0\0" + b"\1" * (n - 1))
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
 
 
 def _prime_forms(Dv):
@@ -318,7 +323,7 @@ def _prime_forms(Dv):
     (l, b_l, c) or its inverse.  For a non-fundamental Dv an ideal of norm
     a need not be invertible, and the argument fails."""
     bound = isqrt(-Dv // 3)
-    for l in _form_primes():
+    for l in _small_primes():
         if l > bound:
             return
         if l > 2 and pow(Dv % l, (l - 1) // 2, l) == l - 1:
@@ -561,41 +566,27 @@ def genus_two_rank(D: Discriminant) -> int:
 # D mod 16 of the fundamental discriminants that no odd square divides:
 # D = 1 mod 4, or D = 4m with -m = 1, 2 mod 4 (D = 12, 8 mod 16)
 _FUNDAMENTAL_MOD16 = bytes(int(r in (1, 5, 8, 9, 12, 13)) for r in range(16))
-_SIEVE_SEGMENT = 1 << 16
-
-
-def _odd_primes_upto(n):
-    flags = bytearray([1]) * (n + 1)
-    flags[:2] = b"\0\0"
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(3, n + 1) if flags[p]]
 
 
 def fundamental_discriminants(lo, hi):
     """Fundamental discriminants D with lo <= D <= hi (both negative), in
-    ascending order.
-
-    A segmented sieve: each segment starts from the admissible residues mod
-    16 and clears the multiples of p^2 for every odd prime p <= sqrt(|lo|);
-    `is_fundamental` is the per-value definition.
-    """
+    ascending order, by one sieve over [lo, hi] at one byte per integer
+    (a scan sieves one chunk at a time): it starts from the admissible
+    residues mod 16 and clears the multiples of p^2 for every odd prime
+    p <= sqrt(|lo|); `is_fundamental` is the per-value definition."""
     if lo < -MAX_ABS_DISC:
         raise QuadFormError("lower bound %d is below -%d" % (lo, MAX_ABS_DISC))
     hi = min(hi, -3)
     if lo > hi:
         return []
-    squares = [p * p for p in _odd_primes_upto(isqrt(-lo))]
-    out = []
-    for start in range(lo, hi + 1, _SIEVE_SEGMENT):
-        width = min(_SIEVE_SEGMENT, hi - start + 1)
-        r = start % 16
-        flags = bytearray((_FUNDAMENTAL_MOD16[r:] + _FUNDAMENTAL_MOD16[:r])
-                          * (width // 16 + 1))[:width]
-        for q in squares:
-            first = -start % q
-            if first < width:
-                flags[first::q] = bytes(len(range(first, width, q)))
-        out.extend(compress(range(start, start + width), flags))
-    return out
+    n, r = hi - lo + 1, lo % 16
+    flags = bytearray(_FUNDAMENTAL_MOD16[r:] + _FUNDAMENTAL_MOD16[:r]) * (
+        n // 16 + 1)  # up to a period past hi, which compress drops
+    for p in islice(_small_primes(), 1, None):  # 2 is decided mod 16
+        q = p * p
+        if q > -lo:
+            break
+        first = -lo % q
+        if first < n:  # most q above a scan chunk's width miss it
+            flags[first:n:q] = bytes(len(range(first, n, q)))
+    return list(compress(range(lo, hi + 1), flags))

@@ -919,7 +919,7 @@ class TestCli:
         whole, store = str(tmp_path / "whole.tsv"), str(tmp_path / "scan.tsv")
         assert run_cli(["scan", "--store", whole, "--", "-3000", "-3"])[0] == 0
         expected = [r.payload() for r in read_store(whole)[0]]
-        work = cli._pending_chunks(-3000, -3, 5, set())
+        work = list(cli._pending_chunks(-3000, -3, 5, set()))
         width = cli._chunk_width(-3000)
         assert len(work) == -(-2998 // width) > 3
         real, calls = cli._scan_chunk, []
@@ -941,6 +941,21 @@ class TestCli:
         assert code == 0
         assert "(%d new)" % (len(expected) - len(kept)) in text
         assert [r.payload() for r in read_store(store)[0]] == expected
+
+    def test_chunks_are_sieved_as_the_scan_reaches_them(self, monkeypatch):
+        # the first chunk of a range is sieved alone, not the whole range
+        real, calls = cli.fundamental_discriminants, []
+
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return real(lo, hi)
+
+        monkeypatch.setattr(cli, "fundamental_discriminants", counted)
+        discs, p = next(cli._pending_chunks(-3000, -3, 5, set()))
+        assert p == 5
+        [(lo, hi)] = calls
+        assert lo == -3000 and hi - lo + 1 <= cli._chunk_width(-3000)
+        assert discs == real(lo, hi)
 
     def test_append_after_a_torn_last_line(self, tmp_path, capsys):
         # a kill cut the last line inside its timestamp: what is left has

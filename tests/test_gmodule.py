@@ -28,8 +28,8 @@ import pytest
 
 from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
                             identity_hom, power_hom, zero_hom)
-from capkit import abgroup, gmodule
-from capkit.catalog import get_group, load_catalog
+from capkit import abgroup, gmodule, pcgroup
+from capkit.catalog import CatalogError, get_group, load_catalog, parse_catalog
 from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             GrowthClass, RelativeExtensionDatum,
                             catalog_relative_data, check_growth_order_law,
@@ -662,3 +662,26 @@ class TestRelativeDatum:
                 for b in d.A_L.elements():
                     verdict = check_growth_order_law(d, b)
                     assert verdict in (True, None)
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: parse_catalog("group X prime %d ngens 1\n" % p),
+    lambda p: RelativeExtensionDatum(p, *(None,) * 5),
+    lambda p: primitive_idempotents(AbelianGroup((3,)), p, 1),
+])
+def test_a_prime_above_the_bound_is_refused_untested(monkeypatch, build):
+    # trial division of this p takes about 10^9 steps; no group of order
+    # p^n is built, since PcGroup holds p^n entries per generator
+    p, bound = 10 ** 18 + 3, 10 ** 8
+    real = abgroup.is_prime
+
+    def bounded(n):
+        if n > bound:
+            raise AssertionError("trial division of %d" % n)
+        return real(n)
+
+    for module in (abgroup, pcgroup, gmodule):
+        monkeypatch.setattr(module, "is_prime", bounded, raising=False)
+    with pytest.raises((CatalogError, GModuleError),
+                       match="p = %d is above the bound %d$" % (p, bound)):
+        build(p)

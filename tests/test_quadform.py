@@ -483,9 +483,7 @@ class TestFundamentalSieve:
         assert fundamental_discriminants(lo, hi) == \
             [d for d in range(lo, hi + 1) if is_fundamental(d)]
 
-    @pytest.mark.parametrize("segment", [16, 97, 1000])
-    def test_segment_edges(self, monkeypatch, segment):
-        monkeypatch.setattr(quadform, "_SIEVE_SEGMENT", segment)
+    def test_segment_edges(self):
         for lo, hi in ((-5000, -3), (-3001, -2000), (-17, -3),
                        (-10 ** 8, -10 ** 8 + 300)):
             assert fundamental_discriminants(lo, hi) == \

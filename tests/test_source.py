@@ -11,6 +11,7 @@ import sys
 import capkit
 
 SRC = pathlib.Path(capkit.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def absolute_imports(path):
@@ -33,6 +34,16 @@ def test_no_assert_statements():
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) >= 8
     assert found == []
+
+
+def test_package_parses_as_the_oldest_python_it_declares():
+    # pyproject.toml declares requires-python >= 3.10: no file may use
+    # syntax that a 3.10 interpreter rejects
+    floor = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in floor
+    for path in sorted(SRC.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 def test_imports_are_stdlib_or_capkit():
@@ -66,15 +77,18 @@ def test_no_module_imports_pickle():
 
 
 def test_checkpoint_version_names_the_parser():
-    # a store checkpoint replays what parse_record decided; the digest in
-    # its version line must change with the code that decides it, so that
-    # no checkpoint written under other acceptance rules is replayed
+    # a store checkpoint replays what parse_record and _parse decided from
+    # the bytes as _text decoded them; the digest in its version line must
+    # change with the code that decides it, so that no checkpoint written
+    # under other acceptance rules is replayed
     from capkit import store
     from capkit.abgroup import AbelianGroup
     text = "".join([inspect.getsource(store.parse_record),
                     store._STAMP.pattern,
                     inspect.getsource(AbelianGroup.__init__),
-                    inspect.getsource(AbelianGroup.rank)])
+                    inspect.getsource(AbelianGroup.rank),
+                    inspect.getsource(store._parse),
+                    inspect.getsource(store._text)])
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert store._CHECKPOINT_VERSION.split() == \
         ["capkit-checkpoint", "1", digest], \
