@@ -483,11 +483,19 @@ class TestFundamentalSieve:
         assert fundamental_discriminants(lo, hi) == \
             [d for d in range(lo, hi + 1) if is_fundamental(d)]
 
-    def test_segment_edges(self):
+    @pytest.mark.parametrize("segment", [16, 97, 1000])
+    def test_segment_edges(self, segment):
+        # A scan sieves one chunk at a time: sieving consecutive pieces of
+        # `segment` integers must join to the one pass over the whole range.
         for lo, hi in ((-5000, -3), (-3001, -2000), (-17, -3),
                        (-10 ** 8, -10 ** 8 + 300)):
-            assert fundamental_discriminants(lo, hi) == \
-                [d for d in range(lo, hi + 1) if is_fundamental(d)], (lo, hi)
+            expected = [d for d in range(lo, hi + 1) if is_fundamental(d)]
+            assert fundamental_discriminants(lo, hi) == expected, (lo, hi)
+            pieces = []
+            for start in range(lo, hi + 1, segment):
+                pieces += fundamental_discriminants(
+                    start, min(start + segment - 1, hi))
+            assert pieces == expected, (lo, hi, segment)
 
     def test_bounds(self):
         assert fundamental_discriminants(-4, -3) == [-4, -3]
