@@ -17,7 +17,7 @@ from operator import itemgetter
 # fixtures (hashlib) and heuristics (fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
 # the benchmark's tracer finds their names when it wraps them
-from .abgroup import MAX_PRIME, is_prime
+from .abgroup import check_prime
 from .catalog import CatalogError, get_group, load_catalog
 from .pcgroup import PresentationError, capitulation_type
 from .quadform import (MAX_ABS_DISC, Discriminant, QuadFormError,
@@ -28,6 +28,10 @@ from .store import (ScanRecord, append_records, count_store, now_timestamp,
 
 DEFAULT_STORE = "capkit-scan.tsv"
 TABLE_PRIME = 5  # the prime of the packaged table and of its patterns
+
+
+class Refused(Exception):
+    """Bad input: `main` prints `error: <message>` and exits 2."""
 
 
 class PatternClass(Enum):
@@ -104,23 +108,15 @@ def _scan_parts(work, jobs):
 def _checked(read, path, *args):
     """read(path, *args), a store reader whose result ends with the skipped
     lines, without them; each skipped line, whatever its prime, is
-    reported on stderr.  None, after an error message, when the path
-    cannot be read."""
+    reported on stderr.  Refused when the path cannot be read."""
     try:
         *result, problems = read(path, *args)
     except OSError as exc:
-        print("error: cannot read store %s: %s"
-              % (path, exc.strerror or exc), file=sys.stderr)
-        return None
+        raise Refused("cannot read store %s: %s"
+                      % (path, exc.strerror or exc))
     for lineno, msg in problems:
         print("store line %d skipped: %s" % (lineno, msg), file=sys.stderr)
     return result
-
-
-def _write_error(path, exc):
-    print("error: cannot write store %s: %s"
-          % (path, exc.strerror or exc), file=sys.stderr)
-    return 2
 
 
 def cmd_classgroup(ns, out):
@@ -128,8 +124,7 @@ def cmd_classgroup(ns, out):
         D = Discriminant(ns.D)
         s = class_group_structure(D)
     except QuadFormError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise Refused(exc)
     invs = " x ".join("C%d" % d for d in s.invariant_factors) or "C1"
     print("D = %d%s" % (D.value, "" if D.is_fundamental else " (not fundamental)"),
           file=out)
@@ -144,39 +139,25 @@ def cmd_scan(ns, out):
     lo, hi = ns.lo, ns.hi
     if lo > hi:
         lo, hi = hi, lo
-    if not (ns.prime <= MAX_PRIME and is_prime(ns.prime)):
-        print("error: --prime must be a prime <= %d, got %d"
-              % (MAX_PRIME, ns.prime), file=sys.stderr)
-        return 2
+    check_prime(ns.prime, Refused)
     cpus = os.cpu_count() or 1
     if not 1 <= ns.jobs <= cpus:
-        print("error: --jobs must be between 1 and %d, got %d"
-              % (cpus, ns.jobs), file=sys.stderr)
-        return 2
+        raise Refused("--jobs must be between 1 and %d, got %d"
+                      % (cpus, ns.jobs))
     if lo < -MAX_ABS_DISC:
-        print("error: scan range reaches below -%d, got %d"
-              % (MAX_ABS_DISC, lo), file=sys.stderr)
-        return 2
+        raise Refused("scan range reaches below -%d, got %d"
+                      % (MAX_ABS_DISC, lo))
     store_dir = os.path.dirname(ns.store) or os.curdir
     if not os.path.isdir(store_dir):
-        print("error: store directory %s does not exist or is not a "
-              "directory" % store_dir, file=sys.stderr)
-        return 2
-    loaded = _checked(read_store, ns.store, ns.prime)
-    if loaded is None:
-        return 2
+        raise Refused("store directory %s does not exist or is not a "
+                      "directory" % store_dir)
     # {D: (h, invariant factors, p, rank)} of the first stored record of
     # each D in range: a repeat does not count
-    stored, = loaded
+    stored, = _checked(read_store, ns.store, ns.prime)
     for d in [d for d in stored if not lo <= d <= hi]:
         del stored[d]
     work = _pending_chunks(lo, hi, ns.prime, stored)
     first = next(work, None)
-    if first is not None:
-        try:  # fail before computing anything, not after
-            open(ns.store, "a", encoding="utf-8").close()
-        except OSError as exc:
-            return _write_error(ns.store, exc)
 
     min_rank = ns.min_rank
     hist = Counter(map(itemgetter(3), stored.values()))
@@ -184,15 +165,17 @@ def cmd_scan(ns, out):
             if rank >= min_rank]
     # each chunk is stored as it arrives, so a killed scan keeps the chunks
     # before it and a resume computes only the rest; only the histogram
-    # and the hits stay in memory
+    # and the hits stay in memory.  An empty first part opens the store, so
+    # that one that cannot be written fails before anything is computed
     fresh = 0
-    parts = _scan_parts(chain([first], work) if first else (), ns.jobs)
-    for part in parts:
+    parts = _scan_parts(chain([first], work), ns.jobs)
+    for part in chain([[]], parts) if first else ():
         try:
             append_records(ns.store, part)
         except OSError as exc:
             parts.close()
-            return _write_error(ns.store, exc)
+            raise Refused("cannot write store %s: %s"
+                          % (ns.store, exc.strerror or exc))
         fresh += len(part)
         hist.update(r.rank for r in part)
         hits += [(r.discriminant, r.class_number, r.rank) for r in part
@@ -239,13 +222,11 @@ def cmd_tkt(ns, out):
     try:
         G = get_group(ns.group)
     except CatalogError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise Refused(exc)
     try:
         entries = capitulation_type(G)
     except PresentationError as exc:
-        print("error: %s: %s" % (G.name, exc), file=sys.stderr)
-        return 2
+        raise Refused("%s: %s" % (G.name, exc))
     print("group %s (order %d, p = %d)" % (G.name, G.order, G.p), file=out)
     codes = []
     for e in entries:
@@ -264,8 +245,7 @@ def cmd_heuristic(ns, out):
     try:
         dist = predicted_rank_distribution(ns.p)
     except HeuristicsError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        raise Refused(exc)
     have_refs = ns.p == 3
     header = ["rank", "model"]
     if have_refs:
@@ -284,10 +264,7 @@ def cmd_report(ns, out):
     """The rank histogram of the store, each (D, p) counted once, by its
     first record; a missing store reads as empty and reports 0 records, or
     with --tsv only the header."""
-    counted = _checked(count_store, ns.store)
-    if counted is None:
-        return 2
-    tally, repeats = counted
+    tally, repeats = _checked(count_store, ns.store)
     if repeats:
         print("%d repeated record%s not counted: the first record of each "
               "discriminant and prime counts"
@@ -341,8 +318,12 @@ def build_parser():
     p = sub.add_parser("verify-table", help="recheck the packaged table")
     p.set_defaults(func=cmd_verify_table)
 
+    try:  # the help lists the catalog's groups, so it loads the catalog
+        groups = ", ".join(load_catalog())
+    except CatalogError as exc:
+        raise Refused(exc)
     p = sub.add_parser("tkt", help="transfer-kernel pattern of a catalog group")
-    p.add_argument("group", help="name, one of: " + ", ".join(load_catalog()))
+    p.add_argument("group", help="name, one of: " + groups)
     p.set_defaults(func=cmd_tkt)
 
     p = sub.add_parser("heuristic", help="predicted even-rank distribution")
@@ -357,16 +338,16 @@ def build_parser():
 
 
 def main(argv=None, out=None):
-    try:  # the parser lists the catalog's groups, so it loads the catalog
-        parser = build_parser()
-    except CatalogError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    """Run one command.  A refusal is reported here and nowhere else: as
+    `error: <message>` on stderr, with exit status 2."""
     out = sys.stdout if out is None else out
     try:  # a closed pipe fails at this flush, or --help's, not at exit
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
         code = ns.func(ns, out)
         out.flush()
+    except Refused as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:  # Python's SIGPIPE note: devnull takes the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 1

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 
-from .abgroup import is_prime
+from .abgroup import check_prime
 from .value import value_type
 
 
@@ -36,7 +35,7 @@ class RankDistribution:
 
     def __init__(self, p, kmax, probs):
         # probs: ((2k, Fraction), ...) ascending
-        _check_prime(p)
+        check_prime(p, HeuristicsError)
         if kmax < 1:
             raise HeuristicsError("need kmax >= 1")
         if len(probs) != kmax:
@@ -57,22 +56,9 @@ class RankDistribution:
         return 1 - sum(q for _, q in self.probs)
 
 
-# the primality test is trial division, so p stays below this
-MAX_P = 10 ** 12
-
-
-# The builders check p before they divide by it, and the RankDistribution
-# they return checks it again.  A rejected p raises on every call; typed, so
-# that an accepted 3 does not let 3.0 through.
-@lru_cache(maxsize=None, typed=True)
-def _check_prime(p):
-    if not (p <= MAX_P and is_prime(p)):
-        raise HeuristicsError("p must be a prime <= %d, got %d" % (MAX_P, p))
-
-
 def predicted_rank_distribution(p: int, kmax: int = 50) -> RankDistribution:
     """P(rank = 2k) = (1 - p^-2) * p^(-2(k-1)), truncated at k = kmax."""
-    _check_prime(p)
+    check_prime(p, HeuristicsError)
     head = 1 - Fraction(1, p * p)
     probs = tuple((2 * k, head * Fraction(1, p ** (2 * (k - 1))))
                   for k in range(1, kmax + 1))
@@ -85,7 +71,7 @@ def monte_carlo_rank_distribution(p: int, trials: int, seed: int,
     starts at 2 and is promoted while both of two independent uniform
     residues mod p^2 vanish mod p.  Promotion probability p^-2 per step
     reproduces the closed-form masses."""
-    _check_prime(p)
+    check_prime(p, HeuristicsError)
     if trials < 1:
         raise HeuristicsError("need at least one trial")
     rng = random.Random(seed)

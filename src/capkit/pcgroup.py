@@ -111,6 +111,10 @@ class PresentationError(ValueError):
     pass
 
 
+# PcGroup holds p^n entries per generator; 5^10 still builds
+MAX_ORDER = 10 ** 7
+
+
 def _word_letters(word):
     """Expand ((gen, exp), ...) into single generator letters."""
     out = []
@@ -140,6 +144,10 @@ class PcGroup:
         if not isinstance(ngens, int) or ngens < 0:
             raise PresentationError("ngens = %r is not a count of generators"
                                     % (ngens,))
+        # p >= 2, so an n above the bound's bit length is refused on n alone
+        if ngens > MAX_ORDER.bit_length() or p ** ngens > MAX_ORDER:
+            raise PresentationError("order %d^%d is above the bound %d"
+                                    % (p, ngens, MAX_ORDER))
         self.p = p
         self.n = ngens
         self.name = name

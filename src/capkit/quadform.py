@@ -544,6 +544,7 @@ def class_group_structures(discs):
         return []
     counts, ambiguous = _count_forms(discs)
     lo = discs[0]
+    # a sieve count is h only for a fundamental D, and discs may mix both
     fundamental = set(fundamental_discriminants(lo, discs[-1]))
     return [class_group_structure(Discriminant(d), (
         counts[d - lo], ambiguous[d]) if d in fundamental else None)

@@ -20,12 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capkit import cli
+from capkit.abgroup import MAX_PRIME
 from capkit.catalog import parse_catalog
 from capkit.catalog import load_catalog
-from capkit.cli import (MAX_PRIME, PatternClass,
-                        classify_capitulation_pattern, main)
+from capkit.cli import PatternClass, classify_capitulation_pattern, main
 from capkit.fixtures import reference_discriminants, reference_table
-from capkit.quadform import Discriminant, is_fundamental
+from capkit.quadform import Discriminant, QuadFormError, is_fundamental
 from capkit.store import (ScanRecord, append_records, count_store,
                           format_record, now_timestamp, parse_record,
                           read_store)
@@ -1038,7 +1038,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2 and text == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_refusal_is_reported_by_main(self, capsys, monkeypatch):
+        def refuse(ns, out):
+            raise cli.Refused("no such thing")
+        monkeypatch.setattr(cli, "cmd_report", refuse)
+        assert main(["report"]) == 2
+        assert capsys.readouterr() == ("", "error: no such thing\n")
+
+    def test_an_internal_fault_mid_scan_ends_in_a_traceback(self, tmp_path,
+                                                            monkeypatch):
+        # main catches a refusal only: a fault of the program is not bad input
+        def fault(discs):
+            raise QuadFormError("internal fault")
+        monkeypatch.setattr(cli, "class_group_structures", fault)
+        with pytest.raises(QuadFormError, match="^internal fault$"):
+            run_cli(["scan", "--store", str(tmp_path / "scan.tsv"),
+                     "--", "-100", "-3"])
 
     def test_unwritable_store_exits_2(self, tmp_path, capsys, monkeypatch):
         # '' passes the directory check and reads as an empty store, so the

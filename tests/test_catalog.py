@@ -14,7 +14,7 @@ import pytest
 import capkit
 from capkit.abgroup import abelian_structure
 from capkit.catalog import CatalogError, get_group, load_catalog, parse_catalog
-from capkit.pcgroup import PresentationError
+from capkit.pcgroup import MAX_ORDER, PcGroup, PresentationError
 from pgroup_oracles import derived_closure, members
 
 
@@ -87,6 +87,21 @@ class TestParser:
         with pytest.raises(CatalogError, match="^%s$" % message) as info:
             parse_catalog(text)
         assert isinstance(info.value.__cause__, PresentationError)
+
+    @pytest.mark.parametrize("p, n", [(99999989, 1), (99999989, 2),
+                                      (2, 10 ** 9)])
+    def test_an_order_above_the_bound_is_refused_unbuilt(self, monkeypatch,
+                                                         p, n):
+        # PcGroup holds p^n entries per generator: 800 MB for p^1 here
+        def no_build(self):
+            raise AssertionError("a group of order %d^%d built" % (p, n))
+        monkeypatch.setattr(PcGroup, "_build", no_build)
+        with pytest.raises(CatalogError, match=r"^group X: order %d\^%d is "
+                           "above the bound %d$" % (p, n, MAX_ORDER)):
+            parse_catalog("group X prime %d ngens %d\n" % (p, n))
+
+    def test_the_order_bound_admits_5_to_the_10(self):
+        assert 5 ** 10 <= MAX_ORDER < 5 ** 11
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(CatalogError, match="unknown catalog group"):

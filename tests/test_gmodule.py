@@ -22,13 +22,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from capkit.abgroup import (AbelianGroup, Homomorphism, Subgroup, hom_power,
                             identity_hom, power_hom, zero_hom)
-from capkit import abgroup, gmodule, pcgroup
+from capkit import abgroup, cli, gmodule, heuristics, pcgroup
 from capkit.catalog import CatalogError, get_group, load_catalog, parse_catalog
 from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             GrowthClass, RelativeExtensionDatum,
@@ -37,6 +38,9 @@ from capkit.gmodule import (GModule, GModuleError, GroupAlgebraElement,
                             decompose_module, f_property, is_exact_cycle,
                             make_relative_datum, primitive_idempotents,
                             trivial_action_module)
+from capkit.heuristics import (HeuristicsError, RankDistribution,
+                               monte_carlo_rank_distribution,
+                               predicted_rank_distribution)
 from capkit.pcgroup import PresentationError, subgroups_index_p_above_derived
 from algebra_oracles import algebra_one, algebra_product, algebra_sum
 from pgroup_oracles import closure, derived_closure
@@ -668,8 +672,14 @@ class TestRelativeDatum:
     lambda p: parse_catalog("group X prime %d ngens 1\n" % p),
     lambda p: RelativeExtensionDatum(p, *(None,) * 5),
     lambda p: primitive_idempotents(AbelianGroup((3,)), p, 1),
+    predicted_rank_distribution,
+    lambda p: monte_carlo_rank_distribution(p, 10, seed=1),
+    lambda p: RankDistribution(p, 1, ((2, Fraction(1)),)),
+    lambda p: cli.main(["scan", "--prime", str(p), "--", "-100", "-3"]),
+    lambda p: cli.main(["heuristic", str(p)]),
 ])
-def test_a_prime_above_the_bound_is_refused_untested(monkeypatch, build):
+def test_a_prime_above_the_bound_is_refused_untested(monkeypatch, capsys,
+                                                     build):
     # trial division of this p takes about 10^9 steps; no group of order
     # p^n is built, since PcGroup holds p^n entries per generator
     p, bound = 10 ** 18 + 3, 10 ** 8
@@ -680,8 +690,13 @@ def test_a_prime_above_the_bound_is_refused_untested(monkeypatch, build):
             raise AssertionError("trial division of %d" % n)
         return real(n)
 
-    for module in (abgroup, pcgroup, gmodule):
+    for module in (abgroup, cli, heuristics, pcgroup, gmodule):
         monkeypatch.setattr(module, "is_prime", bounded, raising=False)
-    with pytest.raises((CatalogError, GModuleError),
-                       match="p = %d is above the bound %d$" % (p, bound)):
-        build(p)
+    refusal = "p = %d is above the bound %d" % (p, bound)
+    try:
+        code = build(p)
+    except (CatalogError, GModuleError, HeuristicsError) as exc:
+        assert str(exc).endswith(refusal)
+    else:  # a command reports the refusal itself
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % refusal)

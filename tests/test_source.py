@@ -162,3 +162,23 @@ def test_no_method_is_memoised_across_instances():
                       if ast.unparse(getattr(dec, "func", dec))
                       .split(".")[-1] in ("lru_cache", "cache")]
     assert found == []
+
+
+def test_every_module_level_import_is_used():
+    # a name a module imports and never reads is a leftover of removed code
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}  # the root of each attribute
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name not in used]
+    assert found == []
