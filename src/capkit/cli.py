@@ -97,7 +97,7 @@ def _scan_chunk(args):
 
 def _scan_parts(work, jobs):
     """The records of each chunk of work, in order, as they are computed."""
-    if jobs > 1 and work:
+    if jobs > 1:
         import multiprocessing  # only --jobs > 1 pays for the import
         with multiprocessing.Pool(jobs) as pool:
             yield from pool.imap(_scan_chunk, work)

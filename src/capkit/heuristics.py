@@ -19,6 +19,12 @@ class HeuristicsError(ValueError):
     pass
 
 
+def _check_count(n, name):
+    """Raise HeuristicsError unless n, the parameter `name`, is an int >= 1."""
+    if not isinstance(n, int) or n < 1:
+        raise HeuristicsError("%s must be an int >= 1" % name)
+
+
 # published columns of the rank heuristic at p = 3, ranks 2 / 4 / 6:
 # the closed-form prediction as printed (four decimals) and the observed
 # frequencies it was compared against.
@@ -36,8 +42,7 @@ class RankDistribution:
     def __init__(self, p, kmax, probs):
         # probs: ((2k, Fraction), ...) ascending
         check_prime(p, HeuristicsError)
-        if kmax < 1:
-            raise HeuristicsError("need kmax >= 1")
+        _check_count(kmax, "kmax")
         if len(probs) != kmax:
             raise HeuristicsError("need one mass per rank 2..2*kmax")
         object.__setattr__(self, "p", p)
@@ -59,6 +64,7 @@ class RankDistribution:
 def predicted_rank_distribution(p: int, kmax: int = 50) -> RankDistribution:
     """P(rank = 2k) = (1 - p^-2) * p^(-2(k-1)), truncated at k = kmax."""
     check_prime(p, HeuristicsError)
+    _check_count(kmax, "kmax")
     head = 1 - Fraction(1, p * p)
     probs = tuple((2 * k, head * Fraction(1, p ** (2 * (k - 1))))
                   for k in range(1, kmax + 1))
@@ -72,8 +78,8 @@ def monte_carlo_rank_distribution(p: int, trials: int, seed: int,
     residues mod p^2 vanish mod p.  Promotion probability p^-2 per step
     reproduces the closed-form masses."""
     check_prime(p, HeuristicsError)
-    if trials < 1:
-        raise HeuristicsError("need at least one trial")
+    _check_count(trials, "trials")
+    _check_count(kmax, "kmax")
     rng = random.Random(seed)
     p2 = p * p
     counts = [0] * (kmax + 1)

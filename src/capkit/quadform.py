@@ -14,8 +14,11 @@ Any other D lists its primitive reduced forms, as do `enumerate_reduced`,
 listing is the one place where primitivity is tested.  The sieve and the
 listing walk the same pairs (a, c), written once in `_pairs`.
 
-Hot paths work on plain (a, b, c) integer tuples; `QuadForm` is a thin
-validated wrapper around them.
+Composition is Cohen's Algorithm 5.4.7 (GTM 138), by two modular inverses
+and no branch (see `_compose_raw`); the tests keep the classical
+composition by two linear congruences as its oracle.  Hot paths work on
+plain (a, b, c) integer tuples; `QuadForm` is a thin validated wrapper
+around them.
 """
 
 from __future__ import annotations
@@ -30,15 +33,6 @@ from .value import value_type
 
 class QuadFormError(ValueError):
     pass
-
-
-def _solve_linmod(a, b, m):
-    """Solutions of a*x = b (mod m) as x = u + v*Z; raises if none."""
-    g = gcd(a, m)
-    if b % g:
-        raise QuadFormError("no solution to linear congruence")
-    v = m // g
-    return (b // g) * pow(a // g, -1, v) % v, v
 
 
 def is_discriminant(value):
@@ -80,6 +74,8 @@ def _squarefree(n):
 @value_type("value")
 class Discriminant:
     def __init__(self, value):
+        if not isinstance(value, int):
+            raise QuadFormError("discriminant must be an int")
         if not is_discriminant(value):
             raise QuadFormError("discriminant must be negative and 0 or 1 mod 4")
         object.__setattr__(self, "value", value)
@@ -92,6 +88,8 @@ class Discriminant:
 @value_type("a", "b", "c")
 class QuadForm:
     def __init__(self, a, b, c):
+        if not all(isinstance(x, int) for x in (a, b, c)):
+            raise QuadFormError("form coefficients must be ints")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -131,35 +129,30 @@ def _principal_raw(D):
     return (1, k, (k * k - D) // 4)
 
 
-def _compose_raw(f1, f2, D):
-    """Gaussian composition (not reduced).  Classical solution by two linear
-    congruences, each solved with a modular inverse; all arithmetic in
-    unbounded integers since coefficients grow before reduction."""
-    a1, b1, c1 = f1
-    a2, b2, c2 = f2
-    if a1 > a2:
-        (a1, b1, c1), (a2, b2, c2) = (a2, b2, c2), (a1, b1, c1)
-    g = (b1 + b2) // 2
-    h = -(b1 - b2) // 2
-    w = gcd(gcd(a1, a2), g)
-    j = w
-    s = a1 // w
-    t = a2 // w
-    u = g // w
-    if s * t == 0:
-        raise QuadFormError("degenerate form")
-    mu, nu = _solve_linmod(t * u, h * u + s * c1, s * t)
-    if s == 1:
-        k = mu
-    else:
-        lam = _solve_linmod(t * nu, h - t * mu, s)[0]
-        k = mu + nu * lam
-    l = (k * t - h) // s
-    m = (t * u * k - h * u - c1 * s) // (s * t)
-    A = s * t
-    B = j * u - (k * t + l * s)
-    C = k * l - j * m
-    return (A, B, C)
+def _compose_raw(f1, f2):
+    """Gaussian composition (not reduced) of two forms of one discriminant:
+    Cohen, GTM 138, Algorithm 5.4.7, with both Bezout steps written as
+    modular inverses.  With a1 <= a2 (which keeps r below the smaller a),
+    s = (b1 + b2)/2, d = gcd(a1, a2) and d1 = gcd(s, d): y1 inverts a2/d
+    mod a1/d, and x2 inverts s/d1 mod d/d1, so that x2 s - y2 d = d1.
+    Cohen's cases a1 | a2 and d | s need no branch, as an inverse mod 1 is
+    0.  The tests keep the classical composition by two linear congruences
+    as its oracle."""
+    (a1, b1, _), (a2, b2, c2) = sorted((f1, f2))
+    s = (b1 + b2) // 2
+    d = gcd(a1, a2)
+    d1 = gcd(s, d)
+    y1 = pow(a2 // d, -1, a1 // d)
+    x2 = pow(s // d1, -1, d // d1)
+    y2 = (x2 * s - d1) // d
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * (b2 - s) - x2 * c2) % v1
+    return v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1
+
+
+def _mul(x, y):
+    """The group law on reduced forms of one discriminant."""
+    return _reduce_raw(*_compose_raw(x, y))
 
 
 def _check_disc(f, D):
@@ -178,8 +171,7 @@ def compose(f: QuadForm, g: QuadForm, D: Discriminant) -> QuadForm:
     """Reduced Gaussian composition; the group law of the form class group."""
     _check_disc(f, D)
     _check_disc(g, D)
-    raw = _compose_raw(f.as_tuple(), g.as_tuple(), D.value)
-    return QuadForm(*_reduce_raw(*raw))
+    return QuadForm(*_mul(f.as_tuple(), g.as_tuple()))
 
 
 def principal_form(D: Discriminant) -> QuadForm:
@@ -252,10 +244,9 @@ def _count_forms(discs):
     counts = [0] * (hi - lo + 1)
     ambiguous = {d: [] for d in discs}
     get = ambiguous.get
-    squares = [0]  # b^2 for b <= a; a never decreases and b never exceeds a
+    # b^2 for b <= a, up to the largest a of `_pairs`
+    squares = [b * b for b in range(isqrt(-lo // 3) + 1)]
     for a, c, low, b0, b1 in _pairs(lo, hi):
-        if a >= len(squares):
-            squares += [b * b for b in range(len(squares), a + 1)]
         # the slot of b^2 - 4ac is b^2 - low
         if a == c:
             # (a, -b, a) is not reduced, so each b counts once
@@ -290,13 +281,6 @@ def enumerate_reduced(D: Discriminant) -> list:
 
 def class_number(D: Discriminant) -> int:
     return len(_reduced_forms(D.value))
-
-
-def _form_op(Dv):
-    """The group law on reduced forms of discriminant Dv."""
-    def op(x, y):
-        return _reduce_raw(*_compose_raw(x, y, Dv))
-    return op
 
 
 @lru_cache(maxsize=1)
@@ -385,7 +369,7 @@ class ClassGroupStructure:
         """QuadForm per invariant factor, chosen greedily over the forms in
         (a, b) order on first read; about h to 2h compositions."""
         Dv = self.discriminant.value
-        res = abelian_structure(self.forms, _form_op(Dv), _principal_raw(Dv))
+        res = abelian_structure(self.forms, _mul, _principal_raw(Dv))
         if res.group != self.group:
             raise QuadFormError("greedy structure %s differs from the Sylow "
                                 "structure %s of D = %d"
@@ -508,7 +492,7 @@ def class_group_structure(D: Discriminant,
     if n2 != 1 << two_rank or h % n2 or (n2 > 1) != (h % 2 == 0):
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
                             "%d classes (D = %d)" % (n2, h, Dv))
-    op, one = _form_op(Dv), _principal_raw(Dv)
+    one = _principal_raw(Dv)
     forms = _Drawn(_prime_forms(Dv) if fundamental else listed)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
@@ -523,7 +507,7 @@ def class_group_structure(D: Discriminant,
         else:
             part = None
         if part is None:
-            part = _part_from_forms(forms, op, one, h // qv, q, qv, Dv)
+            part = _part_from_forms(forms, _mul, one, h // qv, q, qv, Dv)
         for i, d in enumerate(reversed(part)):
             if i == len(top):
                 top.append(1)
@@ -575,6 +559,8 @@ def fundamental_discriminants(lo, hi):
     (a scan sieves one chunk at a time): it starts from the admissible
     residues mod 16 and clears the multiples of p^2 for every odd prime
     p <= sqrt(|lo|); `is_fundamental` is the per-value definition."""
+    if not (isinstance(lo, int) and isinstance(hi, int)):
+        raise QuadFormError("bounds must be ints")
     if lo < -MAX_ABS_DISC:
         raise QuadFormError("lower bound %d is below -%d" % (lo, MAX_ABS_DISC))
     hi = min(hi, -3)

@@ -58,6 +58,19 @@ def test_non_prime_p_is_rejected(p):
         RankDistribution(p, 1, ((2, Fraction(1)),))
 
 
+# kmax and trials are ints >= 1: 2.5 and 1.0 are refused
+@pytest.mark.parametrize("n", [2.5, 1.0, 0, -1])
+def test_non_int_counts_are_rejected(n):
+    with pytest.raises(HeuristicsError, match="kmax must be an int"):
+        predicted_rank_distribution(3, kmax=n)
+    with pytest.raises(HeuristicsError, match="kmax must be an int"):
+        monte_carlo_rank_distribution(3, 10, seed=1, kmax=n)
+    with pytest.raises(HeuristicsError, match="trials must be an int"):
+        monte_carlo_rank_distribution(3, n, seed=1)
+    with pytest.raises(HeuristicsError, match="kmax must be an int"):
+        RankDistribution(3, n, ((2, Fraction(1)),))
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
         a = monte_carlo_rank_distribution(3, 2000, seed=9)

@@ -26,12 +26,14 @@ from capkit import abgroup, quadform
 from capkit.abgroup import abelian_structure
 from capkit.quadform import (ClassGroupStructure, Discriminant, QuadForm,
                              QuadFormError, _compose_raw, _principal_raw,
-                             _reduce_raw, _reduced_forms, _solve_linmod,
+                             _mul, _reduce_raw, _reduced_forms,
                              class_group_structure, class_group_structures,
                              class_number, compose, enumerate_reduced,
                              fundamental_discriminants, genus_two_rank,
                              inverse, is_discriminant, is_fundamental, p_rank,
                              prime_factors, principal_form, reduce_form)
+from form_oracles import _compose_raw as oracle_compose
+from form_oracles import _solve_linmod
 
 # h(D) for small |D|, standard table values
 KNOWN_CLASS_NUMBERS = {
@@ -93,6 +95,23 @@ class TestPredicates:
             Discriminant(-5)
         with pytest.raises(QuadFormError):
             Discriminant(4)
+
+    # a discriminant, a coefficient and a bound are ints: -23.0 is refused
+    # before isqrt or a slice meets it
+    def test_discriminant_must_be_an_int(self):
+        for value in (-23.0, -3.5, "-23"):
+            with pytest.raises(QuadFormError, match="must be an int"):
+                Discriminant(value)
+
+    def test_form_coefficients_must_be_ints(self):
+        for coefficients in ((1.0, 1, 6), (1, 1.0, 6), (1, 1, 6.0)):
+            with pytest.raises(QuadFormError, match="must be ints"):
+                QuadForm(*coefficients)
+
+    def test_sieve_bounds_must_be_ints(self):
+        for lo, hi in ((-100.0, -3), (-100, -3.0)):
+            with pytest.raises(QuadFormError, match="must be ints"):
+                fundamental_discriminants(lo, hi)
 
 
 class TestReduction:
@@ -183,6 +202,47 @@ class TestComposition:
     def test_disc_mismatch_rejected(self):
         with pytest.raises(QuadFormError):
             compose(QuadForm(1, 0, 1), QuadForm(1, 1, 6), Discriminant(-4))
+
+    def test_mul_matches_the_congruence_oracle(self):
+        # every pair of primitive reduced forms of every |D| <= 1000
+        discs = _discs_in(-1000, -3)
+        for dv, forms in _reduced_forms_in(discs).items():
+            for f in forms:
+                for g in forms:
+                    assert _mul(f, g) == \
+                        _reduce_raw(*oracle_compose(f, g, dv)), (dv, f, g)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_mul_matches_the_oracle_on_deep_forms(self, k):
+        # seeded forms near -10^k, unreduced, of one fundamental and one
+        # non-fundamental D: f g, f f and f f^-1 = 1
+        rng = random.Random(k)
+        lo = rng.randrange(-10 ** k, -10 ** k + 10 ** 4)
+        discs = _discs_in(lo, lo + 200)
+        for dv in (next(d for d in discs if is_fundamental(d)),
+                   next(d for d in discs if not is_fundamental(d))):
+            forms = _seeded_forms(dv, rng, 40)
+            one = _principal_raw(dv)
+            for f, g in zip(forms, forms[1:]):
+                for x, y in ((f, g), (f, f)):
+                    assert _reduce_raw(*_compose_raw(x, y)) == \
+                        _reduce_raw(*oracle_compose(x, y, dv)), (dv, x, y)
+                a, b, c = f
+                assert _mul(_reduce_raw(*f), _reduce_raw(a, -b, c)) == one
+                assert _reduce_raw(*oracle_compose(f, (a, -b, c), dv)) == one
+
+    def test_compose_matches_the_oracle_on_imprimitive_forms(self):
+        # every pair of reduced forms of |D| <= 1000 that holds a form
+        # e (a', b', c') with e > 1, through the public compose
+        discs = _discs_in(-1000, -3)
+        for dv, forms in _reduced_forms_in(discs, primitive=False).items():
+            D = Discriminant(dv)
+            for f in forms:
+                for g in forms:
+                    if gcd(*f) > 1 or gcd(*g) > 1:
+                        assert compose(QuadForm(*f), QuadForm(*g), D) \
+                            .as_tuple() == \
+                            _reduce_raw(*oracle_compose(f, g, dv)), (dv, f, g)
 
 
 class TestStructure:
@@ -279,6 +339,20 @@ def _enumerate_reduced_raw(D):
                 continue  # imprimitive forms are not classes of the order
             out.append((a, b, c))
     return sorted(out)
+
+
+def _seeded_forms(dv, rng, count):
+    """`count` primitive forms (a, +-b, c) of dv, not reduced in general:
+    a random a <= 2000 and the least b >= 0 with b^2 = dv (mod 4a), if
+    there is one."""
+    forms = []
+    while len(forms) < count:
+        a = rng.randrange(1, 2001)
+        b = next((b for b in range(dv & 1, 2 * a, 2)
+                  if (b * b - dv) % (4 * a) == 0), None)
+        if b is not None and gcd(a, b, (b * b - dv) // (4 * a)) == 1:
+            forms.append((a, rng.choice((b, -b)), (b * b - dv) // (4 * a)))
+    return forms
 
 
 def _discs_in(lo, hi):
@@ -413,7 +487,7 @@ class TestCountingSieve:
             one = _principal_raw(dv)
             span, new = {one}, [one]
             while new:
-                new = [z for z in {_reduce_raw(*_compose_raw(x, f, dv))
+                new = [z for z in {_reduce_raw(*oracle_compose(x, f, dv))
                                    for x in new for f in forms}
                        if z not in span]
                 span.update(new)
@@ -470,7 +544,7 @@ class TestCountingSieve:
     def test_forms_that_do_not_span_raise(self):
         # C3 x C3 with a source that holds one prime form only
         dv = -4027
-        op = quadform._form_op(dv)
+        op = quadform._mul
         forms = quadform._Drawn(_prime_forms_by_search(dv)[:1])
         with pytest.raises(QuadFormError, match="do not span"):
             quadform._part_from_forms(forms, op, _principal_raw(dv), 1, 3, 9,
@@ -544,7 +618,7 @@ class TestPinnedStructures:
         forms = _enumerate_reduced_raw(dv)
 
         def op(x, y):
-            return _reduce_raw(*_compose_raw(x, y, dv))
+            return _reduce_raw(*_compose_raw(x, y))
 
         res = abelian_structure(forms, op, _principal_raw(dv))
         G = res.group
@@ -562,7 +636,7 @@ def _greedy_invariants(dv, forms):
     """Oracle: the greedy selection over every form, the path that the
     Sylow-wise structure replaced and that `generators` still takes."""
     def op(x, y):
-        return _reduce_raw(*_compose_raw(x, y, dv))
+        return _reduce_raw(*oracle_compose(x, y, dv))
     return abelian_structure(forms, op, _principal_raw(dv)).group.invariant_factors
 
 
@@ -584,7 +658,7 @@ def _naive_power(f, k, dv):
     """Oracle: f^k by k compositions with the principal form first."""
     y = _principal_raw(dv)
     for _ in range(k):
-        y = _reduce_raw(*_compose_raw(y, f, dv))
+        y = _reduce_raw(*oracle_compose(y, f, dv))
     return y
 
 
@@ -615,9 +689,9 @@ class TestSylowStructure:
         calls = []
         real = quadform._compose_raw
 
-        def counting(f1, f2, D):
-            calls.append(D)
-            return real(f1, f2, D)
+        def counting(f1, f2):
+            calls.append((f1, f2))
+            return real(f1, f2)
 
         monkeypatch.setattr(quadform, "_compose_raw", counting)
         s = class_group_structure(Discriminant(dv))
@@ -700,9 +774,9 @@ class TestSylowStructure:
         calls = []
         real = quadform._compose_raw
 
-        def counting(f1, f2, D):
-            calls.append(D)
-            return real(f1, f2, D)
+        def counting(f1, f2):
+            calls.append((f1, f2))
+            return real(f1, f2)
 
         monkeypatch.setattr(quadform, "_compose_raw", counting)
         s = class_group_structure(Discriminant(dv))

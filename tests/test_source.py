@@ -182,3 +182,32 @@ def test_every_module_level_import_is_used():
             found += ["%s:%d %s" % (path.name, node.lineno, name)
                       for name in names if name not in used]
     assert found == []
+
+
+# protocol signatures: a command takes the parsed namespace, and a frozen
+# value's __setattr__ takes the value it refuses
+UNUSED_PARAMETERS_ALLOWED = {("cli", "cmd_verify_table", "ns"),
+                             ("value", "__setattr__", "value")}
+
+
+def test_every_parameter_is_used():
+    # a parameter that its function body never reads is a leftover of
+    # removed code, or a caller's argument dropped unseen; a method's self
+    # is fixed by the call
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += ["%s:%d %s(%s)" % (path.name, node.lineno, node.name, p)
+                      for p in params if p not in read and p != "self"
+                      and (path.stem, node.name, p)
+                      not in UNUSED_PARAMETERS_ALLOWED]
+    assert found == []
