@@ -7,8 +7,8 @@ form d1 | d2 | ... | dk; elements are exponent tuples reduced mod di.
 
 from __future__ import annotations
 
-import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, product
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -22,11 +22,39 @@ class AbgroupError(ValueError):
 MAX_PRIME = 10 ** 8  # bounds a p from outside: is_prime is trial division
 
 
+@lru_cache(maxsize=1)
+def small_primes():
+    """The primes up to isqrt(MAX_PRIME), by Eratosthenes' sieve: the
+    package's one prime table."""
+    n = isqrt(MAX_PRIME)
+    flags = bytearray(b"\0\0" + b"\1" * (n - 1))
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
+
+
+def prime_factors(n):
+    """Distinct prime factors of the int n, ascending: trial division by the
+    table, then by the odd d past it, which only |n| > 9973^2 reaches."""
+    if not isinstance(n, int):
+        raise AbgroupError("%r is not an int" % (n,))
+    n, out = abs(n), []
+    for d in chain(small_primes(), count(small_primes()[-1] + 2, 2)):
+        if d * d > n:
+            break
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_prime(n):
-    """Whether n is a prime integer, by trial division: callers bound n
-    where it comes from outside."""
-    return isinstance(n, int) and n >= 2 and \
-        all(n % d for d in range(2, isqrt(n) + 1))
+    """Whether n is a prime int; callers bound an n from outside."""
+    return isinstance(n, int) and n >= 2 and prime_factors(n) == [n]
 
 
 def check_prime(p, error):
@@ -264,7 +292,7 @@ class AbelianGroup:
         return o
 
     def elements(self):
-        return itertools.product(*(range(d) for d in self.invariant_factors))
+        return product(*(range(d) for d in self.invariant_factors))
 
 
 @value_type("source", "target", "matrix")

@@ -12,7 +12,8 @@ computed only as far as a part reads them (see `class_group_structure`).
 Any other D lists its primitive reduced forms, as do `enumerate_reduced`,
 `class_number` and the generators a structure gives on request; that
 listing is the one place where primitivity is tested.  The sieve and the
-listing walk the same pairs (a, c), written once in `_pairs`.
+listing walk the same pairs (a, c), written once in `_pairs`.  Primes
+come from `abgroup`: its one table `small_primes` and `prime_factors`.
 
 Composition is Cohen's Algorithm 5.4.7 (GTM 138), by two modular inverses
 and no branch (see `_compose_raw`); the tests keep the classical
@@ -23,11 +24,12 @@ around them.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress, islice
 from math import gcd, isqrt
 
-from .abgroup import AbelianGroup, AbgroupError, abelian_structure, op_power
+from .abgroup import (AbelianGroup, AbgroupError, abelian_structure, op_power,
+                      prime_factors, small_primes)
 from .value import value_type
 
 
@@ -36,23 +38,7 @@ class QuadFormError(ValueError):
 
 
 def is_discriminant(value):
-    return value < 0 and value % 4 in (0, 1)
-
-
-def prime_factors(n):
-    """Distinct prime factors of n > 0 by trial division (desk scale)."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    return isinstance(value, int) and value < 0 and value % 4 in (0, 1)
 
 
 def is_fundamental(value):
@@ -65,10 +51,7 @@ def is_fundamental(value):
 
 
 def _squarefree(n):
-    for p in prime_factors(n):
-        if n % (p * p) == 0:
-            return False
-    return True
+    return all(n % (p * p) for p in prime_factors(n))
 
 
 @value_type("value")
@@ -283,18 +266,6 @@ def class_number(D: Discriminant) -> int:
     return len(_reduced_forms(D.value))
 
 
-@lru_cache(maxsize=1)
-def _small_primes():
-    """The primes up to sqrt(MAX_ABS_DISC): prime forms read those up to
-    sqrt(|D|/3), and the fundamental sieve the odd ones with p^2 <= |lo|."""
-    n = isqrt(MAX_ABS_DISC)
-    flags = bytearray(b"\0\0" + b"\1" * (n - 1))
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), flags))
-
-
 def _prime_forms(Dv):
     """The prime forms (l, b_l, c) of a fundamental Dv, reduced, lazily:
     l runs upward over the primes l <= sqrt(|Dv|/3) with (Dv/l) != -1, and
@@ -307,7 +278,7 @@ def _prime_forms(Dv):
     (l, b_l, c) or its inverse.  For a non-fundamental Dv an ideal of norm
     a need not be invertible, and the argument fails."""
     bound = isqrt(-Dv // 3)
-    for l in _small_primes():
+    for l in small_primes():
         if l > bound:
             return
         if l > 2 and pow(Dv % l, (l - 1) // 2, l) == l - 1:
@@ -409,20 +380,21 @@ def _two_part(r, v, r4):
     return None
 
 
-def _part_from_forms(forms, op, one, cofactor, q, qv, Dv):
+def _part_from_forms(forms, cofactor, q, qv, Dv):
     """The q-part of order qv, from the cofactor-th powers of `forms`,
     which generate the class group.  An odd part is C_qv if the first power
     y that is not 1 has y^(qv / q) != 1, that is, order qv.  Otherwise the
     powers that are not 1, from y on, are spanned until they hold qv
     classes, so a failed cyclic test costs no composition twice."""
-    powers = _Drawn(y for y in (op_power(f, cofactor, op, one) for f in forms)
-                    if y != one)
+    one = _principal_raw(Dv)
+    powers = _Drawn(y for y in (op_power(f, cofactor, _mul, one)
+                                for f in forms) if y != one)
     if q != 2:
         y = next(iter(powers), None)
-        if y is not None and op_power(y, qv // q, op, one) != one:
+        if y is not None and op_power(y, qv // q, _mul, one) != one:
             return (qv,)
     try:
-        return abelian_structure(powers, op, one, order=qv
+        return abelian_structure(powers, _mul, one, order=qv
                                  ).group.invariant_factors
     except AbgroupError as exc:
         raise QuadFormError("the forms of D = %d do not span its %d-part "
@@ -492,7 +464,6 @@ def class_group_structure(D: Discriminant,
     if n2 != 1 << two_rank or h % n2 or (n2 > 1) != (h % 2 == 0):
         raise QuadFormError("%d ambiguous forms cannot be the 2-torsion of "
                             "%d classes (D = %d)" % (n2, h, Dv))
-    one = _principal_raw(Dv)
     forms = _Drawn(_prime_forms(Dv) if fundamental else listed)
     top = []  # invariant factors, largest first
     for q in prime_factors(h):
@@ -507,7 +478,7 @@ def class_group_structure(D: Discriminant,
         else:
             part = None
         if part is None:
-            part = _part_from_forms(forms, _mul, one, h // qv, q, qv, Dv)
+            part = _part_from_forms(forms, h // qv, q, qv, Dv)
         for i, d in enumerate(reversed(part)):
             if i == len(top):
                 top.append(1)
@@ -569,7 +540,7 @@ def fundamental_discriminants(lo, hi):
     n, r = hi - lo + 1, lo % 16
     flags = bytearray(_FUNDAMENTAL_MOD16[r:] + _FUNDAMENTAL_MOD16[:r]) * (
         n // 16 + 1)  # up to a period past hi, which compress drops
-    for p in islice(_small_primes(), 1, None):  # 2 is decided mod 16
+    for p in islice(small_primes(), 1, None):  # 2 is decided mod 16
         q = p * p
         if q > -lo:
             break

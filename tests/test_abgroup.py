@@ -8,7 +8,9 @@ independent of the implementation's pivoting.  Kernels and intersections are
 checked against their element sets, found by enumeration.  Maps that
 Homomorphism builds unchecked from checked ones (compositions, sums,
 differences, identity, zero and power maps) are compared with the map the
-checking constructor makes of a matrix computed in the test.
+checking constructor makes of a matrix computed in the test.  Trial
+division (`prime_factors`, `is_prime`) is checked against sympy's
+factorisation and primality test, which are test-only.
 """
 
 import itertools
@@ -22,9 +24,9 @@ from hypothesis import strategies as st
 
 from capkit.abgroup import (AbelianGroup, AbgroupError, Homomorphism,
                             Subgroup, abelian_structure, hnf_rows, hom_power,
-                            identity_hom, op_power, power_hom,
-                            quotient_coords, smith_normal_form, transpose,
-                            zero_hom)
+                            identity_hom, is_prime, op_power, power_hom,
+                            prime_factors, quotient_coords, small_primes,
+                            smith_normal_form, transpose, zero_hom)
 
 
 def invert_unimodular(U):
@@ -558,3 +560,33 @@ class TestAbelianStructure:
         assert tuple(invs) == (2, 4)
         assert coord_fn([2, 0]) == (0, 0)
         assert coord_fn([0, 4]) == (0, 0)
+
+
+# the edges of the prime table, whose last prime is 9973: 10007^2 is the
+# least n whose least prime factor lies past the table
+TABLE_EDGES = (1, 2, 9973, 9973 ** 2, 9973 * 10007, 10007, 99_999_989,
+               10 ** 8, 10 ** 8 + 7, 10007 ** 2)
+
+
+class TestTrialDivision:
+    @pytest.mark.parametrize("n", TABLE_EDGES)
+    def test_matches_sympy_at_the_table_edges(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert small_primes()[-1] == 9973
+        assert prime_factors(n) == prime_factors(-n) == sympy.primefactors(n)
+        assert is_prime(n) == sympy.isprime(n)
+
+    @pytest.mark.parametrize("lo, hi, count", [(1, 10 ** 8, 300),
+                                               (10 ** 8 + 1, 10 ** 12, 20)])
+    def test_matches_sympy_on_seeded_n(self, lo, hi, count):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(36)
+        for n in (rng.randint(lo, hi) for _ in range(count)):
+            assert prime_factors(n) == sympy.primefactors(n), n
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_only_an_int_is_factored(self):
+        for n in (23.0, -23.0, "23", None):
+            with pytest.raises(AbgroupError, match="is not an int"):
+                prime_factors(n)
+            assert not is_prime(n)

@@ -11,7 +11,9 @@ Oracles used here, all independent of the implementation under test:
     reduced forms of a window kept here as an oracle, are checked against
     the per-discriminant enumeration they replaced, and the
     fundamental-discriminant sieve against the per-value definition
-    `is_fundamental`.
+    `is_fundamental`;
+  - the prime table, trial division and `is_fundamental` are checked
+    against sympy's primes and factorisation, which are test-only.
 """
 
 import hashlib
@@ -112,6 +114,13 @@ class TestPredicates:
         for lo, hi in ((-100.0, -3), (-100, -3.0)):
             with pytest.raises(QuadFormError, match="must be ints"):
                 fundamental_discriminants(lo, hi)
+
+    def test_predicates_answer_false_for_a_non_int(self):
+        for value in (-23.0, -4.0, -3.5, "-23", None):
+            assert not is_discriminant(value)
+            assert not is_fundamental(value)
+        with pytest.raises(abgroup.AbgroupError, match="is not an int"):
+            prime_factors(23.0)
 
 
 class TestReduction:
@@ -544,11 +553,9 @@ class TestCountingSieve:
     def test_forms_that_do_not_span_raise(self):
         # C3 x C3 with a source that holds one prime form only
         dv = -4027
-        op = quadform._mul
         forms = quadform._Drawn(_prime_forms_by_search(dv)[:1])
         with pytest.raises(QuadFormError, match="do not span"):
-            quadform._part_from_forms(forms, op, _principal_raw(dv), 1, 3, 9,
-                                      dv)
+            quadform._part_from_forms(forms, 1, 3, 9, dv)
 
 
 class TestFundamentalSieve:
@@ -576,6 +583,51 @@ class TestFundamentalSieve:
         assert fundamental_discriminants(-10, 5) == [-8, -7, -4, -3]
         with pytest.raises(QuadFormError):
             fundamental_discriminants(-10 ** 8 - 1, -3)
+
+
+def _fundamental_by_sympy(dv):
+    """The definition on sympy's factorisation: D = 1 mod 4 squarefree, or
+    D = 4m with m = 2, 3 mod 4 squarefree."""
+    import sympy
+    if dv % 4 == 1:
+        m = dv
+    elif dv % 4 == 0 and (dv // 4) % 4 in (2, 3):
+        m = dv // 4
+    else:
+        return False
+    return all(e == 1 for e in sympy.factorint(-m).values())
+
+
+class TestPrimeTable:
+    # the fundamental sieve clears p^2 for each odd prime p <= sqrt(|lo|),
+    # and the prime forms read the l <= sqrt(|D|/3): for |D| <= MAX_ABS_DISC
+    # both stay inside abgroup's one table
+    def test_table_reaches_the_discriminant_bound(self):
+        sympy = pytest.importorskip("sympy")
+        assert abgroup.small_primes() == \
+            list(sympy.primerange(2, isqrt(quadform.MAX_ABS_DISC) + 1))
+
+    # the table ends at 9973; 10007^2 is the least n whose least prime
+    # factor lies past it
+    @pytest.mark.parametrize("n", [1, 2, 9973, 9973 ** 2, 9973 * 10007,
+                                   10007, 99_999_989, 10 ** 8, 10 ** 8 + 7,
+                                   10007 ** 2])
+    def test_fundamental_matches_sympy_at_the_table_edges(self, n):
+        pytest.importorskip("sympy")
+        for dv in (-n, -4 * n):
+            assert is_fundamental(dv) == _fundamental_by_sympy(dv), dv
+
+    def test_seeded_discriminants_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(36)
+        discs = [d for d in (rng.randint(-10 ** 8, -3) for _ in range(400))
+                 if is_discriminant(d)]
+        for dv in discs:
+            assert prime_factors(dv) == sympy.primefactors(-dv), dv
+            assert is_fundamental(dv) == _fundamental_by_sympy(dv), dv
+            if is_fundamental(dv):
+                assert genus_two_rank(Discriminant(dv)) == \
+                    len(sympy.primefactors(-dv)) - 1, dv
 
 
 # Generators and invariant factors recorded from the per-discriminant
