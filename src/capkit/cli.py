@@ -14,7 +14,7 @@ from itertools import chain, groupby
 from math import isqrt
 from operator import itemgetter
 
-# fixtures (hashlib) and heuristics (fractions, decimal, random) are imported
+# fixtures and heuristics (fractions, decimal, random) are imported
 # by the commands that use them; the modules below stay at module level, so
 # the benchmark's tracer finds their names when it wraps them
 from .abgroup import check_prime

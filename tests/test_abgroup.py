@@ -230,6 +230,26 @@ class TestHomomorphism:
         with pytest.raises(AbgroupError, match="must be ints"):
             Homomorphism(C4, C4, mat)
 
+    @pytest.mark.parametrize("mat", [[], [[0, 3], [0, 0]], [[0]],
+                                     [[0, 3, 0]]])
+    def test_rejects_a_matrix_of_the_wrong_shape(self, mat):
+        # C3 x C9 -> C9 takes one row of two entries
+        with pytest.raises(AbgroupError, match="^homomorphism matrix has "
+                           "wrong shape$"):
+            Homomorphism(AbelianGroup((3, 9)), AbelianGroup((9,)), mat)
+
+    def test_maps_between_other_groups_do_not_combine(self):
+        C3, C9 = AbelianGroup((3,)), AbelianGroup((9,))
+        f = Homomorphism(C3, C9, [[3]])
+        g = Homomorphism(C9, C3, [[1]])
+        assert f.compose(g) == Homomorphism(C9, C9, [[3]])
+        with pytest.raises(AbgroupError, match="^composition mismatch$"):
+            f.compose(f)
+        with pytest.raises(AbgroupError, match="^sum mismatch$"):
+            f + g
+        with pytest.raises(AbgroupError, match="^difference mismatch$"):
+            f - zero_hom(C3, C3)
+
     def test_image_and_kernel_orders_multiply(self):
         rng = random.Random(7)
         for invs in [(2, 4), (3, 3), (3, 9), (2, 2, 4), (6,)]:
@@ -360,6 +380,24 @@ class TestSubgroup:
             bad.order()
         with pytest.raises(AbgroupError):
             bad.structure()
+
+    def test_subgroups_of_other_groups_do_not_combine(self):
+        H = Subgroup.full(AbelianGroup((4,)))
+        K = Subgroup.full(AbelianGroup((2, 2)))
+        with pytest.raises(AbgroupError, match="^ambient mismatch$"):
+            H.join(K)
+        with pytest.raises(AbgroupError, match="^ambient mismatch$"):
+            H.intersection(K)
+
+    def test_coords_refuse_an_element_outside_the_subgroup(self):
+        A = AbelianGroup((2, 8))
+        _, to_coords, _ = Subgroup.from_generators(
+            A, [(1, 2)]).structure_with_coords()
+        assert to_coords((0, 4)) == (2,)
+        for vec in ((0, 1), (1, 0), (0, 2)):
+            with pytest.raises(AbgroupError,
+                               match="^element not in subgroup$"):
+                to_coords(vec)
 
     def test_orders_in_c2_x_c4(self):
         A = AbelianGroup((2, 4))
@@ -560,6 +598,12 @@ class TestAbelianStructure:
         assert tuple(invs) == (2, 4)
         assert coord_fn([2, 0]) == (0, 0)
         assert coord_fn([0, 4]) == (0, 0)
+
+    @pytest.mark.parametrize("rows", [[], [[2, 0]], [[1, 1], [2, 2]]])
+    def test_quotient_coords_refuse_an_infinite_quotient(self, rows):
+        # no relation, or relations of rank below the number of generators
+        with pytest.raises(AbgroupError, match="^quotient is infinite$"):
+            quotient_coords(rows, 2)
 
 
 # the edges of the prime table, whose last prime is 9973: 10007^2 is the

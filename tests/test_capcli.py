@@ -3,7 +3,9 @@ packaged discriminant table."""
 
 import contextlib
 import dataclasses
+import hashlib
 import io
+import marshal
 import os
 import pickle
 import random
@@ -12,6 +14,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import zlib
 from collections import Counter
 from datetime import datetime, timezone
 
@@ -304,6 +307,52 @@ class TestFixtureTable:
     def test_discriminants_strictly_decreasing(self):
         ds = reference_discriminants()
         assert all(a > b for a, b in zip(ds, ds[1:]))
+
+    def test_rows_are_pinned_by_their_sha256(self):
+        # the run-time guard is a crc32; this pin is the strong one, so an
+        # edit of the rows must update both on purpose
+        assert hashlib.sha256(table_text(
+            (r.number, r.discriminant, r.pattern)
+            for r in reference_table())).hexdigest() == \
+            "b179897362e473650dab515c89445c573afddd3019c22238061ad4862ed2eed8"
+
+    def test_any_one_entry_edit_is_refused(self, monkeypatch):
+        from capkit import fixtures
+        rows = fixtures._TABLE_ROWS
+        for i, (n, d, pattern) in enumerate(rows):
+            edits = [(n + 1, d, pattern), (n, d - 4, pattern)]
+            edits += [(n, d, pattern[:j] + (pattern[j] % 6 + 1,)
+                       + pattern[j + 1:]) for j in range(len(pattern))]
+            for row in edits:
+                edited = rows[:i] + (row,) + rows[i + 1:]
+                monkeypatch.setattr(fixtures, "_TABLE_ROWS", edited)
+                crc = zlib.crc32(table_text(edited))
+                with pytest.raises(ValueError, match="^reference table "
+                                   "corrupted \\(crc32 %08x\\)$" % crc):
+                    reference_table()
+        monkeypatch.setattr(fixtures, "_TABLE_ROWS", rows)
+        assert len(reference_table()) == 28
+
+    def test_verify_table_reports_a_conflict(self, monkeypatch):
+        # a row whose recomputed 5-rank is not 2: row 1's D is answered
+        # with the class group of -23 (C3, 5-rank 0)
+        real = cli.class_group_structure
+        monkeypatch.setattr(cli, "class_group_structure", lambda D: real(
+            Discriminant(-23) if D.value == -12451 else D))
+        code, text = run_cli(["verify-table"])
+        assert code == 1
+        lines = text.splitlines()
+        assert lines[1] == ("1\t-12451\t0\t(3,6,4,1,5,2)\tOneOne\t"
+                            "CONFLICT: recomputed 5-rank 0, table implies 2")
+        assert [line for line in lines if "CONFLICT" in line] == [lines[1]]
+        assert lines[-1] == "28 rows, 1 conflicts"
+
+
+def table_text(rows):
+    """The bytes that the table's checksums are taken over: one line
+    `number|D|pattern` per row."""
+    return "\n".join("%d|%d|%s" % (n, d, ",".join(map(str, pattern)))
+                     for n, d, pattern in rows).encode()
 
 
 class TestStore:
@@ -700,6 +749,63 @@ class TestStore:
         path.write_bytes(text)
         assert (count_store(path), read_store(path, 5)) == small
         assert [p.name for p in tmp_path.iterdir()] == ["s.tsv"]
+
+    @pytest.mark.parametrize("payload", [
+        None,                                        # a directory
+        b"", b"\xff", marshal.dumps((1, b"", 1, 1, [], {}))[:-1],
+        marshal.dumps((1, 2)), marshal.dumps(7),     # marshal cannot read
+        marshal.dumps((1.0, b"", 1, 1, [], {})),    # wrong types
+        marshal.dumps((0, b"", 1, 1, [], {})),
+        marshal.dumps((True, b"", 1, 1, [], {})),
+        marshal.dumps((1, "", 1, 1, [], {})),
+        marshal.dumps((1, b"", 1.0, 1, [], {})),
+        marshal.dumps((1, b"", 1, None, [], {})),
+        marshal.dumps((1, b"", 1, 1, (), {})),
+        marshal.dumps((1, b"", 1, 1, [], [])),
+    ], ids=["directory", "empty", "bad-code", "truncated", "short-tuple",
+            "int", "float-offset", "zero-offset", "bool-offset",
+            "str-digest", "float-lineno", "none-lines", "tuple-problems",
+            "list-firsts"])
+    def test_a_checkpoint_that_is_rejected(self, tmp_path, monkeypatch,
+                                           capsys, payload):
+        # a sidecar that is a directory, or a file with a valid head and
+        # payload digest whose payload marshal cannot read or has the wrong
+        # shape: every read equals the oracle's, a rejected file is removed
+        # and replaced by the next read that writes a checkpoint, and a
+        # directory is left as it is, with no temporary file beside it
+        from capkit import store
+        path = tmp_path / "s.tsv"
+        side = path.with_name(path.name + store._CHECKPOINT_SUFFIX)
+        head = ("%s %s\n" % (store._CHECKPOINT_VERSION,
+                             sys.implementation.cache_tag)).encode()
+        write_seeded_store(path, 0)
+        want = run_cli(["report", "--store", str(path)]), \
+            capsys.readouterr().err
+        assert want[0][0] == 0
+
+        def plant():
+            if payload is None:
+                side.mkdir(exist_ok=True)
+            else:
+                side.write_bytes(head + hashlib.sha256(payload).digest()
+                                 + payload)
+        plant()
+        assert run_cli(["report", "--store", str(path)]) == want[0]
+        assert "Traceback" not in capsys.readouterr().err
+        for _ in range(2):  # a small store: no checkpoint is written
+            plant()
+            assert_views_match_oracle(path)
+            assert side.is_dir() if payload is None else not side.exists()
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        plant()
+        assert_views_match_oracle(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["s.tsv", side.name]
+        if payload is None:
+            assert side.is_dir() and not any(side.iterdir())
+        else:
+            assert side.read_bytes().startswith(head)
+            assert side.read_bytes()[len(head) + 32:] != payload
 
 
 class TestCli:

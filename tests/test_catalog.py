@@ -55,6 +55,16 @@ class TestParser:
             with pytest.raises(CatalogError):
                 parse_catalog(text)
 
+    @pytest.mark.parametrize("relation, factor", [
+        ("g1^3 = x", "x"), ("g1^3 = g2*h", "h"), ("g1^3 = g2^-1", "g2^-1"),
+        ("g1^3 = g2*", ""), ("[g2,g1] = g1^ 2", "g1^ 2"),
+    ])
+    def test_rejects_a_bad_word_factor(self, relation, factor):
+        text = "group X prime 3 ngens 2\n%s\n" % relation
+        with pytest.raises(CatalogError, match="^bad word factor %s$"
+                           % re.escape(repr(factor))):
+            parse_catalog(text)
+
     @pytest.mark.parametrize("relations, line", [
         ("g1^3 = g2\ng1^3 = 1", "g1^3 = 1"),        # would load as C3 x C3
         ("g1^p = g2\ng1^3 = g2", "g1^3 = g2"),      # shorthand, same tail

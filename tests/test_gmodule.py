@@ -365,6 +365,49 @@ class TestDecomposition:
             # the cube map has order 1, but a Jordan block has order 3 != 2
             GModule(A, C2, (Homomorphism(A, A, [[1, 1], [0, 1]]),))
 
+    def test_action_refusals(self):
+        A = AbelianGroup((3, 3))
+        C2, V4 = AbelianGroup((2,)), AbelianGroup((2, 2))
+        swap = Homomorphism(A, A, [[0, 1], [1, 0]])
+        negate_second = Homomorphism(A, A, [[1, 0], [0, 2]])
+        for action in ((), (swap, swap)):
+            with pytest.raises(GModuleError, match="^need one action map "
+                               "per acting-group generator$"):
+                GModule(A, C2, action)
+        B = AbelianGroup((3,))
+        for h in (Homomorphism(A, B, [[1, 0]]), Homomorphism(B, A, [[1], [0]]),
+                  identity_hom(B)):
+            with pytest.raises(GModuleError, match="^action maps must be "
+                               "endomorphisms of the module$"):
+                GModule(A, C2, (h,))
+        # two involutions of (Z/3)^2 that do not commute
+        assert GModule(A, V4, (swap, power_hom(A, 2))).action[0] == swap
+        with pytest.raises(GModuleError, match="^action maps must commute$"):
+            GModule(A, V4, (swap, negate_second))
+
+    def test_algebra_element_of_another_group_is_refused(self):
+        C2 = AbelianGroup((2,))
+        A = AbelianGroup((9,))
+        M = GModule(A, C2, (identity_hom(A),))
+        for G in (AbelianGroup((4,)), AbelianGroup((2, 2)), AbelianGroup(())):
+            with pytest.raises(GModuleError, match="^algebra element acts "
+                               "through the wrong group$"):
+                M.algebra_endomorphism(primitive_idempotents(G, 3, 2)[0])
+
+    def test_decomposition_refuses_idempotents_that_do_not_split(self):
+        # the components of elements that are not orthogonal idempotents
+        # summing to one do not multiply to |A|
+        C2 = AbelianGroup((2,))
+        A = AbelianGroup((3, 3))
+        M = GModule(A, C2, (Homomorphism(A, A, [[0, 1], [1, 0]]),))
+        plus, minus = primitive_idempotents(C2, 3, 2)
+        assert len(decompose_module(M, [plus, minus])) == 2
+        for elements in ([plus], [plus, plus, minus], [plus, minus, minus],
+                         [algebra_one(C2, 3, 2), plus]):
+            with pytest.raises(GModuleError, match="^component orders do "
+                               "not multiply to \\|A\\|$"):
+                decompose_module(M, elements)
+
 
 class TestCycles:
     def test_cycles_form_direct_product(self):
@@ -515,6 +558,46 @@ class TestRelativeDatum:
                                " norm o lift is not the p-th power map"):
                 make_relative_datum(G, H)
 
+    def test_maps_of_the_wrong_signature_are_refused(self):
+        A, B = AbelianGroup((3,)), AbelianGroup((3, 3))
+        lift = Homomorphism(A, B, [[1], [0]])
+        norm = Homomorphism(B, A, [[1, 0]])
+        sigma = identity_hom(B)
+        assert RelativeExtensionDatum(3, A, B, lift, norm, sigma).p == 3
+        for maps, message in [
+                ((identity_hom(B), norm, sigma), "lift has wrong signature"),
+                ((norm, norm, sigma), "lift has wrong signature"),
+                ((lift, lift, sigma), "norm has wrong signature"),
+                ((lift, identity_hom(A), sigma), "norm has wrong signature"),
+                ((lift, norm, lift), "sigma must be an endomorphism of A_L"),
+                ((lift, norm, identity_hom(A)),
+                 "sigma must be an endomorphism of A_L")]:
+            with pytest.raises(GModuleError, match="^%s$" % message):
+                RelativeExtensionDatum(3, A, B, *maps)
+
+    @pytest.mark.parametrize("p, sigma", [
+        (3, [[2, 0], [0, 2]]),      # order 2
+        (3, [[0, 2], [1, 0]]),      # order 4
+        (2, [[1, 1], [0, 1]]),      # order 3
+        (5, [[1, 0], [1, 1]]),      # order 3
+    ])
+    def test_sigma_of_an_order_not_dividing_p_is_refused(self, p, sigma):
+        A = AbelianGroup((3, 3))
+        with pytest.raises(GModuleError,
+                           match="^sigma order does not divide p$"):
+            RelativeExtensionDatum(p, A, A, identity_hom(A), identity_hom(A),
+                                   Homomorphism(A, A, sigma))
+
+    def test_a_lift_outside_the_fixed_part_is_reported(self):
+        # sigma = 1 + N with N^2 = 0 moves lift(1) = (1, 0) to (1, 1); with
+        # a zero norm every other identity holds, since 1 + sigma + sigma^2
+        # = 3 + 3N = 0 on (Z/3)^2
+        A, B = AbelianGroup((3,)), AbelianGroup((3, 3))
+        d = RelativeExtensionDatum(
+            3, A, B, lift=Homomorphism(A, B, [[1], [0]]),
+            norm=zero_hom(B, A), sigma=Homomorphism(B, B, [[1, 0], [1, 1]]))
+        assert d.check_invariants() == ["lift does not land in the fixed part"]
+
     @pytest.mark.parametrize("p", [-1, 0, 1, 4, 3.0])
     def test_p_must_be_a_prime(self, p):
         A = AbelianGroup((3,))
@@ -600,6 +683,18 @@ class TestRelativeDatum:
         for name in ("H27", "M27", "MC81a", "C3wrC3"):
             for d in catalog_relative_data(get_group(name)):
                 assert f_property(d) is True
+
+    def test_f_property_refuses_a_norm_that_sigma_moves(self):
+        # A_L^s is spanned by s(0, 1) = (1, 0), which the norm sends to 1
+        A, B = AbelianGroup((3,)), AbelianGroup((3, 3))
+        d = RelativeExtensionDatum(
+            3, A, B, lift=Homomorphism(A, B, [[1], [0]]),
+            norm=Homomorphism(B, A, [[1, 0]]),
+            sigma=Homomorphism(B, B, [[1, 1], [0, 1]]))
+        assert "norm is not sigma-invariant" in d.check_invariants()
+        with pytest.raises(GModuleError,
+                           match="^ker\\(norm\\) does not contain A_L\\^s$"):
+            f_property(d)
 
     def test_growth_classes(self):
         # cyclic C9 over its index-3 subgroup: ranks are preserved

@@ -110,6 +110,14 @@ class TestPredicates:
             with pytest.raises(QuadFormError, match="must be ints"):
                 QuadForm(*coefficients)
 
+    def test_form_must_be_positive_definite(self):
+        # a <= 0, or a discriminant b^2 - 4ac that is not negative
+        for coefficients in ((0, 1, 1), (-1, 1, -1), (-1, 0, 0), (1, 2, 1),
+                             (1, 3, 1), (1, 0, 0)):
+            with pytest.raises(QuadFormError,
+                               match="^form must be positive definite$"):
+                QuadForm(*coefficients)
+
     def test_sieve_bounds_must_be_ints(self):
         for lo, hi in ((-100.0, -3), (-100, -3.0)):
             with pytest.raises(QuadFormError, match="must be ints"):

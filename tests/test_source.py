@@ -76,6 +76,31 @@ def test_no_module_imports_pickle():
     assert found == []
 
 
+def test_no_module_imports_hashlib_at_module_level():
+    # hashlib loads OpenSSL's _hashlib: the reference table is guarded by a
+    # crc32, and the store imports hashlib only inside the functions that
+    # read and write its checkpoint
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        todo = list(tree.body)
+        while todo:  # every statement outside a function body
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            found += ["%s:%d" % (path.name, node.lineno)
+                      for name in names if name.split(".")[0] == "hashlib"]
+            todo += ast.iter_child_nodes(node)
+    assert found == []
+
+
 def test_checkpoint_version_names_the_parser():
     # a store checkpoint replays what parse_record and _parse decided from
     # the bytes as _text decoded them; the digest in its version line must
@@ -120,6 +145,28 @@ def test_commands_leave_typing_unimported():
             "import capkit.cli, capkit.catalog, capkit.gmodule, capkit.fixtures\n"
             "print('typing' in sys.modules)")
     assert fresh_stdout(code, "-S").split() == ["False"]
+
+
+def test_table_commands_leave_hashlib_unimported(tmp_path):
+    # without site (-S), since a site .pth file may import hashlib itself;
+    # a scan that reads the table, on a store too small for a checkpoint,
+    # then verify-table
+    store = tmp_path / "s.tsv"
+    code = ("import io, sys\n"
+            "from capkit import cli, store\n"
+            "out = io.StringIO()\n"
+            "print(cli.main(['scan', '--prime', '5', '--store', %r, '--',"
+            " '-12500', '-12400'], out=out),"
+            " cli.main(['verify-table'], out=out))\n"
+            "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+            "print(store._CHECKPOINT_MIN_BYTES)\n"
+            "print(out.getvalue())" % str(store))
+    codes, unwanted, threshold, text = fresh_stdout(code, "-S").split(
+        "\n", 3)
+    assert (codes, unwanted) == ("0 0", "")
+    assert store.stat().st_size < int(threshold)
+    assert "-12451\th=25\trank=2\n" in text
+    assert "28 rows, 0 conflicts\n" in text
 
 
 def test_value_types_define_no_equality_or_hash():
