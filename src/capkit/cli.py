@@ -10,7 +10,7 @@ import os
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain, filterfalse, groupby
 from math import isqrt
 from operator import itemgetter
 
@@ -79,10 +79,10 @@ def _pending_chunks(lo, hi, p, done):
     has no chunk, and its lo, which may lie above 0, sizes none."""
     if lo > -3:
         return
-    width = _chunk_width(lo)
+    width, stored = _chunk_width(lo), done.__contains__
     for start in range(lo, min(hi, -3) + 1, width):
-        discs = [d for d in fundamental_discriminants(
-            start, min(start + width - 1, hi)) if d not in done]
+        discs = list(filterfalse(stored, fundamental_discriminants(
+            start, min(start + width - 1, hi))))
         if discs:
             yield discs, p
 

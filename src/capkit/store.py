@@ -22,8 +22,11 @@ the state of a full read of a prefix of the store, which is replayed only
 when that prefix is still byte for byte the one it was taken from.  Once a
 read has written one (it takes 1 MiB of new bytes), a read of the
 unchanged store parses no line, and one after an append parses only the
-appended lines.  Deleting the checkpoint is always safe: the next read is
-a full one."""
+appended lines.  The checkpoint keeps one section per prime, the prime's
+first-record fields marshalled on their own and their rank counts, so a
+resume decodes only its own prime and a report, which needs only the
+counts, decodes none that no appended line touched.  Deleting the
+checkpoint is always safe: the next read is a full one."""
 
 from __future__ import annotations
 
@@ -120,7 +123,7 @@ def read_store(path, prime=None):
     that cannot be opened, raises OSError."""
     if prime is not None:
         firsts, _, problems = _read(path)
-        return firsts.get(prime, {}), problems
+        return firsts[prime], problems
     records, problems = [], []
     raw = _open(path)
     if raw is None:
@@ -141,13 +144,14 @@ def count_store(path):
     (D, p) with a record of that rank, each counted once, by its first
     record; repeats is the number of record lines after the first of their
     (D, p); problems are those of read_store.  The store is read as
-    read_store(path, p) reads it, from its checkpoint (see _read)."""
+    read_store(path, p) reads it, from its checkpoint (see _read), whose
+    rank counts serve every prime that no appended line touched."""
     firsts, lines, problems = _read(path)
     tally = Counter()
-    for p, by_d in firsts.items():
-        for rank, n in Counter(map(itemgetter(3), by_d.values())).items():
+    for p, counts in firsts.rank_counts():
+        for rank, n in counts.items():
             tally[p, rank] = n
-    return tally, lines - sum(map(len, firsts.values())), problems
+    return tally, lines - sum(tally.values()), problems
 
 
 def _open(path):
@@ -184,53 +188,101 @@ _CHECKPOINT_MIN_BYTES = 1 << 20
 # AbelianGroup's __init__ and rank, which decide what a line reads as:
 # tests/test_source.py fails until it is brought up to date after any change
 # to them, and that retires every checkpoint written under the old rules.
-_CHECKPOINT_VERSION = "capkit-checkpoint 1 9b9bd5db3ce5afdc"
+_CHECKPOINT_VERSION = "capkit-checkpoint 2 ba2804f38d7d3322"
+
+
+class _Firsts(dict):
+    """firsts as _read gives it: {p: {D: fields}} of the primes decoded so
+    far, over `sections`, {p: (section, {rank: count})} of those that are
+    not, as a checkpoint holds them.  A section is the prime's {D: fields}
+    marshalled on its own, and the counts are the ranks of those first
+    records.  firsts[p] decodes p's section the first time it is asked
+    for, and a prime with no section starts empty; get() and setdefault()
+    do not decode, so the readers ask for firsts[p]."""
+    __slots__ = ("sections",)
+
+    def __init__(self, sections):
+        super().__init__()
+        self.sections = sections
+
+    def __missing__(self, p):
+        section = self.sections.pop(p, None)
+        if section is None:
+            by_d = {}
+        else:
+            import marshal
+            by_d = marshal.loads(section[0])
+        self[p] = by_d
+        return by_d
+
+    def rank_counts(self):
+        """(p, {rank: count} of p's first records) for every prime: those
+        of an undecoded prime as its section holds them."""
+        for p, (_, counts) in self.sections.items():
+            yield p, counts
+        for p, by_d in self.items():
+            yield p, dict(Counter(map(itemgetter(3), by_d.values())))
+
+    def all_sections(self):
+        """The sections of every prime: an undecoded one as it is, a
+        decoded one marshalled again."""
+        import marshal
+        counts = dict(self.rank_counts())
+        return {**self.sections,
+                **{p: (marshal.dumps(by_d), counts[p])
+                   for p, by_d in self.items()}}
 
 
 def _read(path):
     """(firsts, lines, problems): firsts[p][D] is the shared (h, invariant
-    factors, p, rank) of the first record of each (D, p); lines counts the
-    record lines; problems are (line number, message) pairs.
+    factors, p, rank) of the first record of each (D, p), read through a
+    _Firsts, which decodes a prime from the checkpoint only when it is
+    asked for; lines counts the record lines; problems are (line number,
+    message) pairs.
 
     The read starts from the store's checkpoint when it has a valid one:
     the byte length N of a prefix of the store that ends just after a
     newline, the sha256 of those N bytes, and the line count, record-line
-    count, problems and firsts of a full read of that prefix.  When its
-    first line is _CHECKPOINT_VERSION and this interpreter's cache tag,
-    its payload matches the sha256 that follows that line, and the store's
-    first N bytes hash to the recorded digest, only the bytes from N on are
-    parsed, decoded as _text decodes and numbered on from the prefix's last
-    line.  A newline always ends a line, and a prefix that ends with one
-    decodes to the text of the same lines, so the result is the one a full
-    read gives.  Any other checkpoint, or none, means a full read; a read
-    that parsed enough (see _CHECKPOINT_MIN_BYTES) writes one up to the
-    last newline it read.  See _parse for how lines become records.
+    count, problems and one section per prime (see _Firsts) of a full
+    read of that prefix.  When its first line is _CHECKPOINT_VERSION and
+    this interpreter's cache tag, its payload matches the sha256 that
+    follows that line, and the store's first N bytes hash to the recorded
+    digest, only the bytes from N on are parsed, decoded as _text decodes
+    and numbered on from the prefix's last line.  A newline always ends a
+    line, and a prefix that ends with one decodes to the text of the same
+    lines, so the result is the one a full read gives.  Any other
+    checkpoint, or none, means a full read; a read that parsed enough (see
+    _CHECKPOINT_MIN_BYTES) writes one up to the last newline it read: the
+    sections of the primes it did not decode are copied as they are, and
+    the decoded primes are marshalled again.  See _parse for how lines
+    become records.
 
     hashlib and marshal are imported only where a checkpoint is read or
     written, so that a command that reads a small store does not load
     them."""
     raw = _open(path)
     if raw is None:
-        return {}, 0, []
+        return _Firsts({}), 0, []
     side = os.fsencode(path) + os.fsencode(_CHECKPOINT_SUFFIX)
     head = ("%s %s\n" % (_CHECKPOINT_VERSION,
                          sys.implementation.cache_tag)).encode()
     with raw:
         start = _load_checkpoint(side, head, raw) or (0, None, 0, 0, [], {})
-        offset, digest, lineno, lines, problems, firsts = start
+        offset, digest, lineno, lines, problems, sections = start
         data = raw.read()
+    firsts = _Firsts(sections)
     cut = data.rfind(b"\n") + 1
     lineno, lines = _parse(data[:cut], lineno, lines, problems, firsts)
     if cut and cut >= _CHECKPOINT_MIN_BYTES:
         _write_checkpoint(side, head, digest, data[:cut], offset + cut,
-                          (lineno, lines, problems, firsts))
+                          (lineno, lines, problems, firsts.all_sections()))
     _, lines = _parse(data[cut:], lineno, lines, problems, firsts)
     return firsts, lines, problems
 
 
 def _load_checkpoint(side, head, raw):
     """(N, sha256 of the store's first N bytes as a hashlib object, line
-    count, record-line count, problems, firsts) from the checkpoint file
+    count, record-line count, problems, sections) from the checkpoint file
     `side`, with the store `raw` read up to N; None, with `raw` at its
     start, when there is no checkpoint written under `head` that matches
     the store.  A checkpoint file that does not is removed: it would be
@@ -263,12 +315,17 @@ def _match_checkpoint(data, head, raw):
             hashlib.sha256(body).digest() != data[len(head):len(head) + 32]:
         return None
     try:
-        offset, digest, lineno, lines, problems, firsts = marshal.loads(body)
+        offset, digest, lineno, lines, problems, sections = \
+            marshal.loads(body)
     except (EOFError, ValueError, TypeError):
         return None
+    # every section an int prime's (bytes, dict) pair (see _Firsts)
     if not (type(offset) is int and offset > 0 and type(digest) is bytes
             and type(lineno) is int and type(lines) is int
-            and type(problems) is list and type(firsts) is dict):
+            and type(problems) is list and type(sections) is dict
+            and all(type(p) is int and type(section) is tuple
+                    and tuple(map(type, section)) == (bytes, dict)
+                    for p, section in sections.items())):
         return None
     prefix = hashlib.sha256()
     left = offset
@@ -280,16 +337,16 @@ def _match_checkpoint(data, head, raw):
         left -= len(chunk)
     if left or prefix.digest() != digest:
         return None
-    return offset, prefix, lineno, lines, problems, firsts
+    return offset, prefix, lineno, lines, problems, sections
 
 
 def _write_checkpoint(side, head, prefix, data, n, state):
     """Write the checkpoint file `side` for the first n bytes of the store,
     which are those the hashlib object `prefix` (None for no bytes) hashed
     followed by `data`, and the (line count, record-line count, problems,
-    firsts) of their read.  It goes through a temporary file and a rename,
-    so that a reader sees the old checkpoint or the new one; it is only an
-    aid, so a failure to write it is ignored."""
+    sections) of their read.  It goes through a temporary file and a
+    rename, so that a reader sees the old checkpoint or the new one; it is
+    only an aid, so a failure to write it is ignored."""
     import hashlib
     import marshal
     if prefix is None:
@@ -320,7 +377,10 @@ def _parse(data, lineno, lines, problems, firsts):
     now_timestamp()'s (checked once per distinct timestamp); such a line is
     taken from the memo with its own D, without checking its shape again.
     Every other line goes to parse_record, and fails there if it fails.
-    The lines of one shape share one fields tuple."""
+    The lines of one shape share one fields tuple.  A record's prime is
+    looked up as firsts[p], which decodes a checkpointed prime (see
+    _Firsts): setdefault would start it empty instead, and count a repeat
+    of a checkpointed record as a first one."""
     shapes, stamps = {}, set()
     for lineno, line in enumerate(_text(io.BytesIO(data)), lineno + 1):
         line = line.strip()
@@ -351,7 +411,7 @@ def _parse(data, lineno, lines, problems, firsts):
             problems.append((lineno, str(exc)))
             continue
         fields = rec[1:5]
-        by_d = firsts.setdefault(rec.prime, {})
+        by_d = firsts[rec.prime]
         by_d.setdefault(rec.discriminant, fields)
         shapes[shape] = fields, by_d
         lines += 1

@@ -211,6 +211,30 @@ def memo_store_bytes(seed, n_lines):
     return b"\n".join(lines) + b"\n"
 
 
+def checkpoint_sections(side):
+    """{p: (section, rank counts)} of the checkpoint file `side`."""
+    from capkit import store
+    head = ("%s %s\n" % (store._CHECKPOINT_VERSION,
+                         sys.implementation.cache_tag)).encode()
+    data = side.read_bytes()
+    assert data.startswith(head)
+    return marshal.loads(data[len(head) + 32:])[5]
+
+
+def count_section_decodes(monkeypatch, sections):
+    """A list that gets the prime of each of `sections` that marshal.loads
+    decodes from now on."""
+    primes = {blob: p for p, (blob, _) in sections.items()}
+    decoded, real = [], marshal.loads
+
+    def counted(data, *args):
+        if bytes(data) in primes:
+            decoded.append(primes[bytes(data)])
+        return real(data, *args)
+    monkeypatch.setattr(marshal, "loads", counted)
+    return decoded
+
+
 def write_seeded_store(path, seed):
     """Seeds 0-2: a synthetic_store_text store with corrupt lines of every
     prime, followed by a repeat of its first third; seeds 3-4: a
@@ -643,7 +667,7 @@ class TestStore:
         # or interpreter, or whose payload is not the one its digest names
         valid = side.read_bytes()
         head, _, rest = valid.partition(b"\n")
-        assert head.startswith(b"capkit-checkpoint 1 ")
+        assert head.startswith(b"capkit-checkpoint 2 ")
         foreign = [b" ".join(f(head.split(b" "))) + b"\n" + rest
                    for f in (lambda w: w[:1] + [b"0"] + w[2:],
                              lambda w: w[:2] + [b"0" * 16] + w[3:],
@@ -686,6 +710,47 @@ class TestStore:
         tally, repeats, problems = count_store(path)
         assert [line.split("\t")[0] for line in seen] == ["-7", "-23"]
         assert tally[13, 0] == 1 and problems == cold[1][2]
+
+    def test_a_warm_read_decodes_only_the_primes_it_asks_for(self, tmp_path,
+                                                            monkeypatch):
+        # the checkpoint keeps one marshalled section per prime: count_store
+        # takes every prime's rank counts without decoding one, and
+        # read_store(path, p) decodes p's alone
+        from capkit import store
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        path = tmp_path / "s.tsv"
+        side = path.with_name(path.name + store._CHECKPOINT_SUFFIX)
+        write_seeded_store(path, 0)
+        cold = count_store(path), read_store(path, 5)
+        sections = checkpoint_sections(side)
+        assert sorted(sections) == [2, 3, 5, 7]
+        decoded = count_section_decodes(monkeypatch, sections)
+        assert count_store(path) == cold[0]
+        assert decoded == []
+        assert read_store(path, 5) == cold[1]
+        assert decoded == [5]
+
+    def test_a_repeat_of_an_undecoded_prime_is_a_repeat(self, tmp_path,
+                                                        monkeypatch):
+        # a line appended after the checkpoint that repeats a checkpointed
+        # (D, p) finds p's section decoded, not an empty p; the rewritten
+        # checkpoint copies the sections it did not decode as they were
+        from capkit import store
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        path = tmp_path / "s.tsv"
+        side = path.with_name(path.name + store._CHECKPOINT_SUFFIX)
+        write_seeded_store(path, 1)
+        tally, repeats, problems = count_store(path)
+        before = checkpoint_sections(side)
+        first = read_store(path)[0][0]
+        decoded = count_section_decodes(monkeypatch, before)
+        append_records(path, [first._replace(timestamp=TS)])
+        assert count_store(path) == (tally, repeats + 1, problems)
+        assert decoded == [first.prime]
+        after = checkpoint_sections(side)
+        assert sorted(after) == sorted(before)
+        assert all(after[p] == before[p] for p in before if p != first.prime)
+        assert_views_match_oracle(path)
 
     @pytest.mark.parametrize("failing", ["open", "replace"])
     def test_checkpoint_write_errors_change_no_output(self, tmp_path,
@@ -762,10 +827,14 @@ class TestStore:
         marshal.dumps((1, b"", 1, None, [], {})),
         marshal.dumps((1, b"", 1, 1, (), {})),
         marshal.dumps((1, b"", 1, 1, [], [])),
+        # the store's own checkpoint with p = 5's section of a wrong shape
+        lambda blob, counts: (blob.decode("latin-1"), counts),
+        lambda blob, counts: (blob, list(counts.items())),
+        lambda blob, counts: blob,
     ], ids=["directory", "empty", "bad-code", "truncated", "short-tuple",
             "int", "float-offset", "zero-offset", "bool-offset",
             "str-digest", "float-lineno", "none-lines", "tuple-problems",
-            "list-firsts"])
+            "list-firsts", "str-section", "list-counts", "bytes-section"])
     def test_a_checkpoint_that_is_rejected(self, tmp_path, monkeypatch,
                                            capsys, payload):
         # a sidecar that is a directory, or a file with a valid head and
@@ -782,6 +851,14 @@ class TestStore:
         want = run_cli(["report", "--store", str(path)]), \
             capsys.readouterr().err
         assert want[0][0] == 0
+        if callable(payload):
+            with monkeypatch.context() as m:
+                m.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+                count_store(path)
+            *fields, sections = marshal.loads(side.read_bytes()[len(head)
+                                                                + 32:])
+            sections[5] = payload(*sections[5])
+            payload = marshal.dumps((*fields, sections))
 
         def plant():
             if payload is None:
@@ -1062,6 +1139,29 @@ class TestCli:
         [(lo, hi)] = calls
         assert lo == -3000 and hi - lo + 1 <= cli._chunk_width(-3000)
         assert discs == real(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(-85099, -12451),
+                                        (-10 ** 6, -999000)])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_pending_chunks_match_the_list_oracle(self, lo, hi, seeded):
+        # the stored discriminants leave each chunk by one filter in C; the
+        # chunks are those of dropping them one by one, in order, and a
+        # chunk that is all stored (the second, when there is one) is skipped
+        from capkit.quadform import fundamental_discriminants
+        width = cli._chunk_width(lo)
+        done = {}
+        if seeded:
+            rng = random.Random("pending:%d" % lo)
+            done = {d: None for d in fundamental_discriminants(lo - 50, hi)
+                    if rng.random() < 0.3
+                    or lo + width <= d < lo + 2 * width}
+        want = []
+        for start in range(lo, hi + 1, width):
+            discs = [d for d in fundamental_discriminants(
+                start, min(start + width - 1, hi)) if d not in done]
+            if discs:
+                want.append((discs, 5))
+        assert list(cli._pending_chunks(lo, hi, 5, done)) == want
 
     def test_append_after_a_torn_last_line(self, tmp_path, capsys):
         # a kill cut the last line inside its timestamp: what is left has
