@@ -8,9 +8,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from enum import Enum
-from itertools import chain, filterfalse, groupby
+from itertools import chain, groupby
 from math import isqrt
 from operator import itemgetter
 
@@ -74,17 +75,24 @@ def _chunk_width(lo):
 def _pending_chunks(lo, hi, p, done):
     """(discriminants, p) per chunk of _chunk_width(lo) consecutive
     integers from lo, sieved only when the scan reaches it: the fundamental
-    discriminants of the chunk in [lo, hi] not in `done`, those already
-    stored for p.  A chunk with none pending is skipped; a range above -3
-    has no chunk, and its lo, which may lie above 0, sizes none."""
+    discriminants of the chunk in [lo, hi] not in `done`, an ascending list
+    of those already stored for p.  A chunk whose discriminants are exactly
+    the stored ones between its ends is skipped after one list compare;
+    otherwise the stored ones are dropped from it by a set.  A chunk with
+    none pending is skipped; a range above -3 has no chunk, and its lo,
+    which may lie above 0, sizes none."""
     if lo > -3:
         return
-    width, stored = _chunk_width(lo), done.__contains__
+    width = _chunk_width(lo)
     for start in range(lo, min(hi, -3) + 1, width):
-        discs = list(filterfalse(stored, fundamental_discriminants(
-            start, min(start + width - 1, hi))))
-        if discs:
-            yield discs, p
+        end = min(start + width - 1, hi)
+        discs = fundamental_discriminants(start, end)
+        stored = done[bisect_left(done, start):bisect_right(done, end)]
+        if discs != stored:
+            stored = set(stored)
+            discs = [d for d in discs if d not in stored]
+            if discs:
+                yield discs, p
 
 
 def _scan_chunk(args):
@@ -151,17 +159,17 @@ def cmd_scan(ns, out):
     if not os.path.isdir(store_dir):
         raise Refused("store directory %s does not exist or is not a "
                       "directory" % store_dir)
-    # {D: (h, invariant factors, p, rank)} of the first stored record of
-    # each D in range: a repeat does not count
-    stored, = _checked(read_store, ns.store, ns.prime)
-    for d in [d for d in stored if not lo <= d <= hi]:
-        del stored[d]
-    work = _pending_chunks(lo, hi, ns.prime, stored)
+    # the stored D in range, ascending, and the (h, invariant factors, p,
+    # rank) of the first record of each: a repeat does not count
+    ds, fields = _checked(read_store, ns.store, ns.prime)
+    i, j = bisect_left(ds, lo), bisect_right(ds, hi)
+    ds, fields = ds[i:j], fields[i:j]
+    work = _pending_chunks(lo, hi, ns.prime, ds)
     first = next(work, None)
 
     min_rank = ns.min_rank
-    hist = Counter(map(itemgetter(3), stored.values()))
-    hits = [(d, h, rank) for d, (h, _, _, rank) in stored.items()
+    hist = Counter(map(itemgetter(3), fields))
+    hits = [(d, h, rank) for d, (h, _, _, rank) in zip(ds, fields)
             if rank >= min_rank]
     # each chunk is stored as it arrives, so a killed scan keeps the chunks
     # before it and a resume computes only the rest; only the histogram
@@ -181,10 +189,11 @@ def cmd_scan(ns, out):
         hits += [(r.discriminant, r.class_number, r.rank) for r in part
                  if r.rank >= min_rank]
 
+    # the stored hits come in ascending D order: one run for the sort
     hits.sort(reverse=True)
     out.write("".join("%d\th=%d\trank=%d\n" % hit for hit in hits))
     print("scanned %d discriminants (%d new); rank histogram: %s"
-          % (len(stored) + fresh, fresh,
+          % (len(ds) + fresh, fresh,
              " ".join("%d:%d" % kv for kv in sorted(hist.items()))), file=out)
 
     if ns.prime == TABLE_PRIME and min_rank <= 2:

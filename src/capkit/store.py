@@ -22,9 +22,10 @@ the state of a full read of a prefix of the store, which is replayed only
 when that prefix is still byte for byte the one it was taken from.  Once a
 read has written one (it takes 1 MiB of new bytes), a read of the
 unchanged store parses no line, and one after an append parses only the
-appended lines.  The checkpoint keeps one section per prime, the prime's
-first-record fields marshalled on their own and their rank counts, so a
-resume decodes only its own prime and a report, which needs only the
+appended lines.  The checkpoint keeps one section per prime: the prime's
+first records as two columns, their discriminants in ascending order and
+their fields, marshalled on their own, and their rank counts.  A resume
+decodes only its own prime's columns, and a report, which needs only the
 counts, decodes none that no appended line touched.  Deleting the
 checkpoint is always safe: the next read is a full one."""
 
@@ -113,17 +114,19 @@ def read_store(path, prime=None):
 
     Without `prime`, records lists every record in file order, repeats
     included, each parsed by parse_record: the reference reading, which
-    reads every line on every call.  With `prime` given, records is
-    {D: (h, invariant factors, p, rank)}, the fields of the first record of
-    each D for that p, which is what a scan resume needs; it is read as
-    count_store reads, from the store's checkpoint (see _read), and the
-    problems are the same either way.
+    reads every line on every call.  With `prime` given, the result is
+    (ds, fields, problems), which is what a scan resume needs: ds lists in
+    ascending order every D with a record for that prime, and fields[i] is
+    the (h, invariant factors, p, rank) of the first record of ds[i].  It is
+    read as count_store reads, from the store's checkpoint (see _read),
+    whose section of that prime holds these two columns as they are, and
+    the problems are the same either way.
 
     A missing file reads as empty; a path that is not a regular file, or
     that cannot be opened, raises OSError."""
     if prime is not None:
-        firsts, _, problems = _read(path)
-        return firsts[prime], problems
+        (ds, fields), _, problems = _read(path, lambda f: f.columns(prime))
+        return ds, fields, problems
     records, problems = [], []
     raw = _open(path)
     if raw is None:
@@ -146,9 +149,9 @@ def count_store(path):
     (D, p); problems are those of read_store.  The store is read as
     read_store(path, p) reads it, from its checkpoint (see _read), whose
     rank counts serve every prime that no appended line touched."""
-    firsts, lines, problems = _read(path)
+    by_prime, lines, problems = _read(path, _Firsts.rank_counts)
     tally = Counter()
-    for p, counts in firsts.rank_counts():
+    for p, counts in by_prime.items():
         for rank, n in counts.items():
             tally[p, rank] = n
     return tally, lines - sum(tally.values()), problems
@@ -188,17 +191,21 @@ _CHECKPOINT_MIN_BYTES = 1 << 20
 # AbelianGroup's __init__ and rank, which decide what a line reads as:
 # tests/test_source.py fails until it is brought up to date after any change
 # to them, and that retires every checkpoint written under the old rules.
-_CHECKPOINT_VERSION = "capkit-checkpoint 2 ba2804f38d7d3322"
+_CHECKPOINT_VERSION = "capkit-checkpoint 3 ba2804f38d7d3322"
+
+
+class _Rejected(Exception):
+    """A checkpoint section that does not decode to its columns."""
 
 
 class _Firsts(dict):
     """firsts as _read gives it: {p: {D: fields}} of the primes decoded so
     far, over `sections`, {p: (section, {rank: count})} of those that are
-    not, as a checkpoint holds them.  A section is the prime's {D: fields}
-    marshalled on its own, and the counts are the ranks of those first
-    records.  firsts[p] decodes p's section the first time it is asked
-    for, and a prime with no section starts empty; get() and setdefault()
-    do not decode, so the readers ask for firsts[p]."""
+    not, as a checkpoint holds them.  A section is the prime's columns (see
+    columns) marshalled on their own, and the counts are the ranks of its
+    first records.  firsts[p] builds p's {D: fields} from its section the
+    first time it is asked for, and a prime with no section starts empty;
+    get() and setdefault() do not, so _parse asks for firsts[p]."""
     __slots__ = ("sections",)
 
     def __init__(self, sections):
@@ -206,39 +213,58 @@ class _Firsts(dict):
         self.sections = sections
 
     def __missing__(self, p):
-        section = self.sections.pop(p, None)
-        if section is None:
-            by_d = {}
-        else:
-            import marshal
-            by_d = marshal.loads(section[0])
+        by_d = dict(zip(*self.columns(p)))
+        self.sections.pop(p, None)
         self[p] = by_d
         return by_d
 
+    def columns(self, p):
+        """(ds, fields): the discriminants of p's first records in
+        ascending order and the fields of each, read off p's section as
+        they are, or sorted once from p's {D: fields} when a line after
+        the checkpoint decoded it.  _Rejected when the section is not two
+        lists of equal length."""
+        if p in self:
+            by_d = self[p]
+            ds = sorted(by_d)
+            return ds, list(map(by_d.__getitem__, ds))
+        section = self.sections.get(p)
+        if section is None:
+            return [], []
+        import marshal
+        try:
+            ds, fields = cols = marshal.loads(section[0])
+        except (EOFError, ValueError, TypeError):
+            raise _Rejected from None
+        if type(cols) is not tuple or type(ds) is not list or \
+                type(fields) is not list or len(ds) != len(fields):
+            raise _Rejected
+        return cols
+
     def rank_counts(self):
-        """(p, {rank: count} of p's first records) for every prime: those
+        """{p: {rank: count} of p's first records} for every prime: those
         of an undecoded prime as its section holds them."""
-        for p, (_, counts) in self.sections.items():
-            yield p, counts
+        counts = {p: section[1] for p, section in self.sections.items()}
         for p, by_d in self.items():
-            yield p, dict(Counter(map(itemgetter(3), by_d.values())))
+            counts[p] = dict(Counter(map(itemgetter(3), by_d.values())))
+        return counts
 
     def all_sections(self):
         """The sections of every prime: an undecoded one as it is, a
         decoded one marshalled again."""
         import marshal
-        counts = dict(self.rank_counts())
+        counts = self.rank_counts()
         return {**self.sections,
-                **{p: (marshal.dumps(by_d), counts[p])
-                   for p, by_d in self.items()}}
+                **{p: (marshal.dumps(self.columns(p)), counts[p])
+                   for p in self}}
 
 
-def _read(path):
-    """(firsts, lines, problems): firsts[p][D] is the shared (h, invariant
-    factors, p, rank) of the first record of each (D, p), read through a
-    _Firsts, which decodes a prime from the checkpoint only when it is
-    asked for; lines counts the record lines; problems are (line number,
-    message) pairs.
+def _read(path, view):
+    """(view(firsts), lines, problems): firsts[p][D] is the shared (h,
+    invariant factors, p, rank) of the first record of each (D, p), read
+    through a _Firsts, which decodes a prime from the checkpoint only when
+    it is asked for; lines counts the record lines; problems are (line
+    number, message) pairs.
 
     The read starts from the store's checkpoint when it has a valid one:
     the byte length N of a prefix of the store that ends just after a
@@ -251,10 +277,11 @@ def _read(path):
     and numbered on from the prefix's last line.  A newline always ends a
     line, and a prefix that ends with one decodes to the text of the same
     lines, so the result is the one a full read gives.  Any other
-    checkpoint, or none, means a full read; a read that parsed enough (see
-    _CHECKPOINT_MIN_BYTES) writes one up to the last newline it read: the
-    sections of the primes it did not decode are copied as they are, and
-    the decoded primes are marshalled again.  See _parse for how lines
+    checkpoint, or none, means a full read, and so does one with a section
+    that the read decodes and finds malformed; a read that parsed enough
+    (see _CHECKPOINT_MIN_BYTES) writes one up to the last newline it read:
+    the sections of the primes it did not decode are copied as they are,
+    and the decoded primes are marshalled again.  See _parse for how lines
     become records.
 
     hashlib and marshal are imported only where a checkpoint is read or
@@ -262,14 +289,28 @@ def _read(path):
     them."""
     raw = _open(path)
     if raw is None:
-        return _Firsts({}), 0, []
+        return view(_Firsts({})), 0, []
     side = os.fsencode(path) + os.fsencode(_CHECKPOINT_SUFFIX)
     head = ("%s %s\n" % (_CHECKPOINT_VERSION,
                          sys.implementation.cache_tag)).encode()
     with raw:
-        start = _load_checkpoint(side, head, raw) or (0, None, 0, 0, [], {})
-        offset, digest, lineno, lines, problems, sections = start
+        start = _load_checkpoint(side, head, raw)
         data = raw.read()
+        if start is not None:
+            try:
+                return _read_from(side, head, start, data, view)
+            except _Rejected:
+                _remove(side)
+                raw.seek(0)
+                data = raw.read()
+    return _read_from(side, head, None, data, view)
+
+
+def _read_from(side, head, start, data, view):
+    """_read's result from `start`, the state that _load_checkpoint gave
+    (None for a full read), and `data`, the store bytes that follow it."""
+    offset, digest, lineno, lines, problems, sections = \
+        start or (0, None, 0, 0, [], {})
     firsts = _Firsts(sections)
     cut = data.rfind(b"\n") + 1
     lineno, lines = _parse(data[:cut], lineno, lines, problems, firsts)
@@ -277,7 +318,7 @@ def _read(path):
         _write_checkpoint(side, head, digest, data[:cut], offset + cut,
                           (lineno, lines, problems, firsts.all_sections()))
     _, lines = _parse(data[cut:], lineno, lines, problems, firsts)
-    return firsts, lines, problems
+    return view(firsts), lines, problems
 
 
 def _load_checkpoint(side, head, raw):
@@ -298,11 +339,16 @@ def _load_checkpoint(side, head, raw):
     start = _match_checkpoint(data, head, raw)
     if start is None:
         raw.seek(0)
-        try:
-            os.remove(side)
-        except OSError:
-            pass
+        _remove(side)
     return start
+
+
+def _remove(path):
+    """Remove the file at `path`, if it can be."""
+    try:
+        os.remove(path)
+    except OSError:
+        pass
 
 
 def _match_checkpoint(data, head, raw):
@@ -319,12 +365,16 @@ def _match_checkpoint(data, head, raw):
             marshal.loads(body)
     except (EOFError, ValueError, TypeError):
         return None
-    # every section an int prime's (bytes, dict) pair (see _Firsts)
+    # every section an int prime's (bytes, {int >= 0: int >= 1}) pair (see
+    # _Firsts); its columns are checked when they are decoded
     if not (type(offset) is int and offset > 0 and type(digest) is bytes
             and type(lineno) is int and type(lines) is int
             and type(problems) is list and type(sections) is dict
             and all(type(p) is int and type(section) is tuple
                     and tuple(map(type, section)) == (bytes, dict)
+                    and all(type(rank) is int and rank >= 0
+                            and type(n) is int and n >= 1
+                            for rank, n in section[1].items())
                     for p, section in sections.items())):
         return None
     prefix = hashlib.sha256()
@@ -359,10 +409,7 @@ def _write_checkpoint(side, head, prefix, data, n, state):
             fh.write(head + hashlib.sha256(payload).digest() + payload)
         os.replace(tmp, side)
     except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        _remove(tmp)
 
 
 def _parse(data, lineno, lines, problems, firsts):

@@ -107,6 +107,16 @@ def oracle_read_store(path):
     return records, problems
 
 
+def read_firsts(path, p):
+    """({D: fields}, problems) from read_store(path, p), whose D column is
+    strictly ascending and as long as its fields column."""
+    ds, fields, problems = read_store(path, p)
+    assert type(ds) is list and type(fields) is list
+    assert len(ds) == len(fields)
+    assert all(a < b for a, b in zip(ds, ds[1:]))
+    return dict(zip(ds, fields)), problems
+
+
 def assert_first_record_views_match(path, records, problems):
     """read_store(path, p) for each p and count_store(path) give the first
     record of each (D, p) among `records`, the oracle's reading of the
@@ -117,7 +127,7 @@ def assert_first_record_views_match(path, records, problems):
     for p in {r.prime for r in records} | {11}:
         want = {d: (r.class_number, r.invariant_factors, r.prime, r.rank)
                 for (d, q), r in first.items() if q == p}
-        assert read_store(path, p) == (want, problems), p
+        assert read_firsts(path, p) == (want, problems), p
     tally = Counter((p, r.rank) for (_, p), r in first.items())
     assert count_store(path) == (tally, len(records) - len(first), problems)
 
@@ -511,7 +521,7 @@ class TestStore:
             for r in records:
                 if r.prime == p:
                     want.setdefault(r.discriminant, r[1:5])
-            assert read_store(path, p) == (want, problems), p
+            assert read_firsts(path, p) == (want, problems), p
         assert {r.prime for r in records} >= {3, 5}
         repeated = Counter(r.key() for r in records)
         assert max(repeated.values()) > 1
@@ -557,10 +567,9 @@ class TestStore:
                          "factors")]
         c3p5, c3p3 = (3, (3,), 5, 0), (3, (3,), 3, 1)
         assert read_store(path, 5) == \
-            ({-39: c3p5, -43: c3p5, -47: c3p5, -67: c3p5}, problems)
-        assert read_store(path, 3) == \
-            ({-23: c3p3, -31: c3p3, -59: c3p3}, problems)
-        assert read_store(path, 7) == ({}, problems)
+            ([-67, -47, -43, -39], [c3p5] * 4, problems)
+        assert read_store(path, 3) == ([-59, -31, -23], [c3p3] * 3, problems)
+        assert read_store(path, 7) == ([], [], problems)
         assert read_store(path)[1] == problems
 
     @pytest.mark.parametrize("line", [
@@ -667,7 +676,7 @@ class TestStore:
         # or interpreter, or whose payload is not the one its digest names
         valid = side.read_bytes()
         head, _, rest = valid.partition(b"\n")
-        assert head.startswith(b"capkit-checkpoint 2 ")
+        assert head.startswith(b"capkit-checkpoint 3 ")
         foreign = [b" ".join(f(head.split(b" "))) + b"\n" + rest
                    for f in (lambda w: w[:1] + [b"0"] + w[2:],
                              lambda w: w[:2] + [b"0" * 16] + w[3:],
@@ -682,7 +691,7 @@ class TestStore:
         # a deleted store reads as empty, its stale checkpoint kept aside;
         # a new store at the path does not replay it
         path.unlink()
-        assert read_store(path, 5) == ({}, [])
+        assert read_store(path, 5) == ([], [], [])
         assert count_store(path) == ({}, 0, [])
         assert side.read_bytes() == valid
         write_seeded_store(path, (seed + 1) % 5)
@@ -808,7 +817,7 @@ class TestStore:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["s.tsv", "s.tsv.capkit-checkpoint"]
         assert (count_store(path), read_store(path, 5)) == cold
-        assert cold[0][0] == small[0][0] and cold[1][0] == small[1][0]
+        assert cold[0][0] == small[0][0] and cold[1][:2] == small[1][:2]
         # the small store again: its read removes the checkpoint that no
         # longer fits, which no read of it would replace
         path.write_bytes(text)
@@ -831,26 +840,61 @@ class TestStore:
         lambda blob, counts: (blob.decode("latin-1"), counts),
         lambda blob, counts: (blob, list(counts.items())),
         lambda blob, counts: blob,
+        # rank counts that are not {int >= 0: int >= 1}
+        lambda blob, counts: (blob, {"x": "y"}),
+        lambda blob, counts: (blob, {-1: 1, **counts}),
+        lambda blob, counts: (blob, {**counts, 9: 0}),
+        lambda blob, counts: (blob, {True: 1}),
+        lambda blob, counts: (blob, {0: 1.0}),
+        # columns that do not decode to two lists of equal length
+        lambda blob, counts: (b"junk", counts),
+        lambda blob, counts: (blob[:-1], counts),
+        lambda blob, counts: (marshal.dumps(dict(zip(*marshal.loads(blob)))),
+                              counts),
+        lambda blob, counts: (marshal.dumps(marshal.loads(blob)[0]), counts),
+        lambda blob, counts: (marshal.dumps(tuple(map(
+            tuple, marshal.loads(blob)))), counts),
+        lambda blob, counts: (marshal.dumps(marshal.loads(blob) + ([],)),
+                              counts),
+        lambda blob, counts: (marshal.dumps((marshal.loads(blob)[0][1:],
+                                             marshal.loads(blob)[1])),
+                              counts),
     ], ids=["directory", "empty", "bad-code", "truncated", "short-tuple",
             "int", "float-offset", "zero-offset", "bool-offset",
             "str-digest", "float-lineno", "none-lines", "tuple-problems",
-            "list-firsts", "str-section", "list-counts", "bytes-section"])
+            "list-firsts", "str-section", "list-counts", "bytes-section",
+            "str-counts", "negative-rank", "zero-count", "bool-rank",
+            "float-count", "junk-columns", "cut-columns", "dict-columns",
+            "one-column", "tuple-columns", "three-columns",
+            "unequal-columns"])
     def test_a_checkpoint_that_is_rejected(self, tmp_path, monkeypatch,
                                            capsys, payload):
         # a sidecar that is a directory, or a file with a valid head and
         # payload digest whose payload marshal cannot read or has the wrong
         # shape: every read equals the oracle's, a rejected file is removed
         # and replaced by the next read that writes a checkpoint, and a
-        # directory is left as it is, with no temporary file beside it
+        # directory is left as it is, with no temporary file beside it.
+        # The store is complete for a p = 5 resume of [-13500, -12000], so
+        # the resume reads p = 5's section and appends nothing
         from capkit import store
         path = tmp_path / "s.tsv"
         side = path.with_name(path.name + store._CHECKPOINT_SUFFIX)
         head = ("%s %s\n" % (store._CHECKPOINT_VERSION,
                              sys.implementation.cache_tag)).encode()
         write_seeded_store(path, 0)
-        want = run_cli(["report", "--store", str(path)]), \
-            capsys.readouterr().err
-        assert want[0][0] == 0
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(resume_store_text(0, -13500, -12000))
+        commands = [["report", "--store", str(path)],
+                    ["scan", "--min-rank", "0", "--store", str(path), "--",
+                     "-13500", "-12000"]]
+
+        def run(args):
+            return run_cli(args), capsys.readouterr().err
+
+        want = [run(args) for args in commands]
+        assert [code for (code, _), _ in want] == [0, 0]
+        assert "(0 new)" in want[1][0][1]
+        before = path.read_bytes()
         if callable(payload):
             with monkeypatch.context() as m:
                 m.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
@@ -866,9 +910,11 @@ class TestStore:
             else:
                 side.write_bytes(head + hashlib.sha256(payload).digest()
                                  + payload)
-        plant()
-        assert run_cli(["report", "--store", str(path)]) == want[0]
-        assert "Traceback" not in capsys.readouterr().err
+        for args, runs in zip(commands, want):
+            plant()
+            assert run(args) == runs
+        assert side.is_dir() if payload is None else not side.exists()
+        assert path.read_bytes() == before
         for _ in range(2):  # a small store: no checkpoint is written
             plant()
             assert_views_match_oracle(path)
@@ -970,40 +1016,50 @@ class TestCli:
 
     @pytest.mark.parametrize("seed,min_rank", [(0, 2), (1, 1), (2, 0)])
     def test_resume_output_matches_the_records(self, tmp_path, capsys,
-                                               seed, min_rank):
+                                               monkeypatch, seed, min_rank):
         # oracle: the resume's output computed from every record in file
-        # order, the first record of each D for p = 5 in range counting
+        # order, the first record of each D for p = 5 in range counting.
+        # It is checked on a cold read, from a warm checkpoint, and after
+        # records of p = 5 and 7 are appended past the checkpoint
+        from capkit import store
         lo, hi = -13500, -12000
         path = tmp_path / "s.tsv"
         path.write_text(resume_store_text(seed, lo, hi), encoding="utf-8")
-        before = path.read_bytes()
-        records, problems = read_store(path)
-        kept = {}
-        for r in records:
-            if r.prime == 5 and lo <= r.discriminant <= hi:
-                kept.setdefault(r.discriminant, r)
-        kept = sorted(kept.values(), key=lambda r: -r.discriminant)
-        want = ["%d\th=%d\trank=%d" % (r.discriminant, r.class_number, r.rank)
-                for r in kept if r.rank >= min_rank]
-        hist = Counter(r.rank for r in kept)
-        want.append("scanned %d discriminants (0 new); rank histogram: %s"
-                    % (len(kept), " ".join("%d:%d" % kv
-                                           for kv in sorted(hist.items()))))
         known = reference_discriminants()
-        extra = [r.discriminant for r in kept if r.rank == 2
-                 and min(known) <= r.discriminant <= max(known)
-                 and r.discriminant not in known]
-        if min_rank <= 2:
-            want += ["informational: %d has 5-rank 2 but is not a tabulated "
-                     "discriminant" % d for d in extra]
-        capsys.readouterr()
-        code, text = run_cli(["scan", "--min-rank", str(min_rank), "--store",
-                              str(path), "--", str(lo), str(hi)])
-        assert code == 0
-        assert text == "\n".join(want) + "\n"
-        assert capsys.readouterr().err == "".join(
-            "store line %d skipped: %s\n" % pr for pr in problems)
-        assert path.read_bytes() == before
+
+        def check_resume():
+            before = path.read_bytes()
+            records, problems = read_store(path)
+            kept = {}
+            for r in records:
+                if r.prime == 5 and lo <= r.discriminant <= hi:
+                    kept.setdefault(r.discriminant, r)
+            kept = sorted(kept.values(), key=lambda r: -r.discriminant)
+            want = ["%d\th=%d\trank=%d"
+                    % (r.discriminant, r.class_number, r.rank)
+                    for r in kept if r.rank >= min_rank]
+            hist = Counter(r.rank for r in kept)
+            want.append("scanned %d discriminants (0 new); rank histogram: %s"
+                        % (len(kept), " ".join(
+                            "%d:%d" % kv for kv in sorted(hist.items()))))
+            extra = [r.discriminant for r in kept if r.rank == 2
+                     and min(known) <= r.discriminant <= max(known)
+                     and r.discriminant not in known]
+            if min_rank <= 2:
+                want += ["informational: %d has 5-rank 2 but is not a "
+                         "tabulated discriminant" % d for d in extra]
+            capsys.readouterr()
+            code, text = run_cli(["scan", "--min-rank", str(min_rank),
+                                  "--store", str(path), "--", str(lo),
+                                  str(hi)])
+            assert code == 0
+            assert text == "\n".join(want) + "\n"
+            assert capsys.readouterr().err == "".join(
+                "store line %d skipped: %s\n" % pr for pr in problems)
+            assert path.read_bytes() == before
+            return records, problems, kept, extra
+
+        records, problems, kept, extra = check_resume()
         # the store holds what the test means to cover
         assert {r.prime for r in records} == {3, 5, 7}
         assert len(kept) < len([r for r in records if r.prime == 5])
@@ -1011,6 +1067,53 @@ class TestCli:
         assert any(r.discriminant > hi for r in records)
         assert len({msg.split(":")[0] for _, msg in problems}) > 5
         assert extra and -12451 in [r.discriminant for r in kept]
+
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        side = path.with_name(path.name + store._CHECKPOINT_SUFFIX)
+        count_store(path)
+        assert side.is_file()
+        check_resume()
+        # a repeat of a stored D, a D in range that is not fundamental (it
+        # counts, as every stored D in range does) and one outside it
+        first = kept[len(kept) // 2]
+        append_records(path, [first._replace(class_number=1,
+                                             invariant_factors=(), rank=0),
+                              ScanRecord(-12006, 25, (5, 5), 5, 2, TS),
+                              ScanRecord(hi + 2, 5, (5,), 5, 1, TS),
+                              ScanRecord(-12006, 7, (7,), 7, 1, TS),
+                              ScanRecord(first.discriminant, 1, (), 7, 0, TS)])
+        for _ in range(2):  # the second read finds the rewritten checkpoint
+            _, _, after, _ = check_resume()
+            assert len(after) == len(kept) + 1
+            assert first in after
+
+    def test_a_warm_no_op_resume_builds_no_dict(self, tmp_path, monkeypatch):
+        # the resume reads p = 5's columns off the checkpoint: no prime's
+        # {D: fields} is built and no line is parsed
+        from capkit import store
+        monkeypatch.setattr(store, "_CHECKPOINT_MIN_BYTES", 0)
+        path = tmp_path / "s.tsv"
+        path.write_text(resume_store_text(0, -13500, -12000),
+                        encoding="utf-8")
+        built, parsed = [], []
+        real_missing = store._Firsts.__missing__
+
+        def recording_missing(firsts, p):
+            built.append(p)
+            return real_missing(firsts, p)
+
+        def recording_parse(line):
+            parsed.append(line)
+            return parse_record(line)
+        monkeypatch.setattr(store._Firsts, "__missing__", recording_missing)
+        monkeypatch.setattr(store, "parse_record", recording_parse)
+        args = ["scan", "--store", str(path), "--", "-13500", "-12000"]
+        cold = run_cli(args)
+        assert "(0 new)" in cold[1]
+        assert sorted(built) == [3, 5, 7] and parsed
+        del built[:], parsed[:]
+        assert run_cli(args) == cold
+        assert built == [] and parsed == []
 
     @pytest.mark.parametrize("command", ["scan", "report"])
     def test_a_resume_builds_one_record_per_shape(self, tmp_path, monkeypatch,
@@ -1102,7 +1205,7 @@ class TestCli:
         whole, store = str(tmp_path / "whole.tsv"), str(tmp_path / "scan.tsv")
         assert run_cli(["scan", "--store", whole, "--", "-3000", "-3"])[0] == 0
         expected = [r.payload() for r in read_store(whole)[0]]
-        work = list(cli._pending_chunks(-3000, -3, 5, set()))
+        work = list(cli._pending_chunks(-3000, -3, 5, []))
         width = cli._chunk_width(-3000)
         assert len(work) == -(-2998 // width) > 3
         real, calls = cli._scan_chunk, []
@@ -1134,34 +1237,44 @@ class TestCli:
             return real(lo, hi)
 
         monkeypatch.setattr(cli, "fundamental_discriminants", counted)
-        discs, p = next(cli._pending_chunks(-3000, -3, 5, set()))
+        discs, p = next(cli._pending_chunks(-3000, -3, 5, []))
         assert p == 5
         [(lo, hi)] = calls
         assert lo == -3000 and hi - lo + 1 <= cli._chunk_width(-3000)
         assert discs == real(lo, hi)
 
     @pytest.mark.parametrize("lo, hi", [(-85099, -12451),
-                                        (-10 ** 6, -999000)])
+                                        (-10 ** 6, -999000), (-2000, -1)])
     @pytest.mark.parametrize("seeded", [False, True])
     def test_pending_chunks_match_the_list_oracle(self, lo, hi, seeded):
-        # the stored discriminants leave each chunk by one filter in C; the
-        # chunks are those of dropping them one by one, in order, and a
-        # chunk that is all stored (the second, when there is one) is skipped
+        # the chunks are those of dropping the stored discriminants one by
+        # one, in order; a chunk that is all stored (the second) is skipped.
+        # done is sorted and also holds D that are not fundamental or lie
+        # outside [lo, hi], and -1 and -2 with hi = -1, inside the last
+        # chunk but above every discriminant
         from capkit.quadform import fundamental_discriminants
         width = cli._chunk_width(lo)
-        done = {}
+        done = []
         if seeded:
             rng = random.Random("pending:%d" % lo)
-            done = {d: None for d in fundamental_discriminants(lo - 50, hi)
-                    if rng.random() < 0.3
-                    or lo + width <= d < lo + 2 * width}
+            fund = set(fundamental_discriminants(lo - 50, hi + 50))
+            second = range(lo + width, lo + 2 * width)
+            done = [d for d in range(lo - 50, min(hi + 50, 0))
+                    if d in fund and (d in second or rng.random() < 0.3)
+                    or d not in fund and d not in second
+                    and (d > -3 or rng.random() < 0.01)]
+            assert done[0] < lo and (done[-1] > hi or done[-2:] == [-2, -1])
+            assert not fund.issuperset(done)
+        stored = set(done)
         want = []
         for start in range(lo, hi + 1, width):
             discs = [d for d in fundamental_discriminants(
-                start, min(start + width - 1, hi)) if d not in done]
+                start, min(start + width - 1, hi)) if d not in stored]
             if discs:
                 want.append((discs, 5))
         assert list(cli._pending_chunks(lo, hi, 5, done)) == want
+        if seeded:
+            assert all(discs[0] not in second for discs, _ in want)
 
     def test_append_after_a_torn_last_line(self, tmp_path, capsys):
         # a kill cut the last line inside its timestamp: what is left has

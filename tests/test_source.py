@@ -116,7 +116,7 @@ def test_checkpoint_version_names_the_parser():
                     inspect.getsource(store._text)])
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert store._CHECKPOINT_VERSION.split() == \
-        ["capkit-checkpoint", "2", digest], \
+        ["capkit-checkpoint", "3", digest], \
         "the parser changed: put %s in store._CHECKPOINT_VERSION" % digest
 
 
